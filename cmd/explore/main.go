@@ -31,18 +31,9 @@
 //	        [-objective latency|area|weighted] [-seed 1] [-n 16]
 //	        [-search-json BENCH_search.json]
 //
-// The -bench-json mode measures the cache trajectory (cold sweep, warm
-// in-memory re-sweep, disk-warm sweep in a fresh engine) and writes the
-// results as machine-readable JSON for CI trend tracking:
-//
-//	explore -bench-json BENCH_explore.json [-workers 8] [-sizes 4,8]
-//
-// The -codec-bench-json mode measures the artifact wire codecs against
-// the retired gob baseline (encode/decode ns, allocations, and the
-// verify-vs-decode ratio of streaming-hash revival), asserts the
-// regression floors in-binary, and writes the results as JSON:
-//
-//	explore -codec-bench-json BENCH_codec.json
+// Performance is measured by the repository's benchmark (BENCHMARK.json,
+// run with `bash bench/run.sh`), which drives these same engines through
+// in-process sparkd daemons and the experiment suite.
 //
 // The local -sweep and -search modes accept -cpuprofile/-memprofile for
 // pprof capture; profile remote runs with sparkd -pprof instead.
@@ -69,7 +60,6 @@ import (
 	"sparkgo/internal/ir"
 	"sparkgo/internal/parser"
 	"sparkgo/internal/report"
-	"sparkgo/internal/rtlsim"
 )
 
 func main() {
@@ -83,9 +73,6 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "garbage-collect the cache directory down to this many bytes after the run (0 = never)")
 	remoteCache := flag.String("remote-cache", "", "base URL of a sparkd daemon whose /v1/blobs API backs the local cache (e.g. http://host:8341)")
 	srcFiles := flag.String("src", "", "comma-separated source files to sweep instead of the ILD generator")
-	benchJSON := flag.String("bench-json", "", "write cold/warm/disk-warm sweep benchmark results to this JSON file and exit")
-	simBenchJSON := flag.String("sim-bench-json", "", "write scalar-vs-batched simulator benchmark results to this JSON file and exit")
-	codecBenchJSON := flag.String("codec-bench-json", "", "write wire-vs-gob artifact codec benchmark results to this JSON file and exit")
 	search := flag.Bool("search", false, "run an adaptive design-space search instead of an exhaustive sweep")
 	strategy := flag.String("strategy", "hill", "search strategy: hill (steepest-ascent + restarts), genetic, or anneal (simulated annealing)")
 	objective := flag.String("objective", "weighted", "search objective: latency, area, or weighted")
@@ -114,10 +101,6 @@ func main() {
 	if *search {
 		if *sweep {
 			fmt.Fprintln(os.Stderr, "-search and -sweep are mutually exclusive")
-			os.Exit(1)
-		}
-		if *benchJSON != "" {
-			fmt.Fprintln(os.Stderr, "-search and -bench-json are mutually exclusive")
 			os.Exit(1)
 		}
 		if *srcFiles != "" {
@@ -152,30 +135,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-cpuprofile/-memprofile profile this process; with -remote the work runs in sparkd (use its -pprof listener)")
 			os.Exit(1)
 		}
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *sizes, *workers, *sim); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *simBenchJSON != "" {
-		if err := runSimBenchJSON(*simBenchJSON, rtlsim.MaxLanes); err != nil {
-			fmt.Fprintf(os.Stderr, "sim-bench-json FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *codecBenchJSON != "" {
-		if err := runCodecBenchJSON(*codecBenchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "codec-bench-json FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// Ctrl-C (and SIGTERM) cancel in-flight sweeps and searches at the

@@ -23,12 +23,11 @@ type searchStep struct {
 	Area       float64 `json:"area"`
 }
 
-// searchReport is the BENCH_search.json schema consumed by CI trend
-// tracking, the adaptive-search sibling of benchReport. CacheSchema and
-// StageVersions identify the cache generation the run was measured
-// under: archived reports are only comparable when they match, and a
-// stage-version bump shows up as a schema change instead of a silent
-// performance cliff.
+// searchReport is the BENCH_search.json schema CI archives.
+// CacheSchema and StageVersions identify the cache generation the run
+// was measured under: archived reports are only comparable when they
+// match, and a stage-version bump shows up as a schema change instead
+// of a silent performance cliff.
 type searchReport struct {
 	Schema        string                `json:"schema"`
 	Timestamp     string                `json:"timestamp"`
@@ -53,7 +52,7 @@ type searchReport struct {
 	BestLatency   int                   `json:"best_latency"`
 	BestArea      float64               `json:"best_area"`
 	Trajectory    []searchStep          `json:"trajectory"`
-	Cache         benchCacheStat        `json:"cache"`
+	Cache         explore.Stats         `json:"cache"`
 	// Metrics is the run's folded observability snapshot (stage latency
 	// histogram counts/sums by disposition, tier ops, sim cycles), keyed
 	// by Prometheus series name — the same numbers sparkd's /metrics
@@ -147,7 +146,7 @@ func runSearch(ctx context.Context, strategy, objective string, n, budgetEvals i
 			Exhausted: res.Exhausted, BestScore: res.BestScore,
 			BestConfig:  res.Best.Config.String(),
 			BestLatency: res.Best.Latency, BestArea: res.Best.Area,
-			Cache:   benchStat(stats),
+			Cache:   stats,
 			Metrics: reg.Snapshot(),
 		}
 		for _, s := range res.Trajectory {

@@ -11,26 +11,23 @@ import (
 	"sparkgo/internal/sched"
 )
 
-// Codec benchmarks over the artifacts of one real staged-flow run, wire
-// versus the retired gob baseline. Run with -benchmem: the wire codecs
-// are the artifact hot path (every disk hit and miss crosses them), and
-// the allocation counts are as load-bearing as the ns. The fingerprint
-// benchmarks measure the verification side: revival integrity is one
-// hash pass over the stored bytes, so Fingerprint-vs-Decode is the
-// ratio the streaming-hash design banks on.
+// Codec benchmarks over the artifacts of one real staged-flow run. Run
+// with -benchmem: the wire codecs are the artifact hot path (every disk
+// hit and miss crosses them), and the allocation counts are as
+// load-bearing as the ns. The fingerprint benchmarks measure the
+// verification side: revival integrity is one hash pass over the stored
+// bytes, so Fingerprint-vs-Decode is the ratio the streaming-hash design
+// banks on.
 //
-//	go test ./internal/core -bench 'Wire|Gob|Fingerprint' -benchmem
+//	go test ./internal/core -bench 'Wire|Fingerprint' -benchmem
 
-// benchKind is one artifact layer with both codecs and an encoding to
+// benchKind is one artifact layer with its codec and an encoding to
 // decode/hash.
 type benchKind struct {
-	name       string
-	wireEnc    func() ([]byte, error)
-	wireDec    func([]byte) error
-	gobEnc     func() ([]byte, error)
-	gobDec     func([]byte) error
-	enc        []byte // wire encoding, for decode + fingerprint
-	gobEncoded []byte
+	name    string
+	wireEnc func() ([]byte, error)
+	wireDec func([]byte) error
+	enc     []byte // wire encoding, for decode + fingerprint
 }
 
 func benchKinds(b *testing.B) []benchKind {
@@ -54,38 +51,27 @@ func benchKinds(b *testing.B) []benchKind {
 			name:    "program",
 			wireEnc: func() ([]byte, error) { return ir.EncodeProgram(fa.Program) },
 			wireDec: func(d []byte) error { _, err := ir.DecodeProgram(d); return err },
-			gobEnc:  func() ([]byte, error) { return ir.EncodeProgramGob(fa.Program) },
-			gobDec:  func(d []byte) error { _, err := ir.DecodeProgramGob(d); return err },
 		},
 		{
 			name:    "graph",
 			wireEnc: func() ([]byte, error) { return htg.EncodeGraph(ma.Graph) },
 			wireDec: func(d []byte) error { _, err := htg.DecodeGraph(d); return err },
-			gobEnc:  func() ([]byte, error) { return htg.EncodeGraphGob(ma.Graph) },
-			gobDec:  func(d []byte) error { _, err := htg.DecodeGraphGob(d); return err },
 		},
 		{
 			name:    "schedule",
 			wireEnc: func() ([]byte, error) { return sched.EncodeResult(ma.Schedule) },
 			wireDec: func(d []byte) error { _, err := sched.DecodeResult(d); return err },
-			gobEnc:  func() ([]byte, error) { return sched.EncodeResultGob(ma.Schedule) },
-			gobDec:  func(d []byte) error { _, err := sched.DecodeResultGob(d); return err },
 		},
 		{
 			name:    "module",
 			wireEnc: func() ([]byte, error) { return rtl.EncodeModule(ba.Module) },
 			wireDec: func(d []byte) error { _, err := rtl.DecodeModule(d); return err },
-			gobEnc:  func() ([]byte, error) { return rtl.EncodeModuleGob(ba.Module) },
-			gobDec:  func(d []byte) error { _, err := rtl.DecodeModuleGob(d); return err },
 		},
 	}
 	for i := range kinds {
 		k := &kinds[i]
 		if k.enc, err = k.wireEnc(); err != nil {
 			b.Fatalf("%s: wire encode: %v", k.name, err)
-		}
-		if k.gobEncoded, err = k.gobEnc(); err != nil {
-			b.Fatalf("%s: gob encode: %v", k.name, err)
 		}
 	}
 	return kinds
@@ -104,38 +90,12 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncode(b *testing.B) {
-	for _, k := range benchKinds(b) {
-		b.Run(k.name, func(b *testing.B) {
-			b.SetBytes(int64(len(k.gobEncoded)))
-			for i := 0; i < b.N; i++ {
-				if _, err := k.gobEnc(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkWireDecode(b *testing.B) {
 	for _, k := range benchKinds(b) {
 		b.Run(k.name, func(b *testing.B) {
 			b.SetBytes(int64(len(k.enc)))
 			for i := 0; i < b.N; i++ {
 				if err := k.wireDec(k.enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkGobDecode(b *testing.B) {
-	for _, k := range benchKinds(b) {
-		b.Run(k.name, func(b *testing.B) {
-			b.SetBytes(int64(len(k.gobEncoded)))
-			for i := 0; i < b.N; i++ {
-				if err := k.gobDec(k.gobEncoded); err != nil {
 					b.Fatal(err)
 				}
 			}

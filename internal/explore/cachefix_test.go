@@ -1,8 +1,14 @@
 package explore_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"sparkgo/internal/blob"
 	"sparkgo/internal/core"
 	"sparkgo/internal/explore"
 	"sparkgo/internal/ild"
@@ -113,5 +119,34 @@ func TestTransientSourceFailureRetried(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("generator ran %d times, want 2", calls)
+	}
+}
+
+// TestPersistentBadStagePayloadComputesUncached: a tier that keeps
+// serving verified bytes that do not revive — purged, they come back on
+// the retry — costs two disk errors and one uncached compute, never the
+// evaluation (the DiskErrors contract: a bad cache never fails a sweep).
+func TestPersistentBadStagePayloadComputesUncached(t *testing.T) {
+	junk := []byte("not a frontend blob")
+	sum := sha256.Sum256(junk)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/blobs/frontend/"):
+			w.Header().Set(blob.Sha256Header, hex.EncodeToString(sum[:]))
+			w.Write(junk)
+		case r.Method == http.MethodGet || r.Method == http.MethodHead:
+			http.NotFound(w, r)
+		default:
+			w.WriteHeader(http.StatusNoContent)
+		}
+	}))
+	defer peer.Close()
+
+	eng := &explore.Engine{RemoteCache: peer.URL}
+	if p := eng.Evaluate(explore.Config{N: 3, Preset: core.MicroprocessorBlock}); p.Err != "" {
+		t.Fatalf("bad cached payload failed the evaluation: %s", p.Err)
+	}
+	if st := eng.Stats(); st.FrontendComputed != 1 || st.FrontendRemoteHits != 0 || st.DiskErrors != 2 {
+		t.Fatalf("want 1 frontend compute, 0 remote hits, 2 disk errors: %+v", st)
 	}
 }

@@ -184,80 +184,51 @@ type Point struct {
 // Stats is the engine's cumulative cache accounting, split per layer.
 // For each cache the four counters partition lookups: served from
 // memory, served from disk, served from the remote tier, or computed by
-// running the stage. A lookup satisfied by joining another caller's
-// in-flight computation counts as a memory hit.
+// running the stage, failed runs included. A lookup satisfied by
+// joining another caller's in-flight computation counts as a memory
+// hit. The JSON names are the /v1/stats "engine" keys.
 type Stats struct {
 	// Point cache: fully evaluated configurations.
-	PointMemHits    int64
-	PointDiskHits   int64
-	PointRemoteHits int64
-	PointComputed   int64
+	PointMemHits    int64 `json:"point_mem_hits"`
+	PointDiskHits   int64 `json:"point_disk_hits"`
+	PointRemoteHits int64 `json:"point_remote_hits"`
+	PointComputed   int64 `json:"point_computed"`
 	// Frontend stage cache: transformed-IR artifacts shared by every
 	// configuration with the same (source, pass list, rounds).
-	FrontendMemHits    int64
-	FrontendDiskHits   int64
-	FrontendRemoteHits int64
-	FrontendComputed   int64
+	FrontendMemHits    int64 `json:"frontend_mem_hits"`
+	FrontendDiskHits   int64 `json:"frontend_disk_hits"`
+	FrontendRemoteHits int64 `json:"frontend_remote_hits"`
+	FrontendComputed   int64 `json:"frontend_computed"`
 	// Midend stage cache: HTG + schedule artifacts shared by every
 	// configuration with the same transformed program and scheduling
 	// knobs (preset, delay model, resources, chaining).
-	MidendMemHits    int64
-	MidendDiskHits   int64
-	MidendRemoteHits int64
-	MidendComputed   int64
+	MidendMemHits    int64 `json:"midend_mem_hits"`
+	MidendDiskHits   int64 `json:"midend_disk_hits"`
+	MidendRemoteHits int64 `json:"midend_remote_hits"`
+	MidendComputed   int64 `json:"midend_computed"`
 	// Backend stage cache: netlist + report artifacts shared by every
 	// configuration with the same schedule and report model.
-	BackendMemHits    int64
-	BackendDiskHits   int64
-	BackendRemoteHits int64
-	BackendComputed   int64
+	BackendMemHits    int64 `json:"backend_mem_hits"`
+	BackendDiskHits   int64 `json:"backend_disk_hits"`
+	BackendRemoteHits int64 `json:"backend_remote_hits"`
+	BackendComputed   int64 `json:"backend_computed"`
 	// MemBackfills / DiskBackfills count payloads copied into the
 	// memory / disk tier after a hit in a slower tier — how much of the
 	// working set each tier re-absorbed this run.
-	MemBackfills  int64
-	DiskBackfills int64
+	MemBackfills  int64 `json:"mem_backfills"`
+	DiskBackfills int64 `json:"disk_backfills"`
 	// DiskErrors counts disk-layer failures that were absorbed by
 	// falling back to another tier or to computation (the sweep itself
 	// never fails on a bad cache). RemoteErrors counts the same for the
 	// remote tier — a dead peer degrades to local work.
-	DiskErrors   int64
-	RemoteErrors int64
+	DiskErrors   int64 `json:"disk_errors"`
+	RemoteErrors int64 `json:"remote_errors"`
 	// DiskHeaderMisses counts disk entries whose header did not match
 	// the requested (schema, kind, key) and read as clean misses;
 	// DiskCorruptions counts entries whose frame or payload hash failed
 	// verification. Both come from internal/cache.
-	DiskHeaderMisses int64
-	DiskCorruptions  int64
-}
-
-// Sub returns the counter-wise difference s - o: the per-run delta
-// between two snapshots of one engine. Living next to the struct, it
-// cannot silently skip a counter when a new cache layer is added.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		PointMemHits:       s.PointMemHits - o.PointMemHits,
-		PointDiskHits:      s.PointDiskHits - o.PointDiskHits,
-		PointRemoteHits:    s.PointRemoteHits - o.PointRemoteHits,
-		PointComputed:      s.PointComputed - o.PointComputed,
-		FrontendMemHits:    s.FrontendMemHits - o.FrontendMemHits,
-		FrontendDiskHits:   s.FrontendDiskHits - o.FrontendDiskHits,
-		FrontendRemoteHits: s.FrontendRemoteHits - o.FrontendRemoteHits,
-		FrontendComputed:   s.FrontendComputed - o.FrontendComputed,
-		MidendMemHits:      s.MidendMemHits - o.MidendMemHits,
-		MidendDiskHits:     s.MidendDiskHits - o.MidendDiskHits,
-		MidendRemoteHits:   s.MidendRemoteHits - o.MidendRemoteHits,
-		MidendComputed:     s.MidendComputed - o.MidendComputed,
-		BackendMemHits:     s.BackendMemHits - o.BackendMemHits,
-		BackendDiskHits:    s.BackendDiskHits - o.BackendDiskHits,
-		BackendRemoteHits:  s.BackendRemoteHits - o.BackendRemoteHits,
-		BackendComputed:    s.BackendComputed - o.BackendComputed,
-		MemBackfills:       s.MemBackfills - o.MemBackfills,
-		DiskBackfills:      s.DiskBackfills - o.DiskBackfills,
-		DiskErrors:         s.DiskErrors - o.DiskErrors,
-		RemoteErrors:       s.RemoteErrors - o.RemoteErrors,
-		DiskHeaderMisses:   s.DiskHeaderMisses - o.DiskHeaderMisses,
-		DiskCorruptions:    s.DiskCorruptions - o.DiskCorruptions,
-	}
+	DiskHeaderMisses int64 `json:"disk_header_misses"`
+	DiskCorruptions  int64 `json:"disk_corruptions"`
 }
 
 // Engine evaluates configuration spaces over a worker pool with
@@ -316,23 +287,10 @@ type Engine struct {
 	localBlobs *blob.Tiered
 	store      *cache.Store
 
-	pointMemHits       atomic.Int64
-	pointDiskHits      atomic.Int64
-	pointRemoteHits    atomic.Int64
-	pointComputed      atomic.Int64
-	frontendMemHits    atomic.Int64
-	frontendDiskHits   atomic.Int64
-	frontendRemoteHits atomic.Int64
-	frontendComputed   atomic.Int64
-	midendMemHits      atomic.Int64
-	midendDiskHits     atomic.Int64
-	midendRemoteHits   atomic.Int64
-	midendComputed     atomic.Int64
-	backendMemHits     atomic.Int64
-	backendDiskHits    atomic.Int64
-	backendRemoteHits  atomic.Int64
-	backendComputed    atomic.Int64
-	diskErrors         atomic.Int64
+	// lookups counts every stage-cache lookup by layer and disposition
+	// (shared results with the memory hits); only record writes it.
+	lookups    [numStages][dispShared]atomic.Int64
+	diskErrors atomic.Int64
 }
 
 // Evaluate synthesizes one configuration, serving repeats from the
@@ -361,58 +319,32 @@ func (e *Engine) EvaluateContext(ctx context.Context, c Config) Point {
 	if err := ctx.Err(); err != nil {
 		return Point{Config: c, Err: err.Error()}
 	}
+	start := e.stageStart()
 	src, err := e.resolveSource(c)
 	if err != nil {
-		e.pointComputed.Add(1)
+		e.record(stagePoint, dispComputed, start)
 		return Point{Config: c, Err: err.Error()}
 	}
-	pk := e.pointKey(c, src.fingerprint)
-	start := e.stageStart()
-	compute := func() ([]byte, any, error) {
+	pt, err := lookup(e, stagePoint, e.pointKey(c, src.fingerprint), func() (*Point, []byte, error) {
 		pt := e.synthesize(ctx, c, src)
-		e.pointComputed.Add(1)
 		if pt.Err != "" {
 			// Propagating the failure as an error keeps it out of every
-			// tier (the no-sticky-errors rule); the caller rebuilds the
-			// point from it.
+			// tier (the no-sticky-errors rule); the point is rebuilt
+			// from it below.
 			return nil, nil, errors.New(pt.Err)
 		}
-		return encodePoint(&pt), &pt, nil
+		return &pt, encodePoint(&pt), nil
+	}, func(data []byte) (*Point, error) {
+		pt, err := decodePoint(data)
+		if err == nil && pt.Err != "" {
+			err = fmt.Errorf("explore: persisted error point %q", pt.Err)
+		}
+		return pt, err
+	})
+	if err != nil {
+		return Point{Config: c, Err: err.Error()}
 	}
-	for attempt := 0; ; attempt++ {
-		res, err := e.blobStack().Do(kindPoint, pk, compute)
-		if err != nil {
-			return Point{Config: c, Err: err.Error()}
-		}
-		if res.Obj != nil {
-			if res.Shared {
-				e.pointMemHits.Add(1)
-			}
-			e.observeStage(kindPoint, start, res)
-			return *res.Obj.(*Point)
-		}
-		pt, derr := decodePoint(res.Data)
-		if derr != nil || pt.Err != "" {
-			// Either corruption a tier's own verification cannot catch
-			// (verified bytes that are not a point blob), or an error
-			// point persisted by an engine predating the no-sticky-errors
-			// rule: purge and retry, which recomputes through the flight.
-			if derr != nil {
-				e.diskErrors.Add(1)
-			}
-			e.blobStack().Delete(kindPoint, pk)
-			if attempt == 0 {
-				continue
-			}
-			pt := e.synthesize(ctx, c, src)
-			e.pointComputed.Add(1)
-			e.observeStageComputed(kindPoint, start)
-			return pt
-		}
-		countHit(res, &e.pointMemHits, &e.pointDiskHits, &e.pointRemoteHits)
-		e.observeStage(kindPoint, start, res)
-		return *pt
-	}
+	return *pt
 }
 
 // IsCanceled reports whether a point was skipped or cut short by context
@@ -429,23 +361,24 @@ func IsCanceled(p Point) bool {
 // tier errors, and the disk layer's header-miss / corruption counts.
 func (e *Engine) Stats() Stats {
 	e.blobStack()
+	n := func(st stage, d disp) int64 { return e.lookups[st][d].Load() }
 	s := Stats{
-		PointMemHits:       e.pointMemHits.Load(),
-		PointDiskHits:      e.pointDiskHits.Load(),
-		PointRemoteHits:    e.pointRemoteHits.Load(),
-		PointComputed:      e.pointComputed.Load(),
-		FrontendMemHits:    e.frontendMemHits.Load(),
-		FrontendDiskHits:   e.frontendDiskHits.Load(),
-		FrontendRemoteHits: e.frontendRemoteHits.Load(),
-		FrontendComputed:   e.frontendComputed.Load(),
-		MidendMemHits:      e.midendMemHits.Load(),
-		MidendDiskHits:     e.midendDiskHits.Load(),
-		MidendRemoteHits:   e.midendRemoteHits.Load(),
-		MidendComputed:     e.midendComputed.Load(),
-		BackendMemHits:     e.backendMemHits.Load(),
-		BackendDiskHits:    e.backendDiskHits.Load(),
-		BackendRemoteHits:  e.backendRemoteHits.Load(),
-		BackendComputed:    e.backendComputed.Load(),
+		PointMemHits:       n(stagePoint, dispMem),
+		PointDiskHits:      n(stagePoint, dispDisk),
+		PointRemoteHits:    n(stagePoint, dispRemote),
+		PointComputed:      n(stagePoint, dispComputed),
+		FrontendMemHits:    n(stageFrontend, dispMem),
+		FrontendDiskHits:   n(stageFrontend, dispDisk),
+		FrontendRemoteHits: n(stageFrontend, dispRemote),
+		FrontendComputed:   n(stageFrontend, dispComputed),
+		MidendMemHits:      n(stageMidend, dispMem),
+		MidendDiskHits:     n(stageMidend, dispDisk),
+		MidendRemoteHits:   n(stageMidend, dispRemote),
+		MidendComputed:     n(stageMidend, dispComputed),
+		BackendMemHits:     n(stageBackend, dispMem),
+		BackendDiskHits:    n(stageBackend, dispDisk),
+		BackendRemoteHits:  n(stageBackend, dispRemote),
+		BackendComputed:    n(stageBackend, dispComputed),
 		DiskErrors:         e.diskErrors.Load(),
 	}
 	for _, ts := range e.blobs.TierStats() {
@@ -468,11 +401,12 @@ func (e *Engine) Stats() Stats {
 }
 
 // CacheStats reports cumulative point-cache hits and misses across
-// sweeps: hits are lookups served from memory, misses everything else
-// (disk hits and computed points).
+// sweeps: hits are lookups served from memory, misses every other
+// lookup (disk and remote hits, computed points), so the two sum to the
+// number of point lookups.
 func (e *Engine) CacheStats() (hits, misses int64) {
 	s := e.Stats()
-	return s.PointMemHits, s.PointDiskHits + s.PointComputed
+	return s.PointMemHits, s.PointDiskHits + s.PointRemoteHits + s.PointComputed
 }
 
 // EffectiveWorkers reports the worker-pool size a sweep over n

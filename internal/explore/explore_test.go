@@ -1,11 +1,13 @@
 package explore_test
 
 import (
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"sparkgo/internal/core"
 	"sparkgo/internal/explore"
+	"sparkgo/internal/service"
 )
 
 // smallGrid is the cheap sweep space the concurrency tests use: tiny ILD
@@ -122,6 +124,28 @@ func TestConcurrentDuplicateConfigs(t *testing.T) {
 		if !reflect.DeepEqual(p, pts[i%len(base)]) {
 			t.Fatalf("copy %d diverges from first evaluation", i)
 		}
+	}
+}
+
+// TestCacheStatsCountsRemoteHits: CacheStats' hits and misses partition
+// the point lookups, so a point the remote tier serves counts as a miss
+// instead of vanishing from both.
+func TestCacheStatsCountsRemoteHits(t *testing.T) {
+	space := smallGrid()[:6]
+	peer := &explore.Engine{}
+	peer.Sweep(space)
+	srv := httptest.NewServer(service.NewServer(service.NewQueue(peer, 1, 0)))
+	defer srv.Close()
+
+	eng := &explore.Engine{RemoteCache: srv.URL}
+	eng.Sweep(space)
+	eng.Sweep(space[:2])
+	if st := eng.Stats(); st.PointRemoteHits != int64(len(space)) {
+		t.Fatalf("PointRemoteHits = %d, want %d: %+v", st.PointRemoteHits, len(space), st)
+	}
+	hits, misses := eng.CacheStats()
+	if hits != 2 || misses != int64(len(space)) {
+		t.Fatalf("hits=%d misses=%d, want 2/%d", hits, misses, len(space))
 	}
 }
 

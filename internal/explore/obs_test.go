@@ -64,7 +64,9 @@ func TestSearchObserverCallbacks(t *testing.T) {
 // TestEngineStageEvents: an engine with a bus attached publishes stage
 // spans with the right dispositions (computed on a cold evaluation, a
 // memory hit on the repeat), tier traffic, and a simulation event —
-// and the folded metrics agree.
+// and the folded metrics agree. Every lookup Stats counts publishes
+// exactly one stage event, failed computes included, so /v1/stats and
+// /metrics give the same answer about a failed job.
 func TestEngineStageEvents(t *testing.T) {
 	reg := obs.NewRegistry()
 	bus := obs.NewBus(obs.NewMetrics(reg))
@@ -75,12 +77,23 @@ func TestEngineStageEvents(t *testing.T) {
 	if pt := eng.Evaluate(cfg); pt.Err != "" {
 		t.Fatalf("cold evaluation failed: %s", pt.Err)
 	}
+	badPass := cfg
+	badPass.Passes = []string{"no-such-pass"}
+	if pt := eng.Evaluate(badPass); pt.Err == "" {
+		t.Fatal("unknown pass evaluated without error")
+	}
+	badSource := cfg
+	badSource.Source = "no-such-source"
+	if pt := eng.Evaluate(badSource); pt.Err == "" {
+		t.Fatal("unknown source evaluated without error")
+	}
 	if pt := eng.Evaluate(cfg); pt.Err != "" {
 		t.Fatalf("warm evaluation failed: %s", pt.Err)
 	}
 	bus.Unsubscribe(sub)
 
 	byKey := map[string]int{}
+	counted := map[string]int64{}
 	for ev := range sub.C {
 		switch ev.Type {
 		case obs.TypeStage:
@@ -88,6 +101,11 @@ func TestEngineStageEvents(t *testing.T) {
 				t.Errorf("negative stage duration: %+v", ev)
 			}
 			byKey[ev.Type+"/"+ev.Stage+"/"+ev.Disposition]++
+			disp := ev.Disposition
+			if disp == obs.DispShared {
+				disp = obs.DispMem
+			}
+			counted[ev.Stage+"/"+disp]++
 		case obs.TypeSim:
 			if ev.Cycles <= 0 {
 				t.Errorf("sim event without cycles: %+v", ev)
@@ -111,6 +129,26 @@ func TestEngineStageEvents(t *testing.T) {
 		if byKey[want] == 0 {
 			t.Errorf("no %q event; saw %v", want, byKey)
 		}
+	}
+
+	st := eng.Stats()
+	for key, want := range map[string]int64{
+		"point/mem": st.PointMemHits, "point/disk": st.PointDiskHits,
+		"point/remote": st.PointRemoteHits, "point/computed": st.PointComputed,
+		"frontend/mem": st.FrontendMemHits, "frontend/disk": st.FrontendDiskHits,
+		"frontend/remote": st.FrontendRemoteHits, "frontend/computed": st.FrontendComputed,
+		"midend/mem": st.MidendMemHits, "midend/disk": st.MidendDiskHits,
+		"midend/remote": st.MidendRemoteHits, "midend/computed": st.MidendComputed,
+		"backend/mem": st.BackendMemHits, "backend/disk": st.BackendDiskHits,
+		"backend/remote": st.BackendRemoteHits, "backend/computed": st.BackendComputed,
+	} {
+		if counted[key] != want {
+			t.Errorf("%s: %d stage events, Stats counts %d", key, counted[key], want)
+		}
+	}
+	if st.PointComputed != 3 || st.FrontendComputed != 2 {
+		t.Errorf("point/frontend computed = %d/%d, want 3/2: %+v",
+			st.PointComputed, st.FrontendComputed, st)
 	}
 
 	snap := reg.Snapshot()

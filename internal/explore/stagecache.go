@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sparkgo/internal/blob"
@@ -185,20 +184,52 @@ func (e *Engine) pointKey(c Config, sourceFingerprint string) string {
 		c.String(), sourceFingerprint, e.SimTrials))
 }
 
-// countHit attributes a blob-store hit to its tier. A shared result —
-// this caller joined another caller's in-flight lookup — counts as a
-// memory hit whatever tier the leader hit, matching the old memo-map
-// accounting; a computed result counts nothing here (the compute
-// closure already did).
-func countHit(res blob.DoResult, mem, disk, remote *atomic.Int64) {
-	switch {
-	case res.Shared, res.Tier == TierMem:
-		mem.Add(1)
-	case res.Tier == TierDisk:
-		disk.Add(1)
-	case res.Tier == TierRemote:
-		remote.Add(1)
+// stage names one memoized layer of the engine; it indexes the lookup
+// table behind Stats.
+type stage int
+
+const (
+	stagePoint stage = iota
+	stageFrontend
+	stageMidend
+	stageBackend
+	numStages
+)
+
+// stageKinds is each layer's artifact kind in the blob store, which is
+// also the Stage its events carry.
+var stageKinds = [numStages]string{kindPoint, kindFrontend, kindMidend, kindBackend}
+
+// disp is how one lookup was served. dispShared — the caller joined
+// another caller's in-flight lookup — keeps its own event disposition
+// but is counted with the memory hits.
+type disp int
+
+const (
+	dispMem disp = iota
+	dispDisk
+	dispRemote
+	dispComputed
+	dispShared
+)
+
+var dispNames = [...]string{obs.DispMem, obs.DispDisk, obs.DispRemote, obs.DispComputed, obs.DispShared}
+
+// disposition classifies how a blob-store Do was served; a result no
+// tier served was computed.
+func disposition(res blob.DoResult) disp {
+	if res.Shared {
+		return dispShared
 	}
+	switch res.Tier {
+	case TierMem:
+		return dispMem
+	case TierDisk:
+		return dispDisk
+	case TierRemote:
+		return dispRemote
+	}
+	return dispComputed
 }
 
 // stageStart opens a stage span: the wall-clock start when a bus is
@@ -212,49 +243,89 @@ func (e *Engine) stageStart() time.Time {
 	return time.Time{}
 }
 
-// disposition classifies how a blob lookup was served, mirroring
-// countHit but preserving the shared/computed distinction.
-func disposition(res blob.DoResult) string {
-	switch {
-	case res.Shared:
-		return obs.DispShared
-	case res.Obj != nil:
-		return obs.DispComputed
-	case res.Tier == TierMem:
-		return obs.DispMem
-	case res.Tier == TierDisk:
-		return obs.DispDisk
-	case res.Tier == TierRemote:
-		return obs.DispRemote
+// record counts one lookup of layer s served as d and closes its stage
+// span opened at start. It is the only code that counts lookups, and
+// every counted lookup publishes exactly one stage event, so Stats and
+// the event stream (and the /metrics folded from it) cannot disagree.
+func (e *Engine) record(s stage, d disp, start time.Time) {
+	slot := d
+	if slot == dispShared {
+		slot = dispMem
 	}
-	return obs.DispComputed
-}
-
-// observeStage closes a stage span opened by stageStart.
-func (e *Engine) observeStage(stage string, start time.Time, res blob.DoResult) {
+	e.lookups[s][slot].Add(1)
 	if start.IsZero() {
 		return
 	}
 	e.Obs.Publish(obs.Event{
 		Type:        obs.TypeStage,
-		Stage:       stage,
-		Disposition: disposition(res),
+		Stage:       stageKinds[s],
+		Disposition: dispNames[d],
 		DurationNs:  time.Since(start).Nanoseconds(),
 	})
 }
 
-// observeStageComputed closes a span for the uncached compute paths
-// (unkeyable artifacts, purge-and-recompute fallbacks).
-func (e *Engine) observeStageComputed(stage string, start time.Time) {
-	if start.IsZero() {
-		return
+// lookup serves one lookup of layer s under key, every memoized layer
+// through the same path. compute builds the value and its blob encoding
+// (nil: nothing faithful to persist — the in-flight value is still
+// shared, and a configured disk tier counts a DiskErrors); revive
+// rebuilds a value from bytes a tier served.
+//
+// An empty key (nothing stable to key on) computes uncached. Otherwise
+// the tiered store reads through memory → disk → remote, and a miss
+// computes once across concurrent callers and writes through. A failed
+// compute is stored nowhere (the engine's no-sticky-errors rule), so a
+// later lookup retries — which is also what keeps a context-cancelled
+// run from poisoning the cache. Bytes that do not revive (a
+// schema-confused writer, an error point from an engine predating that
+// rule) are purged, counted in DiskErrors and looked up once more; a
+// second bad payload computes uncached, so a bad cache never fails the
+// evaluation.
+func lookup[T any](e *Engine, s stage, key string,
+	compute func() (T, []byte, error), revive func([]byte) (T, error)) (T, error) {
+	start := e.stageStart()
+	if key != "" {
+		kind := stageKinds[s]
+		// led: this caller ran the flight's compute. Do runs it on the
+		// caller's goroutine; a caller that joined another's failed
+		// flight gets the error without it.
+		led := false
+		do := func() ([]byte, any, error) {
+			led = true
+			v, data, err := compute()
+			if err != nil {
+				return nil, nil, err
+			}
+			if data == nil && e.store != nil {
+				e.diskErrors.Add(1)
+			}
+			return data, v, nil
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			res, err := e.blobStack().Do(kind, key, do)
+			if err != nil {
+				d := dispShared
+				if led {
+					d = dispComputed
+				}
+				e.record(s, d, start)
+				var zero T
+				return zero, err
+			}
+			if res.Obj != nil {
+				e.record(s, disposition(res), start)
+				return res.Obj.(T), nil
+			}
+			if v, err := revive(res.Data); err == nil {
+				e.record(s, disposition(res), start)
+				return v, nil
+			}
+			e.diskErrors.Add(1)
+			e.blobStack().Delete(kind, key)
+		}
 	}
-	e.Obs.Publish(obs.Event{
-		Type:        obs.TypeStage,
-		Stage:       stage,
-		Disposition: obs.DispComputed,
-		DurationNs:  time.Since(start).Nanoseconds(),
-	})
+	v, _, err := compute()
+	e.record(s, dispComputed, start)
+	return v, err
 }
 
 // sourceEntry memoizes one resolved source program and its content
@@ -329,27 +400,11 @@ func (e *Engine) resolveSource(c Config) (*sourceEntry, error) {
 
 // frontend returns the frontend artifact for (source, options), running
 // the transformation pipeline at most once per stage key across
-// concurrent callers (the tiered store's single flight). Lookups read
-// through memory → disk → remote; misses compute and write through.
-// Failed runs follow the engine's no-sticky-errors rule — the tiered
-// layer stores nothing and drops the flight on error, so later lookups
-// retry instead of serving the failure forever — which is also what
-// keeps a context-cancelled run from poisoning the cache.
+// concurrent callers (see lookup).
 func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.FrontendOptions) (*core.FrontendArtifact, error) {
 	key := core.FrontendKeyFrom(src.fingerprint, o)
-	start := e.stageStart()
-	if key == "" {
-		// Opaque custom passes: nothing stable to key on.
-		e.frontendComputed.Add(1)
+	return lookup(e, stageFrontend, key, func() (*core.FrontendArtifact, []byte, error) {
 		fa, err := core.FrontendContext(ctx, src.prog, o)
-		if err == nil {
-			e.observeStageComputed(kindFrontend, start)
-		}
-		return fa, err
-	}
-	compute := func() ([]byte, any, error) {
-		fa, err := core.FrontendContext(ctx, src.prog, o)
-		e.frontendComputed.Add(1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -358,12 +413,7 @@ func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.Frontend
 		enc := fa.Materialize()
 		fa.Key = key
 		if enc == nil {
-			// Unencodable program: nothing faithful to persist; the
-			// in-flight artifact is still shared with concurrent callers.
-			if e.store != nil {
-				e.diskErrors.Add(1)
-			}
-			return nil, fa, nil
+			return fa, nil, nil
 		}
 		fb := frontendBlob{
 			Program:     enc,
@@ -373,34 +423,12 @@ func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.Frontend
 			PassStats:   fa.PassStats,
 			Rounds:      fa.Rounds,
 		}
-		return fb.encode(), fa, nil
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := e.blobStack().Do(kindFrontend, key, compute)
+		return fa, fb.encode(), nil
+	}, func(data []byte) (*core.FrontendArtifact, error) {
+		fb, err := decodeFrontendBlob(data)
 		if err != nil {
 			return nil, err
 		}
-		if res.Obj != nil {
-			if res.Shared {
-				e.frontendMemHits.Add(1)
-			}
-			e.observeStage(kindFrontend, start, res)
-			return res.Obj.(*core.FrontendArtifact), nil
-		}
-		fb, derr := decodeFrontendBlob(res.Data)
-		if derr != nil {
-			// A tier served verified bytes that are not a frontend blob
-			// (a schema-confused writer): purge and retry, which
-			// recomputes through the flight.
-			e.diskErrors.Add(1)
-			e.blobStack().Delete(kindFrontend, key)
-			if attempt == 0 {
-				continue
-			}
-			return nil, derr
-		}
-		countHit(res, &e.frontendMemHits, &e.frontendDiskHits, &e.frontendRemoteHits)
-		e.observeStage(kindFrontend, start, res)
 		fa := core.ReviveFrontendArtifact(fb.Program)
 		fa.Source = fb.Source
 		fa.Fingerprint = fb.Fingerprint
@@ -409,7 +437,7 @@ func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.Frontend
 		fa.PassStats = fb.PassStats
 		fa.Rounds = fb.Rounds
 		return fa, nil
-	}
+	})
 }
 
 // frontendBlob is the stored form of a frontend artifact: the
@@ -428,70 +456,35 @@ type frontendBlob struct {
 }
 
 // midend returns the midend artifact for (frontend artifact, options),
-// lowering and scheduling at most once per stage key — the same tiered
-// lookup and no-sticky-errors rule as the frontend layer. The artifact
-// is shared read-only across configurations; the backend never mutates
-// it. Revival is a header parse: the blob carries the fingerprint and
-// cycle count, and the schedule materializes lazily (Sched) only when
-// the backend stage misses its own caches.
+// lowering and scheduling at most once per stage key (see lookup). The
+// artifact is shared read-only across configurations; the backend never
+// mutates it. Revival is a header parse: the blob carries the
+// fingerprint and cycle count, and the schedule materializes lazily
+// (Sched) only when the backend stage misses its own caches.
 func (e *Engine) midend(ctx context.Context, fa *core.FrontendArtifact, o core.MidendOptions) (*core.MidendArtifact, error) {
 	key := core.MidendKey(fa, o)
-	start := e.stageStart()
-	if key == "" {
-		// Unmaterialized frontend (opaque custom passes): nothing stable
-		// to key on.
-		e.midendComputed.Add(1)
+	return lookup(e, stageMidend, key, func() (*core.MidendArtifact, []byte, error) {
 		ma, err := core.MidendContext(ctx, fa, o)
-		if err == nil {
-			e.observeStageComputed(kindMidend, start)
-		}
-		return ma, err
-	}
-	compute := func() ([]byte, any, error) {
-		ma, err := core.MidendContext(ctx, fa, o)
-		e.midendComputed.Add(1)
 		if err != nil {
 			return nil, nil, err
 		}
 		enc := ma.Materialize()
 		ma.Key = key
 		if enc == nil {
-			if e.store != nil {
-				e.diskErrors.Add(1)
-			}
-			return nil, ma, nil
+			return ma, nil, nil
 		}
 		mb := midendBlob{Schedule: enc, Fingerprint: ma.Fingerprint, Cycles: ma.Cycles}
-		return mb.encode(), ma, nil
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := e.blobStack().Do(kindMidend, key, compute)
+		return ma, mb.encode(), nil
+	}, func(data []byte) (*core.MidendArtifact, error) {
+		mb, err := decodeMidendBlob(data)
 		if err != nil {
 			return nil, err
 		}
-		if res.Obj != nil {
-			if res.Shared {
-				e.midendMemHits.Add(1)
-			}
-			e.observeStage(kindMidend, start, res)
-			return res.Obj.(*core.MidendArtifact), nil
-		}
-		mb, derr := decodeMidendBlob(res.Data)
-		if derr != nil {
-			e.diskErrors.Add(1)
-			e.blobStack().Delete(kindMidend, key)
-			if attempt == 0 {
-				continue
-			}
-			return nil, derr
-		}
-		countHit(res, &e.midendMemHits, &e.midendDiskHits, &e.midendRemoteHits)
-		e.observeStage(kindMidend, start, res)
 		ma := core.ReviveMidendArtifact(mb.Schedule, mb.Cycles)
 		ma.Fingerprint = mb.Fingerprint
 		ma.Key = key
 		return ma, nil
-	}
+	})
 }
 
 // midendBlob is the stored form of a midend artifact: the schedule in
@@ -507,72 +500,39 @@ type midendBlob struct {
 }
 
 // backend returns the backend artifact for (midend artifact, options),
-// binding and building the netlist at most once per stage key — the
-// same tiered lookup and no-sticky-errors rule as the other stages.
-// The stage keys on the midend artifact's content fingerprint, so two
-// scheduling option sets that converge on the same schedule share one
-// netlist. Revival parses the artifact's report shell and leaves the
-// netlist encoded; only the simulation path pays the module decode
+// binding and building the netlist at most once per stage key (see
+// lookup). The stage keys on the midend artifact's content fingerprint,
+// so two scheduling option sets that converge on the same schedule share
+// one netlist. Revival parses the artifact's report shell and leaves
+// the netlist encoded; only the simulation path pays the module decode
 // (Mod), and only when SimTrials asks for it.
 func (e *Engine) backend(ctx context.Context, ma *core.MidendArtifact, o core.BackendOptions) (*core.BackendArtifact, error) {
 	key := core.BackendKey(ma, o)
-	start := e.stageStart()
-	if key == "" {
-		e.backendComputed.Add(1)
+	return lookup(e, stageBackend, key, func() (*core.BackendArtifact, []byte, error) {
 		ba, err := core.BackendContext(ctx, ma, o)
-		if err == nil {
-			e.observeStageComputed(kindBackend, start)
-		}
-		return ba, err
-	}
-	compute := func() ([]byte, any, error) {
-		ba, err := core.BackendContext(ctx, ma, o)
-		e.backendComputed.Add(1)
 		if err != nil {
 			return nil, nil, err
 		}
 		enc := ba.Materialize()
 		ba.Key = key
 		if enc == nil {
-			if e.store != nil {
-				e.diskErrors.Add(1)
-			}
-			return nil, ba, nil
+			return ba, nil, nil
 		}
 		bb := backendBlob{Artifact: enc, Fingerprint: ba.Fingerprint}
-		return bb.encode(), ba, nil
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := e.blobStack().Do(kindBackend, key, compute)
+		return ba, bb.encode(), nil
+	}, func(data []byte) (*core.BackendArtifact, error) {
+		bb, err := decodeBackendBlob(data)
 		if err != nil {
 			return nil, err
 		}
-		if res.Obj != nil {
-			if res.Shared {
-				e.backendMemHits.Add(1)
-			}
-			e.observeStage(kindBackend, start, res)
-			return res.Obj.(*core.BackendArtifact), nil
+		ba, err := core.ReviveBackendArtifact(bb.Artifact)
+		if err != nil {
+			return nil, err
 		}
-		bb, derr := decodeBackendBlob(res.Data)
-		var ba *core.BackendArtifact
-		if derr == nil {
-			ba, derr = core.ReviveBackendArtifact(bb.Artifact)
-		}
-		if derr != nil {
-			e.diskErrors.Add(1)
-			e.blobStack().Delete(kindBackend, key)
-			if attempt == 0 {
-				continue
-			}
-			return nil, derr
-		}
-		countHit(res, &e.backendMemHits, &e.backendDiskHits, &e.backendRemoteHits)
-		e.observeStage(kindBackend, start, res)
 		ba.Fingerprint = bb.Fingerprint
 		ba.Key = key
 		return ba, nil
-	}
+	})
 }
 
 // backendBlob is the stored form of a backend artifact: the netlist

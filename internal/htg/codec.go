@@ -22,8 +22,7 @@ import (
 //
 // Every wire struct is map-free and serialized field-by-field in a
 // fixed order (wirecodec.go), so identical graphs encode to identical
-// bytes; the retired gob framing lives in gobcodec.go as the benchmark
-// baseline.
+// bytes.
 
 // VarTable returns the graph's variable reference table — the program's
 // globals first, then the graph function's locals — the shared indexing
@@ -233,7 +232,7 @@ func (en *graphEncoder) seq(s *Seq) ([]nodeCode, error) {
 // framed by the deterministic binary codec of internal/wire. The
 // inverse is DecodeGraph.
 func EncodeGraph(g *Graph) ([]byte, error) {
-	gc, err := flattenGraph(g, ir.EncodeProgram)
+	gc, err := flattenGraph(g)
 	if err != nil {
 		return nil, err
 	}
@@ -241,11 +240,9 @@ func EncodeGraph(g *Graph) ([]byte, error) {
 }
 
 // flattenGraph lowers the graph's pointer web onto the intermediate
-// wire structs; both framings (binary and the gob baseline) serialize
-// this form. encodeProg serializes the embedded program — the framing's
-// own program codec, so a graph encoding never mixes framings.
-func flattenGraph(g *Graph, encodeProg func(*ir.Program) ([]byte, error)) (*graphCode, error) {
-	prog, err := encodeProg(g.Prog)
+// wire structs, the embedded program in its own lossless encoding.
+func flattenGraph(g *Graph) (*graphCode, error) {
+	prog, err := ir.EncodeProgram(g.Prog)
 	if err != nil {
 		return nil, fmt.Errorf("htg: encode program: %w", err)
 	}
@@ -429,14 +426,13 @@ func DecodeGraph(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("htg: decode: %w", err)
 	}
-	return rebuildGraph(gc, ir.DecodeProgram)
+	return rebuildGraph(gc)
 }
 
 // rebuildGraph resolves the flattened form back into a pointer web over
-// a freshly decoded program; decodeProg matches the framing's program
-// codec.
-func rebuildGraph(gc *graphCode, decodeProg func([]byte) (*ir.Program, error)) (*Graph, error) {
-	prog, err := decodeProg(gc.Program)
+// a freshly decoded program.
+func rebuildGraph(gc *graphCode) (*Graph, error) {
+	prog, err := ir.DecodeProgram(gc.Program)
 	if err != nil {
 		return nil, fmt.Errorf("htg: decode: %w", err)
 	}

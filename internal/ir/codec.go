@@ -30,9 +30,7 @@ func ProgramDecodeCount() int64 { return progDecodes.Load() }
 //
 // The program is flattened into the enc* intermediate structs below and
 // framed by the deterministic binary codec of internal/wire (see
-// wirecodec.go); the retired gob framing of the same structs survives
-// as EncodeProgramGob/DecodeProgramGob (gobcodec.go), the benchmark
-// baseline until the codec-speed ratchet lands.
+// wirecodec.go).
 
 // TypeCode is the flattened wire form of *Type, exported so the codecs
 // of the downstream stage artifacts (internal/htg, internal/sched,
@@ -399,8 +397,7 @@ func EncodeProgram(p *Program) ([]byte, error) {
 
 // flattenProgram lowers the pointer-webbed program onto the enc*
 // intermediate structs: variables become table indices, call targets
-// function indices. Both wire framings (binary and the gob baseline)
-// serialize this form.
+// function indices.
 func flattenProgram(p *Program) (*encProgram, error) {
 	ep := encProgram{Name: p.Name}
 	en := &encoder{funcIndex: map[*Func]int{}}

@@ -15,8 +15,8 @@ const tableTag = "table/1"
 // rendered report — has a byte-stable encoder for disk-backed
 // persistence. Tables are plain value structs — title, headers, rows —
 // so decode∘encode is the identity, the same contract the stage codecs
-// carry. (JSON surfaces like BENCH_explore.json marshal Table directly;
-// this codec is for binary stores such as internal/cache.)
+// carry. (JSON surfaces marshal Table directly; this codec is for
+// binary stores such as internal/cache.)
 func EncodeTable(t *Table) ([]byte, error) {
 	e := wire.NewEncoder(256)
 	e.Tag(tableTag)

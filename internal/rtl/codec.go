@@ -15,10 +15,9 @@ import (
 // HDL emitters rely on signal pointer identity, so the wire form
 // references signals by their position in the Signals slice and the
 // decoder interns exactly one *Signal per position. The port maps are
-// flattened to name-sorted slices (gob would serialize map iteration
-// order, which is random); encode(decode(x)) is byte-identical to x.
-// The binary wire framing lives in wirecodec.go; the retired gob
-// framing in gobcodec.go is the benchmark baseline.
+// flattened to name-sorted slices (map iteration order is random);
+// encode(decode(x)) is byte-identical to x. The binary wire framing
+// lives in wirecodec.go.
 
 // moduleDecodes counts DecodeModule calls — the zero-decode revival
 // tests assert disk-warm sweeps only pay a backend decode when the

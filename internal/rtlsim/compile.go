@@ -286,8 +286,8 @@ func Compile(m *rtl.Module) *Program { return compileProgram(m, true) }
 
 // CompileSoA lowers a module with bit-slicing disabled: every signal
 // keeps the struct-of-arrays layout. This is the reference batch
-// execution model the bit-sliced path is differentially tested against,
-// and the baseline the BENCH_sim bit-parallel ratchet measures.
+// execution model the bit-sliced path is differentially tested against
+// (and the SoA side of the BenchmarkSim* comparisons).
 func CompileSoA(m *rtl.Module) *Program { return compileProgram(m, false) }
 
 // Mix returns the compiled instruction counts per execution class.

@@ -19,10 +19,9 @@ import (
 // schedule is a self-contained design ready for the backend. Every map
 // in Result (OpState, Arrival, Finish, VarClass, ReentrantStates, the
 // dependence adjacency) is flattened to an index-ordered slice on the
-// wire: gob would otherwise serialize map iteration order, which is
-// random, and the codec's contract is that encode(decode(x)) is
-// byte-identical to x. The binary wire framing lives in wirecodec.go;
-// the retired gob framing in gobcodec.go is the benchmark baseline.
+// wire: map iteration order is random, and the codec's contract is
+// that encode(decode(x)) is byte-identical to x. The binary wire
+// framing lives in wirecodec.go.
 
 // resultDecodes counts DecodeResult calls — the zero-decode revival
 // tests assert disk-warm sweeps never pay a midend decode.
@@ -87,7 +86,7 @@ type resultCode struct {
 // byte string (graph and program included), framed by the deterministic
 // binary codec of internal/wire. The inverse is DecodeResult.
 func EncodeResult(r *Result) ([]byte, error) {
-	rc, err := flattenResult(r, htg.EncodeGraph)
+	rc, err := flattenResult(r)
 	if err != nil {
 		return nil, err
 	}
@@ -95,11 +94,10 @@ func EncodeResult(r *Result) ([]byte, error) {
 }
 
 // flattenResult lowers the schedule's maps and pointers onto the
-// index-ordered intermediate form; both framings serialize it.
-// encodeGraph serializes the embedded graph — the framing's own graph
-// codec, so an encoding never mixes framings.
-func flattenResult(r *Result, encodeGraph func(*htg.Graph) ([]byte, error)) (*resultCode, error) {
-	graph, err := encodeGraph(r.G)
+// index-ordered intermediate form, the embedded graph in its own
+// lossless encoding.
+func flattenResult(r *Result) (*resultCode, error) {
+	graph, err := htg.EncodeGraph(r.G)
 	if err != nil {
 		return nil, fmt.Errorf("sched: encode: %w", err)
 	}
@@ -225,13 +223,13 @@ func DecodeResult(data []byte) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: decode: %w", err)
 	}
-	return rebuildResult(rc, htg.DecodeGraph)
+	return rebuildResult(rc)
 }
 
 // rebuildResult resolves the flattened form back into a schedule over a
-// freshly decoded graph; decodeGraph matches the framing's graph codec.
-func rebuildResult(rc *resultCode, decodeGraph func([]byte) (*htg.Graph, error)) (*Result, error) {
-	g, err := decodeGraph(rc.Graph)
+// freshly decoded graph.
+func rebuildResult(rc *resultCode) (*Result, error) {
+	g, err := htg.DecodeGraph(rc.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("sched: decode: %w", err)
 	}

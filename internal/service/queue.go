@@ -491,7 +491,7 @@ func (q *Queue) Stats() StatsView {
 	return StatsView{
 		CacheSchema:   explore.DiskSchema(),
 		StageVersions: explore.Versions(),
-		Engine:        engineStatsView(es),
+		Engine:        es,
 		Queue: QueueStatsView{
 			Submitted: q.submitted,
 			Coalesced: q.coalesced,

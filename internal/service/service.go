@@ -356,36 +356,6 @@ type JobView struct {
 	Result    *Result    `json:"result,omitempty"`
 }
 
-// EngineStatsView is the snake_case mirror of explore.Stats for the
-// stats endpoint: every layer of the staged flow — point, frontend,
-// midend, backend — split into memory hits / disk hits / remote hits /
-// computed, plus the blob-tier health counters (backfills, absorbed
-// errors, disk header misses and corruptions).
-type EngineStatsView struct {
-	PointMemHits       int64 `json:"point_mem_hits"`
-	PointDiskHits      int64 `json:"point_disk_hits"`
-	PointRemoteHits    int64 `json:"point_remote_hits"`
-	PointComputed      int64 `json:"point_computed"`
-	FrontendMemHits    int64 `json:"frontend_mem_hits"`
-	FrontendDiskHits   int64 `json:"frontend_disk_hits"`
-	FrontendRemoteHits int64 `json:"frontend_remote_hits"`
-	FrontendComputed   int64 `json:"frontend_computed"`
-	MidendMemHits      int64 `json:"midend_mem_hits"`
-	MidendDiskHits     int64 `json:"midend_disk_hits"`
-	MidendRemoteHits   int64 `json:"midend_remote_hits"`
-	MidendComputed     int64 `json:"midend_computed"`
-	BackendMemHits     int64 `json:"backend_mem_hits"`
-	BackendDiskHits    int64 `json:"backend_disk_hits"`
-	BackendRemoteHits  int64 `json:"backend_remote_hits"`
-	BackendComputed    int64 `json:"backend_computed"`
-	MemBackfills       int64 `json:"mem_backfills"`
-	DiskBackfills      int64 `json:"disk_backfills"`
-	DiskErrors         int64 `json:"disk_errors"`
-	RemoteErrors       int64 `json:"remote_errors"`
-	DiskHeaderMisses   int64 `json:"disk_header_misses"`
-	DiskCorruptions    int64 `json:"disk_corruptions"`
-}
-
 // QueueStatsView is the queue's cumulative job accounting.
 type QueueStatsView struct {
 	Submitted int64 `json:"submitted"`
@@ -449,36 +419,9 @@ type EventStatsView struct {
 type StatsView struct {
 	CacheSchema   string                `json:"cache_schema"`
 	StageVersions explore.StageVersions `json:"stage_versions"`
-	Engine        EngineStatsView       `json:"engine"`
+	Engine        explore.Stats         `json:"engine"`
 	Blobs         BlobStatsView         `json:"blobs"`
 	Queue         QueueStatsView        `json:"queue"`
 	GC            GCStatsView           `json:"gc"`
 	Events        EventStatsView        `json:"events"`
-}
-
-func engineStatsView(s explore.Stats) EngineStatsView {
-	return EngineStatsView{
-		PointMemHits:       s.PointMemHits,
-		PointDiskHits:      s.PointDiskHits,
-		PointRemoteHits:    s.PointRemoteHits,
-		PointComputed:      s.PointComputed,
-		FrontendMemHits:    s.FrontendMemHits,
-		FrontendDiskHits:   s.FrontendDiskHits,
-		FrontendRemoteHits: s.FrontendRemoteHits,
-		FrontendComputed:   s.FrontendComputed,
-		MidendMemHits:      s.MidendMemHits,
-		MidendDiskHits:     s.MidendDiskHits,
-		MidendRemoteHits:   s.MidendRemoteHits,
-		MidendComputed:     s.MidendComputed,
-		BackendMemHits:     s.BackendMemHits,
-		BackendDiskHits:    s.BackendDiskHits,
-		BackendRemoteHits:  s.BackendRemoteHits,
-		BackendComputed:    s.BackendComputed,
-		MemBackfills:       s.MemBackfills,
-		DiskBackfills:      s.DiskBackfills,
-		DiskErrors:         s.DiskErrors,
-		RemoteErrors:       s.RemoteErrors,
-		DiskHeaderMisses:   s.DiskHeaderMisses,
-		DiskCorruptions:    s.DiskCorruptions,
-	}
 }

@@ -375,3 +375,35 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("healthz payload: %+v", health)
 	}
 }
+
+// TestStatsEngineKeys pins the /v1/stats "engine" key set: CI's jq gates
+// and clients read these snake_case names, so a renamed or dropped
+// explore.Stats field must fail here rather than in a dashboard.
+func TestStatsEngineKeys(t *testing.T) {
+	data, err := json.Marshal(StatsView{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Engine map[string]json.RawMessage `json:"engine"`
+	}
+	if err := json.Unmarshal(data, &view); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"point_mem_hits", "point_disk_hits", "point_remote_hits", "point_computed",
+		"frontend_mem_hits", "frontend_disk_hits", "frontend_remote_hits", "frontend_computed",
+		"midend_mem_hits", "midend_disk_hits", "midend_remote_hits", "midend_computed",
+		"backend_mem_hits", "backend_disk_hits", "backend_remote_hits", "backend_computed",
+		"mem_backfills", "disk_backfills", "disk_errors", "remote_errors",
+		"disk_header_misses", "disk_corruptions",
+	}
+	for _, k := range want {
+		if _, ok := view.Engine[k]; !ok {
+			t.Errorf("engine stats lack key %q", k)
+		}
+	}
+	if len(view.Engine) != len(want) {
+		t.Errorf("engine stats have %d keys, want %d: %s", len(view.Engine), len(want), data)
+	}
+}
