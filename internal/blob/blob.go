@@ -10,10 +10,10 @@
 // back at all is the payload that was stored. Callers layer their own
 // framing inside the payload (the engine's stage blobs).
 //
-// Tiered composes stores fastest-first (memory → disk → remote) with
-// read-through backfill, per-tier write-through, and single-flight
-// collapsing of concurrent same-key work — implemented once here
-// instead of once per artifact layer.
+// Tiered composes stores fastest-first (memory → disk → remote): reads
+// go through and backfill every faster tier, writes go to every tier,
+// and concurrent same-key work collapses into one flight — implemented
+// once here instead of once per artifact layer.
 package blob
 
 // Store is a payload store addressed by (kind, key). Kind partitions
@@ -29,6 +29,5 @@ package blob
 type Store interface {
 	Get(kind, key string) ([]byte, bool, error)
 	Put(kind, key string, payload []byte) error
-	Stat(kind, key string) (bool, error)
 	Delete(kind, key string) error
 }

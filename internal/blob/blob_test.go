@@ -21,12 +21,6 @@ func TestMemRoundTrip(t *testing.T) {
 	if err != nil || !ok || string(data) != "payload" {
 		t.Fatalf("Get = %q, %v, %v", data, ok, err)
 	}
-	if ok, _ := m.Stat("k", "a"); !ok {
-		t.Fatal("Stat after Put = false")
-	}
-	if ok, _ := m.Stat("other", "a"); ok {
-		t.Fatal("Stat of foreign kind = true")
-	}
 	if err := m.Delete("k", "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +142,8 @@ func (f *failStore) Put(kind, key string, payload []byte) error {
 func twoTiers() (*Mem, *Mem, *Tiered) {
 	l1, l2 := NewMem(0), NewMem(0)
 	return l1, l2, NewTiered(
-		Tier{Name: "l1", Store: l1, WriteThrough: true, Backfill: true},
-		Tier{Name: "l2", Store: l2, WriteThrough: true, Backfill: true},
+		Tier{Name: "l1", Store: l1},
+		Tier{Name: "l2", Store: l2},
 	)
 }
 
@@ -165,25 +159,6 @@ func TestTieredWriteThrough(t *testing.T) {
 		if _, ok, _ := m.Get("k", "a"); !ok {
 			t.Fatalf("write-through skipped tier %s", name)
 		}
-	}
-}
-
-func TestTieredWriteThroughPolicy(t *testing.T) {
-	l1, l2 := NewMem(0), NewMem(0)
-	tt := NewTiered(
-		Tier{Name: "l1", Store: l1, WriteThrough: true, Backfill: true},
-		Tier{Name: "l2", Store: l2, WriteThrough: false, Backfill: true},
-	)
-	if _, err := tt.Do("k", "a", func() ([]byte, any, error) {
-		return []byte("v"), nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := l1.Get("k", "a"); !ok {
-		t.Fatal("write-through tier missed the payload")
-	}
-	if _, ok, _ := l2.Get("k", "a"); ok {
-		t.Fatal("non-write-through tier received the payload")
 	}
 }
 
@@ -222,9 +197,9 @@ func TestTieredBackfill(t *testing.T) {
 func TestTieredThreeTierBackfill(t *testing.T) {
 	l1, l2, l3 := NewMem(0), NewMem(0), NewMem(0)
 	tt := NewTiered(
-		Tier{Name: "l1", Store: l1, WriteThrough: true, Backfill: true},
-		Tier{Name: "l2", Store: l2, WriteThrough: true, Backfill: true},
-		Tier{Name: "l3", Store: l3, WriteThrough: true, Backfill: false},
+		Tier{Name: "l1", Store: l1},
+		Tier{Name: "l2", Store: l2},
+		Tier{Name: "l3", Store: l3},
 	)
 	if err := l3.Put("k", "a", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -249,8 +224,8 @@ func TestTieredCorruptTierFallsThroughAndRepairs(t *testing.T) {
 	inner1, l2 := NewMem(0), NewMem(0)
 	bad := &failStore{Store: inner1, failGet: true}
 	tt := NewTiered(
-		Tier{Name: "l1", Store: bad, WriteThrough: true, Backfill: true},
-		Tier{Name: "l2", Store: l2, WriteThrough: true, Backfill: true},
+		Tier{Name: "l1", Store: bad},
+		Tier{Name: "l2", Store: l2},
 	)
 	if err := l2.Put("k", "a", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -341,96 +316,5 @@ func TestTieredUnstorableObjShared(t *testing.T) {
 	// nil data: nothing may have been stored in any tier.
 	if _, ok, _ := l1.Get("k", "a"); ok {
 		t.Fatal("unstorable value was written to a tier")
-	}
-}
-
-func TestCASDedup(t *testing.T) {
-	inner := NewMem(0)
-	c := &CAS{Inner: inner, Kinds: map[string]bool{"stage": true}}
-	payload := bytes.Repeat([]byte("x"), 1000)
-	if err := c.Put("stage", "key1", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("stage", "key2", payload); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"key1", "key2"} {
-		data, ok, err := c.Get("stage", k)
-		if err != nil || !ok || !bytes.Equal(data, payload) {
-			t.Fatalf("Get(%s) = %d bytes, %v, %v", k, len(data), ok, err)
-		}
-		if ok, _ := c.Stat("stage", k); !ok {
-			t.Fatalf("Stat(%s) = false", k)
-		}
-	}
-	// Two aliases + one payload: the payload bytes are stored once, so
-	// the inner usage stays far below two copies.
-	if used := inner.Bytes(); used > int64(len(payload))+1000 {
-		t.Fatalf("inner store holds %d bytes; payload not deduplicated", used)
-	}
-}
-
-func TestCASPassThroughKinds(t *testing.T) {
-	inner := NewMem(0)
-	c := &CAS{Inner: inner, Kinds: map[string]bool{"stage": true}}
-	if err := c.Put("point", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	// Pass-through payloads land directly under their own kind.
-	if data, ok, _ := inner.Get("point", "k"); !ok || string(data) != "v" {
-		t.Fatal("pass-through kind was aliased")
-	}
-	if data, ok, err := c.Get("point", "k"); err != nil || !ok || string(data) != "v" {
-		t.Fatalf("Get = %q, %v, %v", data, ok, err)
-	}
-}
-
-func TestCASDanglingAliasIsCleanMiss(t *testing.T) {
-	inner := NewMem(0)
-	c := &CAS{Inner: inner, Kinds: map[string]bool{"stage": true}}
-	if err := c.Put("stage", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	// Evict the payload out from under the alias (GC racing the alias).
-	sum, ok, _ := inner.Get("stage", "k")
-	if !ok {
-		t.Fatal("alias missing")
-	}
-	sha, isAlias := decodeAlias(sum)
-	if !isAlias {
-		t.Fatal("stored entry is not an alias")
-	}
-	if err := inner.Delete(CASKind, sha); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := c.Get("stage", "k"); ok || err != nil {
-		t.Fatalf("dangling alias Get = ok %v err %v, want clean miss", ok, err)
-	}
-	if ok, _ := c.Stat("stage", "k"); ok {
-		t.Fatal("dangling alias Stat = true")
-	}
-	// A re-Put must heal both entries.
-	if err := c.Put("stage", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if data, ok, _ := c.Get("stage", "k"); !ok || string(data) != "v" {
-		t.Fatal("re-Put did not heal the dangling alias")
-	}
-}
-
-func TestCASPreCASEntryPassesThrough(t *testing.T) {
-	inner := NewMem(0)
-	// An entry written before the CAS wrapper existed: raw payload under
-	// the logical key.
-	if err := inner.Put("stage", "old", []byte("legacy-payload")); err != nil {
-		t.Fatal(err)
-	}
-	c := &CAS{Inner: inner, Kinds: map[string]bool{"stage": true}}
-	data, ok, err := c.Get("stage", "old")
-	if err != nil || !ok || string(data) != "legacy-payload" {
-		t.Fatalf("legacy Get = %q, %v, %v", data, ok, err)
-	}
-	if ok, _ := c.Stat("stage", "old"); !ok {
-		t.Fatal("legacy Stat = false")
 	}
 }

@@ -96,14 +96,6 @@ func (m *Mem) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
-// Stat reports presence without touching recency.
-func (m *Mem) Stat(kind, key string) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.items[memKey(kind, key)]
-	return ok, nil
-}
-
 // Delete removes the entry if present.
 func (m *Mem) Delete(kind, key string) error {
 	m.mu.Lock()

@@ -131,28 +131,6 @@ func (r *Remote) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
-// Stat asks the peer whether it holds the payload (HEAD).
-func (r *Remote) Stat(kind, key string) (bool, error) {
-	req, err := r.newRequest(http.MethodHead, kind, key, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := r.client().Do(req)
-	if err != nil {
-		return false, fmt.Errorf("blob: remote stat: %w", err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound, http.StatusPreconditionFailed:
-		return false, nil
-	default:
-		return false, fmt.Errorf("blob: remote stat %s/%s: %s", kind, key, resp.Status)
-	}
-}
-
 // Delete removes the payload on the peer; an already-absent payload is
 // not an error.
 func (r *Remote) Delete(kind, key string) error {

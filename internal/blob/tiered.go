@@ -7,15 +7,10 @@ import (
 	"sparkgo/internal/obs"
 )
 
-// Tier is one layer of a Tiered store, fastest first. WriteThrough
-// tiers receive computed payloads as they are produced; Backfill tiers
-// receive payloads found in a slower tier on the way back up, so the
-// next lookup stops earlier.
+// Tier is one named layer of a Tiered store.
 type Tier struct {
-	Name         string
-	Store        Store
-	WriteThrough bool
-	Backfill     bool
+	Name  string
+	Store Store
 }
 
 // TierStat is one tier's cumulative counters. Hits/Misses/Errors count
@@ -55,9 +50,10 @@ type flight struct {
 	err  error
 }
 
-// Tiered composes tiers behind one Store plus a single-flight Do.
-// Lookups read through fastest-first, backfilling on the way up; writes
-// go through to every WriteThrough tier. Tier failures never fail an
+// Tiered composes tiers, fastest first, behind one Store plus a
+// single-flight Do. Lookups read through fastest-first and a hit
+// backfills every faster tier, so the next lookup stops earlier; writes
+// go through to every tier. Tier failures never fail an
 // operation that another tier (or a compute) can still serve — they
 // are counted in TierStats instead.
 type Tiered struct {
@@ -145,7 +141,7 @@ func (t *Tiered) Do(kind, key string, compute func() (data []byte, obj any, err 
 }
 
 // lookup walks the tiers fastest-first, backfilling a hit into every
-// faster Backfill tier. A tier Get error is counted and degrades to
+// faster tier. A tier Get error is counted and degrades to
 // the next tier — a corrupted payload at one tier is repaired by the
 // backfill (or write-through) that follows. Returns (-1) on full miss.
 func (t *Tiered) lookup(kind, key string) ([]byte, int) {
@@ -164,9 +160,6 @@ func (t *Tiered) lookup(kind, key string) ([]byte, int) {
 		t.stats[i].hits.Add(1)
 		t.observe(t.tiers[i].Name, "hit", kind, nil)
 		for j := 0; j < i; j++ {
-			if !t.tiers[j].Backfill {
-				continue
-			}
 			if err := t.tiers[j].Store.Put(kind, key, data); err != nil {
 				t.stats[j].putErrors.Add(1)
 				t.observe(t.tiers[j].Name, "put_error", kind, err)
@@ -180,14 +173,11 @@ func (t *Tiered) lookup(kind, key string) ([]byte, int) {
 	return nil, -1
 }
 
-// putThrough writes to every WriteThrough tier, counting failures and
-// returning the first one (later tiers are still attempted).
+// putThrough writes to every tier, counting failures and returning
+// the first one (later tiers are still attempted).
 func (t *Tiered) putThrough(kind, key string, payload []byte) error {
 	var firstErr error
 	for i := range t.tiers {
-		if !t.tiers[i].WriteThrough {
-			continue
-		}
 		if err := t.tiers[i].Store.Put(kind, key, payload); err != nil {
 			t.stats[i].putErrors.Add(1)
 			t.observe(t.tiers[i].Name, "put_error", kind, err)
@@ -210,20 +200,9 @@ func (t *Tiered) Get(kind, key string) ([]byte, bool, error) {
 	return data, i >= 0, nil
 }
 
-// Put writes through to every WriteThrough tier.
+// Put writes through to every tier.
 func (t *Tiered) Put(kind, key string, payload []byte) error {
 	return t.putThrough(kind, key, payload)
-}
-
-// Stat reports whether any tier holds the payload; per-tier errors
-// read as absent.
-func (t *Tiered) Stat(kind, key string) (bool, error) {
-	for i := range t.tiers {
-		if ok, err := t.tiers[i].Store.Stat(kind, key); err == nil && ok {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // Delete removes the payload from every tier, returning the first

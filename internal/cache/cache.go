@@ -193,28 +193,6 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
-// Stat reports whether (kind, key) is stored with a matching header,
-// without hashing the payload: presence, not integrity. An unreadable
-// or unparseable file reads as absent.
-func (s *Store) Stat(kind, key string) (bool, error) {
-	data, err := os.ReadFile(s.path(kind, key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("cache: %w", err)
-	}
-	d := wire.NewDecoder(data)
-	tag := d.String()
-	version := d.String()
-	k := d.String()
-	ky := d.String()
-	if d.Err() != nil {
-		return false, nil
-	}
-	return tag == fileTag && version == s.version && k == kind && ky == key, nil
-}
-
 // Delete removes the artifact stored under (kind, key); deleting a
 // missing artifact is a no-op.
 func (s *Store) Delete(kind, key string) error {

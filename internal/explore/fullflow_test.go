@@ -114,6 +114,19 @@ func TestFullFlowDiskPersistence(t *testing.T) {
 				scaled[i], refPts[i], warmPts[i])
 		}
 	}
+
+	// GC attributes every byte on disk to the layer that wrote it.
+	gc, err := (&explore.Engine{CacheDir: dir}).CacheGC(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, k := range gc.Kinds {
+		kinds = append(kinds, k.Kind)
+	}
+	if want := []string{"backend", "frontend", "midend", "point"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("GC kinds = %v, want %v: %+v", kinds, want, gc.Kinds)
+	}
 }
 
 // TestBackendDiskRevival changes only the simulation depth across the
@@ -235,6 +248,46 @@ func TestCorruptMidendArtifactsAreCleanMisses(t *testing.T) {
 	// The frontend layer was untouched and must still serve from disk.
 	if ws.FrontendDiskHits == 0 {
 		t.Errorf("frontend disk hits vanished: %+v", ws)
+	}
+}
+
+// TestCorruptStagePayloadsHeal garbles every persisted stage payload
+// and asserts one recompute round repairs the disk: the engine after
+// the healing one finds every stage artifact intact on disk.
+func TestCorruptStagePayloadsHeal(t *testing.T) {
+	dir := t.TempDir()
+	space := fullFlowSpace()
+
+	cold := &explore.Engine{SimTrials: 1, CacheDir: dir}
+	for _, p := range cold.Sweep(space) {
+		if p.Err != "" {
+			t.Fatalf("cold sweep failed: %s: %s", p.Config, p.Err)
+		}
+	}
+	n := 0
+	for _, kind := range []string{"frontend", "midend", "backend", "cas"} {
+		n += corruptKind(t, dir, kind)
+	}
+	if n == 0 {
+		t.Fatal("no stage artifacts found to corrupt")
+	}
+
+	var last explore.Stats
+	for round := 0; round < 2; round++ {
+		// Points would mask the stage layers; drop them every round.
+		if err := os.RemoveAll(filepath.Join(dir, explore.DiskSchema(), "point")); err != nil {
+			t.Fatal(err)
+		}
+		e := &explore.Engine{SimTrials: 1, CacheDir: dir}
+		for _, p := range e.Sweep(space) {
+			if p.Err != "" {
+				t.Fatalf("round %d failed: %s: %s", round, p.Config, p.Err)
+			}
+		}
+		last = e.Stats()
+	}
+	if last.DiskErrors != 0 || last.MidendComputed != 0 || last.BackendComputed != 0 {
+		t.Errorf("corrupt payloads were not healed by the first recompute round: %+v", last)
 	}
 }
 

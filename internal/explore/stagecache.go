@@ -40,7 +40,11 @@ import (
 // logical (kind, key) entry holds a CAS alias resolving to the payload
 // stored once under its own SHA-256 — so a v4 engine reading a v5
 // directory would mis-parse aliases as blobs.
-const SchemaVersion = 5
+//
+// v6: content-address deduplication is gone — every stage payload is
+// stored directly under its logical (kind, key) again — so the
+// aliases a v5 directory holds would mis-parse as payloads.
+const SchemaVersion = 6
 
 // Artifact kinds in the blob store.
 const (
@@ -97,28 +101,23 @@ func Versions() StageVersions {
 }
 
 // blobStack lazily assembles the engine's tiered blob store once:
-// L1 memory (bounded LRU, write-through, backfilled), L2 disk
-// (internal/cache behind a CAS dedup wrapper, write-through,
-// backfilled), L3 remote (another daemon's /v1/blobs API,
-// write-through so local work warms the fleet, never backfilled from —
-// there is no slower tier). Single-flight lives in the tiered layer,
-// so each stage lookup below is one Do call instead of a hand-rolled
-// memo map. A disk-open failure disables that tier for the engine's
-// lifetime (counted in Stats.DiskErrors) rather than failing sweeps.
+// L1 memory (bounded LRU), L2 disk (internal/cache), L3 remote
+// (another daemon's /v1/blobs API, so local work warms the fleet).
+// Every tier is written through and a hit backfills the faster ones.
+// Single-flight lives in the tiered layer, so each stage lookup below
+// is one Do call instead of a hand-rolled memo map. A disk-open
+// failure disables that tier for the engine's lifetime (counted in
+// Stats.DiskErrors) rather than failing sweeps.
 func (e *Engine) blobStack() *blob.Tiered {
 	e.blobOnce.Do(func() {
-		mem := blob.NewMem(e.MemCacheBytes)
-		local := []blob.Tier{{Name: TierMem, Store: mem, WriteThrough: true, Backfill: true}}
+		local := []blob.Tier{{Name: TierMem, Store: blob.NewMem(e.MemCacheBytes)}}
 		if e.CacheDir != "" {
 			s, err := cache.Open(e.CacheDir, DiskSchema())
 			if err != nil {
 				e.diskErrors.Add(1)
 			} else {
 				e.store = s
-				dedup := &blob.CAS{Inner: s, Kinds: map[string]bool{
-					kindFrontend: true, kindMidend: true, kindBackend: true,
-				}}
-				local = append(local, blob.Tier{Name: TierDisk, Store: dedup, WriteThrough: true, Backfill: true})
+				local = append(local, blob.Tier{Name: TierDisk, Store: s})
 			}
 		}
 		e.localBlobs = blob.NewTiered(local...)
@@ -128,38 +127,19 @@ func (e *Engine) blobStack() *blob.Tiered {
 			return
 		}
 		remote := &blob.Remote{Base: e.RemoteCache, Schema: DiskSchema()}
-		all := append(local[:len(local):len(local)],
-			blob.Tier{Name: TierRemote, Store: remote, WriteThrough: true, Backfill: false})
+		all := append(local[:len(local):len(local)], blob.Tier{Name: TierRemote, Store: remote})
 		e.blobs = blob.NewTiered(all...)
 		e.blobs.Obs = e.Obs
 	})
 	return e.blobs
 }
 
-// BlobGet serves the daemon's blob API from the engine's local tiers
-// (memory, disk) only — never the remote tier, so chained daemons can
-// not proxy-loop through each other.
-func (e *Engine) BlobGet(kind, key string) ([]byte, bool, error) {
+// LocalBlobs is the store behind the daemon's blob API: the engine's
+// local tiers (memory, disk) only — never the remote tier, so chained
+// daemons cannot proxy-loop through each other.
+func (e *Engine) LocalBlobs() blob.Store {
 	e.blobStack()
-	return e.localBlobs.Get(kind, key)
-}
-
-// BlobPut stores a payload into the engine's local tiers.
-func (e *Engine) BlobPut(kind, key string, payload []byte) error {
-	e.blobStack()
-	return e.localBlobs.Put(kind, key, payload)
-}
-
-// BlobStat reports local presence of a payload.
-func (e *Engine) BlobStat(kind, key string) (bool, error) {
-	e.blobStack()
-	return e.localBlobs.Stat(kind, key)
-}
-
-// BlobDelete removes a payload from the engine's local tiers.
-func (e *Engine) BlobDelete(kind, key string) error {
-	e.blobStack()
-	return e.localBlobs.Delete(kind, key)
+	return e.localBlobs
 }
 
 // CacheGC evicts cold artifacts from the engine's disk cache until it

@@ -155,31 +155,19 @@ func (s *Server) blobCheck(w http.ResponseWriter, r *http.Request) (kind, key st
 // blobGet handles GET and HEAD /v1/blobs/{kind}/{key}: the read side of
 // the remote cache tier. Payloads are served from the daemon's local
 // tiers only (memory, disk) — never proxied through its own remote
-// tier, so chained daemons cannot loop. GET responses carry the payload
-// digest for end-to-end verification.
+// tier, so chained daemons cannot loop. Responses carry the payload
+// digest for end-to-end verification; a corrupt payload reads as
+// absent. HEAD answers the same way but is not counted as blob traffic.
 func (s *Server) blobGet(w http.ResponseWriter, r *http.Request) {
 	kind, key, ok := s.blobCheck(w, r)
 	if !ok {
 		return
 	}
-	eng := s.queue.Engine()
-	if r.Method == http.MethodHead {
-		found, err := eng.BlobStat(kind, key)
-		if err != nil {
-			s.blobErrors.Add(1)
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if !found {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.Header().Set(blob.SchemaHeader, explore.DiskSchema())
-		w.WriteHeader(http.StatusOK)
-		return
+	get := r.Method == http.MethodGet
+	if get {
+		s.blobGets.Add(1)
 	}
-	s.blobGets.Add(1)
-	data, found, err := eng.BlobGet(kind, key)
+	data, found, err := s.queue.Engine().LocalBlobs().Get(kind, key)
 	if err != nil {
 		s.blobErrors.Add(1)
 		writeError(w, http.StatusInternalServerError, err)
@@ -189,7 +177,9 @@ func (s *Server) blobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("blob %s/%s not found", kind, key))
 		return
 	}
-	s.blobHits.Add(1)
+	if get {
+		s.blobHits.Add(1)
+	}
 	sum := sha256.Sum256(data)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
@@ -221,7 +211,7 @@ func (s *Server) blobPut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.queue.Engine().BlobPut(kind, key, body); err != nil {
+	if err := s.queue.Engine().LocalBlobs().Put(kind, key, body); err != nil {
 		s.blobErrors.Add(1)
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -237,7 +227,7 @@ func (s *Server) blobDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.queue.Engine().BlobDelete(kind, key); err != nil {
+	if err := s.queue.Engine().LocalBlobs().Delete(kind, key); err != nil {
 		s.blobErrors.Add(1)
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -250,7 +240,7 @@ func (s *Server) blobDelete(w http.ResponseWriter, r *http.Request) {
 // to the queue's snapshot.
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	v := s.queue.Stats()
-	v.Blobs = BlobStatsView{
+	v.Blobs = BlobTrafficView{
 		Gets:    s.blobGets.Load(),
 		Hits:    s.blobHits.Load(),
 		Puts:    s.blobPuts.Load(),

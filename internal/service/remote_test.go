@@ -77,7 +77,7 @@ func TestTwoNodeRemoteCache(t *testing.T) {
 	}
 }
 
-// TestTwoNodeWriteThrough: the remote tier is write-through, so a sweep
+// TestTwoNodeWriteThrough pins that the remote tier is written through: a sweep
 // on a node chained to a cold peer warms the PEER too — the fleet's
 // cache fills from whichever node works first.
 func TestTwoNodeWriteThrough(t *testing.T) {
@@ -189,7 +189,7 @@ func TestBlobAPIRoundTrip(t *testing.T) {
 
 // TestRemoteStoreAgainstServer drives the blob.Remote client against a
 // real daemon — the exact pairing the remote tier uses — including the
-// miss, store, load, stat, and delete verbs.
+// miss, store, load, and delete verbs, with HEAD probing presence.
 func TestRemoteStoreAgainstServer(t *testing.T) {
 	_, srv := newNode(t, "")
 	r := &blob.Remote{Base: srv.URL, Schema: explore.DiskSchema(), Client: srv.Client()}
@@ -203,14 +203,23 @@ func TestRemoteStoreAgainstServer(t *testing.T) {
 	if err != nil || !ok || string(data) != "artifact" {
 		t.Fatalf("Get = %q, %v, %v", data, ok, err)
 	}
-	if ok, err := r.Stat("frontend", "k"); err != nil || !ok {
-		t.Fatalf("Stat = %v, %v", ok, err)
+	head := func() int {
+		t.Helper()
+		resp, err := srv.Client().Head(srv.URL + "/v1/blobs/frontend/k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := head(); code != http.StatusOK {
+		t.Fatalf("HEAD = %d, want 200", code)
 	}
 	if err := r.Delete("frontend", "k"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := r.Stat("frontend", "k"); ok {
-		t.Fatal("Stat after Delete = true")
+	if code := head(); code != http.StatusNotFound {
+		t.Fatalf("HEAD after Delete = %d, want 404", code)
 	}
 	// Version skew must read as a miss, never as an error or a payload.
 	skew := &blob.Remote{Base: srv.URL, Schema: "future-schema", Client: srv.Client()}

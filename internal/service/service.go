@@ -388,10 +388,10 @@ type GCStatsView struct {
 	PerKind []KindGCView `json:"per_kind,omitempty"`
 }
 
-// BlobStatsView counts traffic on the daemon's /v1/blobs API — the
+// BlobTrafficView counts traffic on the daemon's /v1/blobs API — the
 // server side of peers' remote tiers, separate from the engine's own
 // cache counters.
-type BlobStatsView struct {
+type BlobTrafficView struct {
 	Gets    int64 `json:"gets"`
 	Hits    int64 `json:"hits"`
 	Puts    int64 `json:"puts"`
@@ -420,7 +420,7 @@ type StatsView struct {
 	CacheSchema   string                `json:"cache_schema"`
 	StageVersions explore.StageVersions `json:"stage_versions"`
 	Engine        explore.Stats         `json:"engine"`
-	Blobs         BlobStatsView         `json:"blobs"`
+	Blobs         BlobTrafficView       `json:"blobs"`
 	Queue         QueueStatsView        `json:"queue"`
 	GC            GCStatsView           `json:"gc"`
 	Events        EventStatsView        `json:"events"`
