@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"sparkgo/internal/core"
@@ -15,14 +17,16 @@ import (
 // contract under arbitrary input is uniform: return an error or a value
 // — never panic, never allocate proportionally to a forged length
 // prefix (the wire.Len guards bound every slice make by the bytes
-// actually present). Seeds are real artifacts from the staged flow —
+// actually present). A value that decodes must re-encode, and that
+// encoding is a fixed point: it decodes and re-encodes to itself, so
+// the encoder and decoder agree on every field of the layout. Seeds are real artifacts from the staged flow —
 // the same designs the golden fingerprint file pins — plus adversarial
 // mutations of each: truncations, bit flips, and inflated length
 // prefixes.
 
 // fuzzArtifacts runs the staged flow once and returns the four layered
 // encodings: program, graph, schedule, netlist, and the backend shell.
-func fuzzArtifacts(f *testing.F) (progEnc, graphEnc, schedEnc, modEnc, shellEnc []byte) {
+func fuzzArtifacts(f testing.TB) (progEnc, graphEnc, schedEnc, modEnc, shellEnc []byte) {
 	f.Helper()
 	prog := ild.Program(4)
 	opt := core.Options{Preset: core.MicroprocessorBlock}
@@ -73,17 +77,65 @@ func addSeeds(f *testing.F, seed []byte) {
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, seed...))
 }
 
+// TestTruncatedArtifactsReportWireErrors cuts each artifact encoding
+// short at many points. Each decoder reads straight through into live
+// objects, so after a truncation it sees the wire decoder's zero values;
+// it must report the truncation itself, never a semantic error those
+// zero values caused.
+func TestTruncatedArtifactsReportWireErrors(t *testing.T) {
+	progEnc, graphEnc, schedEnc, modEnc, _ := fuzzArtifacts(t)
+	decoders := []struct {
+		name   string
+		enc    []byte
+		decode func([]byte) error
+	}{
+		{"program", progEnc, func(b []byte) error { _, err := ir.DecodeProgram(b); return err }},
+		{"graph", graphEnc, func(b []byte) error { _, err := htg.DecodeGraph(b); return err }},
+		{"schedule", schedEnc, func(b []byte) error { _, err := sched.DecodeResult(b); return err }},
+		{"module", modEnc, func(b []byte) error { _, err := rtl.DecodeModule(b); return err }},
+	}
+	for _, dc := range decoders {
+		step := max(1, len(dc.enc)/400)
+		for cut := 0; cut < len(dc.enc); cut += step {
+			err := dc.decode(dc.enc[:cut])
+			if err == nil || !strings.Contains(err.Error(), "wire: ") {
+				t.Fatalf("%s cut to %d of %d bytes: err = %v, want the wire error", dc.name, cut, len(dc.enc), err)
+			}
+		}
+	}
+}
+
+// fixedPoint checks the round-trip contract on one fuzz input: data
+// either fails to decode, or its decoded value re-encodes to enc1 and
+// enc1 decodes and re-encodes to exactly enc1.
+func fixedPoint[T any](t *testing.T, data []byte, decode func([]byte) (T, error), encode func(T) ([]byte, error)) {
+	t.Helper()
+	v, err := decode(data)
+	if err != nil {
+		return
+	}
+	enc1, err := encode(v)
+	if err != nil {
+		t.Fatalf("decoded value does not re-encode: %v", err)
+	}
+	v2, err := decode(enc1)
+	if err != nil {
+		t.Fatalf("re-encoded value does not decode: %v", err)
+	}
+	enc2, err := encode(v2)
+	if err != nil {
+		t.Fatalf("second decode does not re-encode: %v", err)
+	}
+	if !bytes.Equal(enc1, enc2) {
+		t.Fatalf("encoding is not a fixed point: %d bytes, then %d bytes", len(enc1), len(enc2))
+	}
+}
+
 func FuzzDecodeProgram(f *testing.F) {
 	progEnc, _, _, _, _ := fuzzArtifacts(f)
 	addSeeds(f, progEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ir.DecodeProgram(data)
-		if err != nil {
-			return
-		}
-		if _, err := ir.EncodeProgram(p); err != nil {
-			t.Fatalf("decoded program does not re-encode: %v", err)
-		}
+		fixedPoint(t, data, ir.DecodeProgram, ir.EncodeProgram)
 	})
 }
 
@@ -91,13 +143,7 @@ func FuzzDecodeGraph(f *testing.F) {
 	_, graphEnc, _, _, _ := fuzzArtifacts(f)
 	addSeeds(f, graphEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := htg.DecodeGraph(data)
-		if err != nil {
-			return
-		}
-		if _, err := htg.EncodeGraph(g); err != nil {
-			t.Fatalf("decoded graph does not re-encode: %v", err)
-		}
+		fixedPoint(t, data, htg.DecodeGraph, htg.EncodeGraph)
 	})
 }
 
@@ -105,13 +151,7 @@ func FuzzDecodeResult(f *testing.F) {
 	_, _, schedEnc, _, _ := fuzzArtifacts(f)
 	addSeeds(f, schedEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := sched.DecodeResult(data)
-		if err != nil {
-			return
-		}
-		if _, err := sched.EncodeResult(r); err != nil {
-			t.Fatalf("decoded schedule does not re-encode: %v", err)
-		}
+		fixedPoint(t, data, sched.DecodeResult, sched.EncodeResult)
 	})
 }
 
@@ -119,13 +159,7 @@ func FuzzDecodeModule(f *testing.F) {
 	_, _, _, modEnc, _ := fuzzArtifacts(f)
 	addSeeds(f, modEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := rtl.DecodeModule(data)
-		if err != nil {
-			return
-		}
-		if _, err := rtl.EncodeModule(m); err != nil {
-			t.Fatalf("decoded module does not re-encode: %v", err)
-		}
+		fixedPoint(t, data, rtl.DecodeModule, rtl.EncodeModule)
 	})
 }
 

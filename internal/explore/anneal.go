@@ -66,6 +66,7 @@ func (a SimulatedAnnealing) SearchContext(ctx context.Context, eng *Engine, sp S
 		}
 		curScore, ok := run.score(cur)
 		if !ok {
+			run.out() // stamp Exhausted/Canceled before stopping
 			break
 		}
 		temp := a.InitialTemp

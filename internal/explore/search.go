@@ -388,6 +388,7 @@ func (h HillClimb) SearchContext(ctx context.Context, eng *Engine, sp Space, obj
 		}
 		curScore, ok := run.score(cur)
 		if !ok {
+			run.out() // stamp Exhausted/Canceled before stopping
 			break
 		}
 		for !run.out() {

@@ -1,28 +1,32 @@
 package htg
 
-import (
-	"fmt"
-
-	"sparkgo/internal/ir"
-)
-
 // This file is the lossless serialization of hierarchical task graphs,
 // the midend half of the disk-backed artifact cache. A graph is a
 // pointer web — ops reference variables of the program they were
 // lowered from, blocks reference ops, the node tree references blocks —
-// so the wire form flattens every pointer into a table index, exactly
-// as ir's codec does for variables: the embedded program travels in its
-// own lossless encoding (ir.EncodeProgram), variables are referenced
-// into the graph's VarTable (globals first, then the function's
-// locals), basic blocks by position in Blocks, and the node tree is a
-// recursive tagged union. Decoding rebuilds the identical web over a
-// freshly decoded program; encode(decode(x)) is byte-identical to x,
-// which is what lets revived artifacts be fingerprint-verified by
-// re-encoding.
+// so every pointer travels as a table index, exactly as ir's codec does
+// for variables: the embedded program in its own lossless encoding
+// (ir.EncodeProgram), variables as indices into the graph's VarTable
+// (globals first, then the function's locals), basic blocks by position
+// in Blocks, and the node tree as a recursive tagged union that writes
+// its kind first.
 //
-// Every wire struct is map-free and serialized field-by-field in a
-// fixed order (wirecodec.go), so identical graphs encode to identical
-// bytes.
+// Each direction is one walk over internal/wire. The encoder writes the
+// live graph field by field in a fixed order, so identical graphs encode
+// to identical bytes; the decoder reads the bytes straight back into a
+// pointer web over a freshly decoded program, and encode(decode(x)) is
+// byte-identical to x, which is what lets revived artifacts be
+// fingerprint-verified by re-encoding.
+
+import (
+	"fmt"
+
+	"sparkgo/internal/ir"
+	"sparkgo/internal/wire"
+)
+
+// graphTag versions the HTG wire layout.
+const graphTag = "htg/1"
 
 // VarTable returns the graph's variable reference table — the program's
 // globals first, then the graph function's locals — the shared indexing
@@ -35,7 +39,7 @@ func (g *Graph) VarTable() []*ir.Var {
 	return out
 }
 
-// Node tree kinds.
+// Node tree kinds, in wire order.
 const (
 	nodeSeq = iota
 	nodeBB
@@ -43,433 +47,399 @@ const (
 	nodeLoop
 )
 
-type operandCode struct {
-	IsConst bool
-	Const   int64
-	Var     int // variable table reference; -1 for constants
-	Typ     ir.TypeCode
-}
-
-type opCode struct {
-	ID          int
-	Kind        int
-	Bin         int
-	Un          int
-	Dst         int // variable table reference; -1 when nil
-	Arr         int
-	Args        []operandCode
-	UnsignedOps bool
-}
-
-type guardCode struct {
-	Cond  int
-	Value bool
-}
-
-type blockCode struct {
-	ID    int
-	Guard []guardCode
-	Ops   []opCode
-}
-
-// nodeCode is the tagged union of HTG tree nodes. Children slices are
-// the flattened Seq contents of the respective region.
-type nodeCode struct {
-	Kind    int
-	Nodes   []nodeCode // nodeSeq
-	BB      int        // nodeBB: index into Blocks
-	Cond    int        // nodeIf / nodeLoop condition variable
-	HasElse bool       // nodeIf
-	Then    []nodeCode // nodeIf then-Seq
-	Else    []nodeCode
-	Label   string     // nodeLoop
-	InitBB  int        // nodeLoop: block index, -1 when absent
-	CondBB  int        // nodeLoop: block index
-	Body    []nodeCode // nodeLoop body-Seq
-}
-
-type graphCode struct {
-	Program []byte // ir.EncodeProgram of g.Prog
-	Fn      int    // index into Prog.Funcs
-	RetVar  int    // variable table reference, -1 for void
-	Blocks  []blockCode
-	Root    []nodeCode // the root Seq's nodes
-	NextOp  int
-}
-
-// graphEncoder maps the graph's pointers onto table indices.
+// graphEncoder writes the graph's pointers as table indices.
 type graphEncoder struct {
+	e      *wire.Encoder
 	vars   map[*ir.Var]int
 	blocks map[*BasicBlock]int
 }
 
-func (en *graphEncoder) varRef(v *ir.Var) (int, error) {
-	if v == nil {
-		return -1, nil
+// varRef writes a variable reference; nil is -1.
+func (en *graphEncoder) varRef(v *ir.Var) error {
+	i := -1
+	if v != nil {
+		var ok bool
+		if i, ok = en.vars[v]; !ok {
+			return fmt.Errorf("htg: encode: reference to foreign variable %q", v.Name)
+		}
 	}
-	i, ok := en.vars[v]
-	if !ok {
-		return 0, fmt.Errorf("htg: encode: reference to foreign variable %q", v.Name)
-	}
-	return i, nil
+	en.e.Int(i)
+	return nil
 }
 
-func (en *graphEncoder) bbRef(bb *BasicBlock) (int, error) {
-	if bb == nil {
-		return -1, nil
+// bbRef writes a block reference; nil is -1.
+func (en *graphEncoder) bbRef(bb *BasicBlock) error {
+	i := -1
+	if bb != nil {
+		var ok bool
+		if i, ok = en.blocks[bb]; !ok {
+			return fmt.Errorf("htg: encode: reference to unregistered block BB%d", bb.ID)
+		}
 	}
-	i, ok := en.blocks[bb]
-	if !ok {
-		return 0, fmt.Errorf("htg: encode: reference to unregistered block BB%d", bb.ID)
-	}
-	return i, nil
-}
-
-func (en *graphEncoder) operand(o Operand) (operandCode, error) {
-	c := operandCode{IsConst: o.IsConst, Const: o.Const, Var: -1, Typ: ir.EncodeType(o.Typ)}
-	if !o.IsConst {
-		i, err := en.varRef(o.Var)
-		if err != nil {
-			return c, err
-		}
-		c.Var = i
-	}
-	return c, nil
-}
-
-func (en *graphEncoder) op(op *Op) (opCode, error) {
-	c := opCode{ID: op.ID, Kind: int(op.Kind), Bin: int(op.Bin), Un: int(op.Un),
-		UnsignedOps: op.UnsignedOps}
-	var err error
-	if c.Dst, err = en.varRef(op.Dst); err != nil {
-		return c, err
-	}
-	if c.Arr, err = en.varRef(op.Arr); err != nil {
-		return c, err
-	}
-	for _, a := range op.Args {
-		ac, err := en.operand(a)
-		if err != nil {
-			return c, err
-		}
-		c.Args = append(c.Args, ac)
-	}
-	return c, nil
-}
-
-func (en *graphEncoder) node(n Node) (nodeCode, error) {
-	switch x := n.(type) {
-	case *Seq:
-		nodes, err := en.seq(x)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		return nodeCode{Kind: nodeSeq, Nodes: nodes}, nil
-	case *BBNode:
-		i, err := en.bbRef(x.BB)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		return nodeCode{Kind: nodeBB, BB: i}, nil
-	case *IfNode:
-		cond, err := en.varRef(x.Cond)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		then, err := en.seq(x.Then)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		c := nodeCode{Kind: nodeIf, Cond: cond, Then: then}
-		if x.Else != nil {
-			c.HasElse = true
-			if c.Else, err = en.seq(x.Else); err != nil {
-				return nodeCode{}, err
-			}
-		}
-		return c, nil
-	case *LoopNode:
-		cond, err := en.varRef(x.Cond)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		initBB, err := en.bbRef(x.InitBB)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		condBB, err := en.bbRef(x.CondBB)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		body, err := en.seq(x.Body)
-		if err != nil {
-			return nodeCode{}, err
-		}
-		return nodeCode{Kind: nodeLoop, Label: x.Label, Cond: cond,
-			InitBB: initBB, CondBB: condBB, Body: body}, nil
-	}
-	return nodeCode{}, fmt.Errorf("htg: encode: unknown node type %T", n)
-}
-
-func (en *graphEncoder) seq(s *Seq) ([]nodeCode, error) {
-	if s == nil {
-		return nil, nil
-	}
-	out := make([]nodeCode, 0, len(s.Nodes))
-	for _, n := range s.Nodes {
-		c, err := en.node(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
+	en.e.Int(i)
+	return nil
 }
 
 // EncodeGraph serializes a graph losslessly into a self-contained byte
 // string: the embedded program (ir.EncodeProgram), the block/op lists,
-// and the node tree, with every pointer flattened to a table index and
-// framed by the deterministic binary codec of internal/wire. The
-// inverse is DecodeGraph.
+// and the node tree, with every pointer written as a table index in the
+// deterministic binary layout of internal/wire. The inverse is
+// DecodeGraph.
 func EncodeGraph(g *Graph) ([]byte, error) {
-	gc, err := flattenGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	return encodeGraphWire(gc), nil
-}
-
-// flattenGraph lowers the graph's pointer web onto the intermediate
-// wire structs, the embedded program in its own lossless encoding.
-func flattenGraph(g *Graph) (*graphCode, error) {
 	prog, err := ir.EncodeProgram(g.Prog)
 	if err != nil {
 		return nil, fmt.Errorf("htg: encode program: %w", err)
 	}
-	gc := graphCode{Program: prog, Fn: -1, NextOp: g.nextOp}
+	fn := -1
 	for i, f := range g.Prog.Funcs {
 		if f == g.Fn {
-			gc.Fn = i
+			fn = i
 			break
 		}
 	}
-	if gc.Fn < 0 {
+	if fn < 0 {
 		return nil, fmt.Errorf("htg: encode: graph function %q not in program", g.Fn.Name)
 	}
-	en := &graphEncoder{vars: map[*ir.Var]int{}, blocks: map[*BasicBlock]int{}}
+	en := &graphEncoder{
+		e:      wire.NewEncoder(256 + len(prog)),
+		vars:   map[*ir.Var]int{},
+		blocks: make(map[*BasicBlock]int, len(g.Blocks)),
+	}
 	for i, v := range g.VarTable() {
 		en.vars[v] = i
 	}
 	for i, bb := range g.Blocks {
 		en.blocks[bb] = i
 	}
-	if gc.RetVar, err = en.varRef(g.RetVar); err != nil {
+	e := en.e
+	e.Tag(graphTag)
+	e.Bytes(prog)
+	e.Int(fn)
+	if err := en.varRef(g.RetVar); err != nil {
 		return nil, err
 	}
+	e.Int(g.nextOp)
+	e.Uvarint(uint64(len(g.Blocks)))
 	for _, bb := range g.Blocks {
-		bc := blockCode{ID: bb.ID}
+		e.Int(bb.ID)
+		e.Uvarint(uint64(len(bb.Guard)))
 		for _, gt := range bb.Guard {
-			ci, err := en.varRef(gt.Cond)
-			if err != nil {
+			if err := en.varRef(gt.Cond); err != nil {
 				return nil, err
 			}
-			bc.Guard = append(bc.Guard, guardCode{Cond: ci, Value: gt.Value})
+			e.Bool(gt.Value)
 		}
+		e.Uvarint(uint64(len(bb.Ops)))
 		for _, op := range bb.Ops {
-			oc, err := en.op(op)
-			if err != nil {
+			if err := en.op(op); err != nil {
 				return nil, err
 			}
-			bc.Ops = append(bc.Ops, oc)
 		}
-		gc.Blocks = append(gc.Blocks, bc)
 	}
-	if gc.Root, err = en.seq(g.Root); err != nil {
+	if err := en.seq(g.Root, 0); err != nil {
 		return nil, err
 	}
-	return &gc, nil
+	return e.Data(), nil
 }
 
-// graphDecoder rebuilds the pointer web from table indices.
+func (en *graphEncoder) op(op *Op) error {
+	e := en.e
+	e.Int(op.ID)
+	e.Int(int(op.Kind))
+	e.Int(int(op.Bin))
+	e.Int(int(op.Un))
+	if err := en.varRef(op.Dst); err != nil {
+		return err
+	}
+	if err := en.varRef(op.Arr); err != nil {
+		return err
+	}
+	e.Bool(op.UnsignedOps)
+	e.Uvarint(uint64(len(op.Args)))
+	for _, a := range op.Args {
+		e.Bool(a.IsConst)
+		e.Int64(a.Const)
+		if a.IsConst {
+			e.Int(-1)
+		} else if err := en.varRef(a.Var); err != nil {
+			return err
+		}
+		ir.PutType(e, a.Typ)
+	}
+	return nil
+}
+
+// seq writes a region's node list; a nil Seq encodes as an empty one.
+// A tree nested past wire.MaxDepth is unencodable, as the decoder would
+// reject it.
+func (en *graphEncoder) seq(s *Seq, depth int) error {
+	if depth > wire.MaxDepth {
+		return fmt.Errorf("htg: encode: nesting deeper than %d", wire.MaxDepth)
+	}
+	if s == nil {
+		en.e.Uvarint(0)
+		return nil
+	}
+	en.e.Uvarint(uint64(len(s.Nodes)))
+	for _, n := range s.Nodes {
+		if err := en.node(n, depth); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (en *graphEncoder) node(n Node, depth int) error {
+	e := en.e
+	switch x := n.(type) {
+	case *Seq:
+		e.Int(nodeSeq)
+		return en.seq(x, depth+1)
+	case *BBNode:
+		e.Int(nodeBB)
+		return en.bbRef(x.BB)
+	case *IfNode:
+		e.Int(nodeIf)
+		if err := en.varRef(x.Cond); err != nil {
+			return err
+		}
+		if err := en.seq(x.Then, depth+1); err != nil {
+			return err
+		}
+		e.Bool(x.Else != nil)
+		if x.Else == nil {
+			return nil
+		}
+		return en.seq(x.Else, depth+1)
+	case *LoopNode:
+		e.Int(nodeLoop)
+		e.String(x.Label)
+		if err := en.varRef(x.Cond); err != nil {
+			return err
+		}
+		if err := en.bbRef(x.InitBB); err != nil {
+			return err
+		}
+		if err := en.bbRef(x.CondBB); err != nil {
+			return err
+		}
+		return en.seq(x.Body, depth+1)
+	}
+	return fmt.Errorf("htg: encode: unknown node type %T", n)
+}
+
+// graphDecoder resolves table indices back into the pointer web.
 type graphDecoder struct {
+	d      *wire.Decoder
 	vars   []*ir.Var
 	blocks []*BasicBlock
 }
 
+// DecodeGraph reconstructs a graph serialized by EncodeGraph: the
+// program is decoded first, then every variable, block, and op
+// reference is range-checked and resolved against it, so the result
+// shares nothing with any other graph.
+func DecodeGraph(data []byte) (*Graph, error) {
+	g, err := decodeGraph(wire.NewDecoder(data))
+	if err != nil {
+		return nil, fmt.Errorf("htg: decode: %w", err)
+	}
+	return g, nil
+}
+
+func decodeGraph(d *wire.Decoder) (*Graph, error) {
+	d.Tag(graphTag)
+	progBytes := d.Bytes()
+	fn, retVar, nextOp := d.Int(), d.Int(), d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	prog, err := ir.DecodeProgram(progBytes)
+	if err != nil {
+		return nil, err
+	}
+	if fn < 0 || fn >= len(prog.Funcs) {
+		return nil, fmt.Errorf("function reference %d out of range", fn)
+	}
+	g := &Graph{Prog: prog, Fn: prog.Funcs[fn], nextOp: nextOp}
+	de := &graphDecoder{d: d, vars: g.VarTable()}
+	if g.RetVar, err = de.varAt(retVar); err != nil {
+		return nil, err
+	}
+	if n := d.Len(3); n > 0 { // a block is >= 3 bytes (id + two counts)
+		g.Blocks = make([]*BasicBlock, n)
+		de.blocks = g.Blocks
+		for i := range g.Blocks {
+			if g.Blocks[i], err = de.block(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if g.Root, err = de.seq(0); err != nil {
+		return nil, err
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// fail reports a semantic decode error — unless the wire decoder has
+// already failed, in which case its zero values caused this one and the
+// wire error is the real cause.
+func (de *graphDecoder) fail(format string, args ...any) error {
+	if err := de.d.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// varAt resolves a variable reference; -1 is nil.
 func (de *graphDecoder) varAt(i int) (*ir.Var, error) {
 	if i == -1 {
 		return nil, nil
 	}
 	if i < 0 || i >= len(de.vars) {
-		return nil, fmt.Errorf("htg: decode: variable reference %d out of range", i)
+		return nil, de.fail("variable reference %d out of range", i)
 	}
 	return de.vars[i], nil
 }
 
+// bbAt resolves a block reference; -1 is nil. Blocks are decoded before
+// the node tree, so every block a node can name already exists.
 func (de *graphDecoder) bbAt(i int) (*BasicBlock, error) {
 	if i == -1 {
 		return nil, nil
 	}
 	if i < 0 || i >= len(de.blocks) {
-		return nil, fmt.Errorf("htg: decode: block reference %d out of range", i)
+		return nil, de.fail("block reference %d out of range", i)
 	}
 	return de.blocks[i], nil
 }
 
-func (de *graphDecoder) operand(c operandCode) (Operand, error) {
-	t, err := ir.DecodeType(c.Typ)
-	if err != nil {
-		return Operand{}, err
-	}
-	o := Operand{IsConst: c.IsConst, Const: c.Const, Typ: t}
-	if !c.IsConst {
-		if o.Var, err = de.varAt(c.Var); err != nil {
-			return Operand{}, err
+func (de *graphDecoder) block() (*BasicBlock, error) {
+	d := de.d
+	bb := &BasicBlock{ID: d.Int()}
+	if n := d.Len(2); n > 0 { // a guard term is >= 2 bytes
+		bb.Guard = make([]GuardTerm, n)
+		for i := range bb.Guard {
+			cond, err := de.varAt(d.Int())
+			if err != nil {
+				return nil, err
+			}
+			bb.Guard[i] = GuardTerm{Cond: cond, Value: d.Bool()}
 		}
-		if o.Var == nil {
-			return Operand{}, fmt.Errorf("htg: decode: variable operand without variable")
+	}
+	if n := d.Len(8); n > 0 { // an op is >= 8 bytes
+		bb.Ops = make([]*Op, n)
+		for i := range bb.Ops {
+			op, err := de.op(bb)
+			if err != nil {
+				return nil, err
+			}
+			bb.Ops[i] = op
 		}
 	}
-	return o, nil
+	return bb, nil
 }
 
-func (de *graphDecoder) op(c opCode, bb *BasicBlock) (*Op, error) {
-	op := &Op{ID: c.ID, Kind: OpKind(c.Kind), Bin: ir.BinOp(c.Bin), Un: ir.UnOp(c.Un),
-		BB: bb, UnsignedOps: c.UnsignedOps}
+func (de *graphDecoder) op(bb *BasicBlock) (*Op, error) {
+	d := de.d
+	op := &Op{ID: d.Int(), Kind: OpKind(d.Int()), Bin: ir.BinOp(d.Int()), Un: ir.UnOp(d.Int()), BB: bb}
 	var err error
-	if op.Dst, err = de.varAt(c.Dst); err != nil {
+	if op.Dst, err = de.varAt(d.Int()); err != nil {
 		return nil, err
 	}
-	if op.Arr, err = de.varAt(c.Arr); err != nil {
+	if op.Arr, err = de.varAt(d.Int()); err != nil {
 		return nil, err
 	}
-	for _, ac := range c.Args {
-		a, err := de.operand(ac)
-		if err != nil {
-			return nil, err
+	op.UnsignedOps = d.Bool()
+	if n := d.Len(4); n > 0 { // an operand is >= 4 bytes
+		op.Args = make([]Operand, n)
+		for i := range op.Args {
+			a := &op.Args[i]
+			a.IsConst, a.Const = d.Bool(), d.Int64()
+			v := d.Int()
+			if a.Typ, err = ir.GetType(d); err != nil {
+				return nil, err
+			}
+			if a.IsConst {
+				continue
+			}
+			if a.Var, err = de.varAt(v); err != nil {
+				return nil, err
+			}
+			if a.Var == nil {
+				return nil, de.fail("variable operand without variable")
+			}
 		}
-		op.Args = append(op.Args, a)
 	}
 	return op, nil
 }
 
-func (de *graphDecoder) node(c nodeCode) (Node, error) {
-	switch c.Kind {
+// seq reads a region's node list. depth bounds the recursion: a forged
+// payload of deeply nested regions must fail, not overflow the stack.
+func (de *graphDecoder) seq(depth int) (*Seq, error) {
+	if depth > wire.MaxDepth {
+		return nil, de.fail("nesting deeper than %d", wire.MaxDepth)
+	}
+	s := &Seq{Nodes: make([]Node, de.d.Len(2))} // a node is >= 2 bytes (kind + one field)
+	for i := range s.Nodes {
+		n, err := de.node(depth)
+		if err != nil {
+			return nil, err
+		}
+		s.Nodes[i] = n
+	}
+	return s, nil
+}
+
+func (de *graphDecoder) node(depth int) (Node, error) {
+	d := de.d
+	switch kind := d.Int(); kind {
 	case nodeSeq:
-		return de.seq(c.Nodes)
+		return de.seq(depth + 1)
 	case nodeBB:
-		bb, err := de.bbAt(c.BB)
+		bb, err := de.bbAt(d.Int())
 		if err != nil {
 			return nil, err
 		}
 		if bb == nil {
-			return nil, fmt.Errorf("htg: decode: BB node without block")
+			return nil, de.fail("BB node without block")
 		}
 		return &BBNode{BB: bb}, nil
 	case nodeIf:
-		cond, err := de.varAt(c.Cond)
+		cond, err := de.varAt(d.Int())
 		if err != nil {
 			return nil, err
 		}
-		then, err := de.seq(c.Then)
-		if err != nil {
+		n := &IfNode{Cond: cond}
+		if n.Then, err = de.seq(depth + 1); err != nil {
 			return nil, err
 		}
-		n := &IfNode{Cond: cond, Then: then}
-		if c.HasElse {
-			if n.Else, err = de.seq(c.Else); err != nil {
+		if d.Bool() {
+			if n.Else, err = de.seq(depth + 1); err != nil {
 				return nil, err
 			}
 		}
 		return n, nil
 	case nodeLoop:
-		cond, err := de.varAt(c.Cond)
-		if err != nil {
+		n := &LoopNode{Label: d.String()}
+		var err error
+		if n.Cond, err = de.varAt(d.Int()); err != nil {
 			return nil, err
 		}
-		initBB, err := de.bbAt(c.InitBB)
-		if err != nil {
+		if n.InitBB, err = de.bbAt(d.Int()); err != nil {
 			return nil, err
 		}
-		condBB, err := de.bbAt(c.CondBB)
-		if err != nil {
+		if n.CondBB, err = de.bbAt(d.Int()); err != nil {
 			return nil, err
 		}
-		body, err := de.seq(c.Body)
-		if err != nil {
+		if n.Body, err = de.seq(depth + 1); err != nil {
 			return nil, err
 		}
-		return &LoopNode{Label: c.Label, Cond: cond, InitBB: initBB,
-			CondBB: condBB, Body: body}, nil
+		return n, nil
+	default:
+		return nil, de.fail("unknown node kind %d", kind)
 	}
-	return nil, fmt.Errorf("htg: decode: unknown node kind %d", c.Kind)
-}
-
-func (de *graphDecoder) seq(cs []nodeCode) (*Seq, error) {
-	s := &Seq{Nodes: make([]Node, 0, len(cs))}
-	for _, c := range cs {
-		n, err := de.node(c)
-		if err != nil {
-			return nil, err
-		}
-		s.Nodes = append(s.Nodes, n)
-	}
-	return s, nil
-}
-
-// DecodeGraph reconstructs a graph serialized by EncodeGraph: the
-// program is decoded first, then every variable, block, and op
-// reference is resolved against it, so the result shares nothing with
-// any other graph.
-func DecodeGraph(data []byte) (*Graph, error) {
-	gc, err := decodeGraphWire(data)
-	if err != nil {
-		return nil, fmt.Errorf("htg: decode: %w", err)
-	}
-	return rebuildGraph(gc)
-}
-
-// rebuildGraph resolves the flattened form back into a pointer web over
-// a freshly decoded program.
-func rebuildGraph(gc *graphCode) (*Graph, error) {
-	prog, err := ir.DecodeProgram(gc.Program)
-	if err != nil {
-		return nil, fmt.Errorf("htg: decode: %w", err)
-	}
-	if gc.Fn < 0 || gc.Fn >= len(prog.Funcs) {
-		return nil, fmt.Errorf("htg: decode: function reference %d out of range", gc.Fn)
-	}
-	g := &Graph{Prog: prog, Fn: prog.Funcs[gc.Fn], nextOp: gc.NextOp}
-	de := &graphDecoder{vars: g.VarTable()}
-	if g.RetVar, err = de.varAt(gc.RetVar); err != nil {
-		return nil, err
-	}
-	// Blocks first (shells), so the node tree and op backpointers can
-	// resolve them.
-	for _, bc := range gc.Blocks {
-		bb := &BasicBlock{ID: bc.ID}
-		for _, gcd := range bc.Guard {
-			cv, err := de.varAt(gcd.Cond)
-			if err != nil {
-				return nil, err
-			}
-			bb.Guard = append(bb.Guard, GuardTerm{Cond: cv, Value: gcd.Value})
-		}
-		g.Blocks = append(g.Blocks, bb)
-		de.blocks = append(de.blocks, bb)
-	}
-	for i, bc := range gc.Blocks {
-		bb := g.Blocks[i]
-		for _, oc := range bc.Ops {
-			op, err := de.op(oc, bb)
-			if err != nil {
-				return nil, err
-			}
-			bb.Ops = append(bb.Ops, op)
-		}
-	}
-	if g.Root, err = de.seq(gc.Root); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

@@ -1,9 +1,33 @@
 package ir
 
+// This file is the lossless serialization of IR programs, used by the
+// disk-backed artifact caches. The surface syntax (Print/Parse) is NOT
+// a faithful codec: the parser re-infers expression result types and
+// re-inserts width casts, so a transformed program — whose types were
+// assigned by the passes, not the parser — does not round-trip through
+// text. The encoded form preserves expression types, variable flags,
+// and temp-counter state exactly, so a decoded program is
+// indistinguishable from the original to every downstream stage.
+//
+// Each direction is one walk over internal/wire: the encoder writes the
+// live program field by field in a fixed order, and the decoder reads
+// the bytes straight back into live nodes. Variables travel as indices
+// into a per-function table (globals first, then the function's
+// locals), mirroring how CloneProgram resolves identity; call targets
+// travel as function indices. Optional sub-nodes sit behind presence
+// booleans, and the tagged unions (expressions, statements) write their
+// kind first and then only the fields that kind carries.
+
 import (
 	"fmt"
 	"sync/atomic"
+
+	"sparkgo/internal/wire"
 )
+
+// progTag versions the IR wire layout; bump it when the layout changes
+// so stale bytes fail the tag check instead of mis-decoding.
+const progTag = "irprog/1"
 
 // progDecodes counts DecodeProgram calls process-wide. The disk-revival
 // fast path is contractually decode-free (verification is a streaming
@@ -15,711 +39,675 @@ var progDecodes atomic.Int64
 // this process so far.
 func ProgramDecodeCount() int64 { return progDecodes.Load() }
 
-// This file is the lossless serialization of IR programs, used by the
-// disk-backed artifact caches. The surface syntax (Print/Parse) is NOT
-// a faithful codec: the parser re-infers expression result types and
-// re-inserts width casts, so a transformed program — whose types were
-// assigned by the passes, not the parser — does not round-trip through
-// text. The encoded form below preserves expression types, variable
-// flags, and temp-counter state exactly, so a decoded program is
-// indistinguishable from the original to every downstream stage.
-//
-// Variables are encoded by reference into a per-program table (globals
-// first, then each function's locals), mirroring how CloneProgram
-// resolves identity; call targets are encoded as function indices.
-//
-// The program is flattened into the enc* intermediate structs below and
-// framed by the deterministic binary codec of internal/wire (see
-// wirecodec.go).
+// Expression node kinds, in wire order.
+const (
+	exprConst = iota
+	exprVar
+	exprIndex
+	exprBin
+	exprUn
+	exprSel
+	exprCast
+	exprCall
+)
 
-// TypeCode is the flattened wire form of *Type, exported so the codecs
-// of the downstream stage artifacts (internal/htg, internal/sched,
-// internal/rtl) can carry types without re-inventing the flattening.
-// Arrays are one-dimensional with scalar elements, so one level of
-// element fields suffices. A nil type encodes as Kind -1.
-type TypeCode struct {
-	Kind       int
-	Bits       int
-	Signed     bool
-	Len        int // KindArray
-	ElemKind   int // KindArray
-	ElemBits   int
-	ElemSigned bool
-}
+// Statement node kinds, in wire order.
+const (
+	stmtAssign = iota
+	stmtIf
+	stmtFor
+	stmtWhile
+	stmtReturn
+	stmtExpr
+	stmtBlock
+)
 
-// EncodeType flattens a type into its wire form (nil → Kind -1).
-func EncodeType(t *Type) TypeCode {
+// PutType writes a type to a wire encoder — exported so the downstream
+// artifact codecs (htg, rtl) carry types in the same layout. A nil type
+// is kind -1; non-array kinds never carry the element fields, keeping
+// the common case at three values. Arrays are one-dimensional with
+// scalar elements, so one level of element fields suffices.
+func PutType(e *wire.Encoder, t *Type) {
 	if t == nil {
-		return TypeCode{Kind: -1}
+		e.Int(-1)
+		return
 	}
-	e := TypeCode{Kind: int(t.Kind), Bits: t.Bits, Signed: t.Signed}
+	e.Int(int(t.Kind))
+	e.Int(t.Bits)
+	e.Bool(t.Signed)
 	if t.Kind == KindArray {
-		e.Len = t.Len
-		e.ElemKind = int(t.Elem.Kind)
-		e.ElemBits = t.Elem.Bits
-		e.ElemSigned = t.Elem.Signed
+		e.Int(t.Len)
+		e.Int(int(t.Elem.Kind))
+		e.Int(t.Elem.Bits)
+		e.Bool(t.Elem.Signed)
 	}
-	return e
 }
 
-type encType = TypeCode
-
-func encodeType(t *Type) encType { return EncodeType(t) }
-
-// DecodeType is the inverse of EncodeType; malformed codes error rather
-// than aliasing onto a wrong type.
-func DecodeType(e TypeCode) (*Type, error) { return decodeType(e) }
-
-func decodeType(e encType) (*Type, error) {
-	if e.Kind == -1 {
+// GetType is the inverse of PutType. Malformed types error rather than
+// aliasing onto a wrong type; after a wire failure it reports that.
+func GetType(d *wire.Decoder) (*Type, error) {
+	kind := d.Int()
+	if kind == -1 {
 		return nil, nil
 	}
-	mk := func(kind, bits int, signed bool) (*Type, error) {
-		switch TypeKind(kind) {
-		case KindBool:
-			return Bool, nil
-		case KindVoid:
-			return Void, nil
-		case KindInt:
-			if bits < 1 || bits > 64 {
-				return nil, fmt.Errorf("ir: decode: bad width %d", bits)
-			}
-			if signed {
-				return Int(bits), nil
-			}
-			return UInt(bits), nil
-		}
-		return nil, fmt.Errorf("ir: decode: bad type kind %d", kind)
+	bits, signed := d.Int(), d.Bool()
+	if kind != int(KindArray) {
+		return scalarType(d, kind, bits, signed)
 	}
-	if TypeKind(e.Kind) == KindArray {
-		elem, err := mk(e.ElemKind, e.ElemBits, e.ElemSigned)
-		if err != nil {
-			return nil, err
-		}
-		if e.Len < 1 {
-			return nil, fmt.Errorf("ir: decode: bad array length %d", e.Len)
-		}
-		return Array(elem, e.Len), nil
+	n := d.Int()
+	elem, err := scalarType(d, d.Int(), d.Int(), d.Bool())
+	if err != nil {
+		return nil, err
 	}
-	return mk(e.Kind, e.Bits, e.Signed)
+	if elem == Void {
+		return nil, fmt.Errorf("array of void")
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("bad array length %d", n)
+	}
+	return Array(elem, n), nil
 }
 
-type encVar struct {
-	Name      string
-	Type      encType
-	IsParam   bool
-	IsGlobal  bool
-	Wire      bool
-	Synthetic bool
-}
-
-// Expression node kinds.
-const (
-	encConst = iota
-	encVarRef
-	encIndex
-	encBin
-	encUn
-	encSel
-	encCast
-	encCall
-)
-
-// encExpr is the tagged union of expression nodes. Args holds children
-// in a fixed per-kind order (e.g. Sel: cond, then, else).
-type encExpr struct {
-	Kind int
-	Val  int64 // encConst
-	Var  int   // encVarRef, encIndex: variable table reference
-	Op   int   // encBin, encUn
-	Func int   // encCall: function index, -1 if unresolved
-	Name string
-	Typ  encType
-	Args []encExpr
-}
-
-// Statement node kinds.
-const (
-	encAssign = iota
-	encIf
-	encFor
-	encWhile
-	encReturn
-	encExprStmt
-	encBlock
-)
-
-type encStmt struct {
-	Kind    int
-	LHS     *encExpr // encAssign
-	RHS     *encExpr
-	Cond    *encExpr // encIf, encFor, encWhile
-	Init    *encStmt // encFor (assign)
-	Post    *encStmt
-	Val     *encExpr // encReturn (nil for void)
-	Call    *encExpr // encExprStmt
-	Label   string
-	Bound   int
-	HasElse bool
-	Then    []encStmt // encIf then / loop body / block stmts
-	Else    []encStmt
-}
-
-type encFunc struct {
-	Name        string
-	Ret         encType
-	Locals      []encVar // params are the locals with IsParam set
-	TempCounter int
-	Body        []encStmt
-}
-
-type encProgram struct {
-	Name    string
-	Globals []encVar
-	Funcs   []encFunc
+func scalarType(d *wire.Decoder, kind, bits int, signed bool) (*Type, error) {
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	switch TypeKind(kind) {
+	case KindBool:
+		return Bool, nil
+	case KindVoid:
+		return Void, nil
+	case KindInt:
+		if bits < 1 || bits > 64 {
+			return nil, fmt.Errorf("bad type width %d", bits)
+		}
+		if signed {
+			return Int(bits), nil
+		}
+		return UInt(bits), nil
+	}
+	return nil, fmt.Errorf("bad type kind %d", kind)
 }
 
 // --- encoding ---
 
-type encoder struct {
-	// varIndex maps each variable to its table reference: globals are
+type progEncoder struct {
+	e *wire.Encoder
+	// vars maps each variable to its table reference: globals are
 	// 0..G-1, the current function's locals follow from G.
-	varIndex  map[*Var]int
-	funcIndex map[*Func]int
-}
-
-func (en *encoder) varRef(v *Var) (int, error) {
-	i, ok := en.varIndex[v]
-	if !ok {
-		return 0, fmt.Errorf("ir: encode: reference to foreign variable %q", v.Name)
-	}
-	return i, nil
-}
-
-func (en *encoder) expr(e Expr) (*encExpr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	switch x := e.(type) {
-	case *ConstExpr:
-		return &encExpr{Kind: encConst, Val: x.Val, Typ: encodeType(x.Typ)}, nil
-	case *VarExpr:
-		i, err := en.varRef(x.V)
-		if err != nil {
-			return nil, err
-		}
-		return &encExpr{Kind: encVarRef, Var: i}, nil
-	case *IndexExpr:
-		i, err := en.varRef(x.Arr)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := en.expr(x.Index)
-		if err != nil {
-			return nil, err
-		}
-		return &encExpr{Kind: encIndex, Var: i, Args: []encExpr{*idx}}, nil
-	case *BinExpr:
-		l, err := en.expr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := en.expr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &encExpr{Kind: encBin, Op: int(x.Op), Typ: encodeType(x.Typ),
-			Args: []encExpr{*l, *r}}, nil
-	case *UnExpr:
-		a, err := en.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &encExpr{Kind: encUn, Op: int(x.Op), Typ: encodeType(x.Typ),
-			Args: []encExpr{*a}}, nil
-	case *SelExpr:
-		c, err := en.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		th, err := en.expr(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		el, err := en.expr(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &encExpr{Kind: encSel, Typ: encodeType(x.Typ),
-			Args: []encExpr{*c, *th, *el}}, nil
-	case *CastExpr:
-		a, err := en.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &encExpr{Kind: encCast, Typ: encodeType(x.Typ), Args: []encExpr{*a}}, nil
-	case *CallExpr:
-		out := &encExpr{Kind: encCall, Name: x.Name, Func: -1}
-		if x.F != nil {
-			i, ok := en.funcIndex[x.F]
-			if !ok {
-				return nil, fmt.Errorf("ir: encode: call to foreign function %q", x.Name)
-			}
-			out.Func = i
-		}
-		for _, a := range x.Args {
-			ea, err := en.expr(a)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, *ea)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("ir: encode: unknown expression type %T", e)
-}
-
-func (en *encoder) stmt(s Stmt) (*encStmt, error) {
-	if s == nil {
-		return nil, nil
-	}
-	switch x := s.(type) {
-	case *AssignStmt:
-		lhs, err := en.expr(x.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := en.expr(x.RHS)
-		if err != nil {
-			return nil, err
-		}
-		return &encStmt{Kind: encAssign, LHS: lhs, RHS: rhs}, nil
-	case *IfStmt:
-		cond, err := en.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := en.block(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		out := &encStmt{Kind: encIf, Cond: cond, Then: then}
-		if x.Else != nil {
-			out.HasElse = true
-			if out.Else, err = en.block(x.Else); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case *ForStmt:
-		cond, err := en.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		body, err := en.block(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		out := &encStmt{Kind: encFor, Cond: cond, Then: body, Label: x.Label}
-		if x.Init != nil {
-			if out.Init, err = en.stmt(x.Init); err != nil {
-				return nil, err
-			}
-		}
-		if x.Post != nil {
-			if out.Post, err = en.stmt(x.Post); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case *WhileStmt:
-		cond, err := en.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		body, err := en.block(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		return &encStmt{Kind: encWhile, Cond: cond, Then: body,
-			Label: x.Label, Bound: x.Bound}, nil
-	case *ReturnStmt:
-		val, err := en.expr(x.Val)
-		if err != nil {
-			return nil, err
-		}
-		return &encStmt{Kind: encReturn, Val: val}, nil
-	case *ExprStmt:
-		call, err := en.expr(x.Call)
-		if err != nil {
-			return nil, err
-		}
-		return &encStmt{Kind: encExprStmt, Call: call}, nil
-	case *Block:
-		stmts, err := en.block(x)
-		if err != nil {
-			return nil, err
-		}
-		return &encStmt{Kind: encBlock, Then: stmts}, nil
-	}
-	return nil, fmt.Errorf("ir: encode: unknown statement type %T", s)
-}
-
-func (en *encoder) block(b *Block) ([]encStmt, error) {
-	if b == nil {
-		return nil, nil
-	}
-	out := make([]encStmt, 0, len(b.Stmts))
-	for _, s := range b.Stmts {
-		es, err := en.stmt(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *es)
-	}
-	return out, nil
-}
-
-func encodeVar(v *Var) encVar {
-	return encVar{Name: v.Name, Type: encodeType(v.Type), IsParam: v.IsParam,
-		IsGlobal: v.IsGlobal, Wire: v.Wire, Synthetic: v.Synthetic}
+	vars  map[*Var]int
+	funcs map[*Func]int
 }
 
 // EncodeProgram serializes p losslessly into a self-contained byte
 // string (deterministic wire framing). The inverse is DecodeProgram.
 func EncodeProgram(p *Program) ([]byte, error) {
-	ep, err := flattenProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	return encodeProgramWire(ep), nil
-}
-
-// flattenProgram lowers the pointer-webbed program onto the enc*
-// intermediate structs: variables become table indices, call targets
-// function indices.
-func flattenProgram(p *Program) (*encProgram, error) {
-	ep := encProgram{Name: p.Name}
-	en := &encoder{funcIndex: map[*Func]int{}}
+	en := &progEncoder{e: wire.NewEncoder(256), funcs: make(map[*Func]int, len(p.Funcs))}
 	for i, f := range p.Funcs {
-		en.funcIndex[f] = i
+		en.funcs[f] = i
 	}
-	globals := map[*Var]int{}
-	for i, g := range p.Globals {
-		ep.Globals = append(ep.Globals, encodeVar(g))
-		globals[g] = i
+	e := en.e
+	e.Tag(progTag)
+	e.String(p.Name)
+	e.Uvarint(uint64(len(p.Globals)))
+	for _, g := range p.Globals {
+		putVar(e, g)
 	}
+	e.Uvarint(uint64(len(p.Funcs)))
 	for _, f := range p.Funcs {
-		ef := encFunc{Name: f.Name, Ret: encodeType(f.Ret), TempCounter: f.tempCounter}
-		en.varIndex = make(map[*Var]int, len(globals)+len(f.Locals))
-		for v, i := range globals {
-			en.varIndex[v] = i
+		if en.vars == nil {
+			en.vars = make(map[*Var]int, len(p.Globals)+len(f.Locals))
 		}
+		clear(en.vars)
+		for i, g := range p.Globals {
+			en.vars[g] = i
+		}
+		e.String(f.Name)
+		PutType(e, f.Ret)
+		e.Uvarint(uint64(len(f.Locals)))
 		for i, v := range f.Locals {
-			ef.Locals = append(ef.Locals, encodeVar(v))
-			en.varIndex[v] = len(globals) + i
+			putVar(e, v)
+			en.vars[v] = len(p.Globals) + i
 		}
-		body, err := en.block(f.Body)
-		if err != nil {
+		e.Int(f.tempCounter)
+		if err := en.block(f.Body, 0); err != nil {
 			return nil, fmt.Errorf("%s: func %s: %w", p.Name, f.Name, err)
 		}
-		ef.Body = body
-		ep.Funcs = append(ep.Funcs, ef)
 	}
-	return &ep, nil
+	return e.Data(), nil
+}
+
+func putVar(e *wire.Encoder, v *Var) {
+	e.String(v.Name)
+	PutType(e, v.Type)
+	e.Bool(v.IsParam)
+	e.Bool(v.IsGlobal)
+	e.Bool(v.Wire)
+	e.Bool(v.Synthetic)
+}
+
+func (en *progEncoder) varRef(v *Var) error {
+	i, ok := en.vars[v]
+	if !ok {
+		return fmt.Errorf("ir: encode: reference to foreign variable %q", v.Name)
+	}
+	en.e.Int(i)
+	return nil
+}
+
+// errEncodeDepth refuses a tree the decoder would reject as too deep,
+// so every encoding decodes: an over-deep program is unencodable, and
+// the caches compute it instead of persisting it.
+var errEncodeDepth = fmt.Errorf("ir: encode: nesting deeper than %d", wire.MaxDepth)
+
+// expr writes one expression node: its kind, the kind's own fields,
+// then the argument count and the arguments.
+func (en *progEncoder) expr(x Expr, depth int) error {
+	if depth > wire.MaxDepth {
+		return errEncodeDepth
+	}
+	e := en.e
+	var args []Expr
+	switch x := x.(type) {
+	case *ConstExpr:
+		e.Int(exprConst)
+		e.Int64(x.Val)
+		PutType(e, x.Typ)
+	case *VarExpr:
+		e.Int(exprVar)
+		if err := en.varRef(x.V); err != nil {
+			return err
+		}
+	case *IndexExpr:
+		e.Int(exprIndex)
+		if err := en.varRef(x.Arr); err != nil {
+			return err
+		}
+		args = []Expr{x.Index}
+	case *BinExpr:
+		e.Int(exprBin)
+		e.Int(int(x.Op))
+		PutType(e, x.Typ)
+		args = []Expr{x.L, x.R}
+	case *UnExpr:
+		e.Int(exprUn)
+		e.Int(int(x.Op))
+		PutType(e, x.Typ)
+		args = []Expr{x.X}
+	case *SelExpr:
+		e.Int(exprSel)
+		PutType(e, x.Typ)
+		args = []Expr{x.Cond, x.Then, x.Else}
+	case *CastExpr:
+		e.Int(exprCast)
+		PutType(e, x.Typ)
+		args = []Expr{x.X}
+	case *CallExpr:
+		fi := -1
+		if x.F != nil {
+			i, ok := en.funcs[x.F]
+			if !ok {
+				return fmt.Errorf("ir: encode: call to foreign function %q", x.Name)
+			}
+			fi = i
+		}
+		e.Int(exprCall)
+		e.String(x.Name)
+		e.Int(fi)
+		args = x.Args
+	default:
+		return fmt.Errorf("ir: encode: unknown expression type %T", x)
+	}
+	e.Uvarint(uint64(len(args)))
+	for _, a := range args {
+		if a == nil {
+			return fmt.Errorf("ir: encode: nil operand")
+		}
+		if err := en.expr(a, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// optExpr writes an optional expression behind a presence flag.
+func (en *progEncoder) optExpr(x Expr, depth int) error {
+	en.e.Bool(x != nil)
+	if x == nil {
+		return nil
+	}
+	return en.expr(x, depth)
+}
+
+// optAssign writes an optional for-loop init/post behind a presence flag.
+func (en *progEncoder) optAssign(s *AssignStmt, depth int) error {
+	en.e.Bool(s != nil)
+	if s == nil {
+		return nil
+	}
+	return en.stmt(s, depth)
+}
+
+func (en *progEncoder) stmt(s Stmt, depth int) error {
+	if depth > wire.MaxDepth {
+		return errEncodeDepth
+	}
+	e := en.e
+	switch x := s.(type) {
+	case *AssignStmt:
+		e.Int(stmtAssign)
+		if err := en.optExpr(x.LHS, depth+1); err != nil {
+			return err
+		}
+		return en.optExpr(x.RHS, depth+1)
+	case *IfStmt:
+		e.Int(stmtIf)
+		if err := en.optExpr(x.Cond, depth+1); err != nil {
+			return err
+		}
+		if err := en.block(x.Then, depth+1); err != nil {
+			return err
+		}
+		e.Bool(x.Else != nil)
+		if x.Else == nil {
+			return nil
+		}
+		return en.block(x.Else, depth+1)
+	case *ForStmt:
+		e.Int(stmtFor)
+		if err := en.optExpr(x.Cond, depth+1); err != nil {
+			return err
+		}
+		if err := en.block(x.Body, depth+1); err != nil {
+			return err
+		}
+		e.String(x.Label)
+		if err := en.optAssign(x.Init, depth+1); err != nil {
+			return err
+		}
+		return en.optAssign(x.Post, depth+1)
+	case *WhileStmt:
+		e.Int(stmtWhile)
+		if err := en.optExpr(x.Cond, depth+1); err != nil {
+			return err
+		}
+		if err := en.block(x.Body, depth+1); err != nil {
+			return err
+		}
+		e.String(x.Label)
+		e.Int(x.Bound)
+		return nil
+	case *ReturnStmt:
+		e.Int(stmtReturn)
+		return en.optExpr(x.Val, depth+1)
+	case *ExprStmt:
+		e.Int(stmtExpr)
+		// A nil *CallExpr is absent, not a typed-nil Expr.
+		var call Expr
+		if x.Call != nil {
+			call = x.Call
+		}
+		return en.optExpr(call, depth+1)
+	case *Block:
+		e.Int(stmtBlock)
+		return en.block(x, depth+1)
+	}
+	return fmt.Errorf("ir: encode: unknown statement type %T", s)
+}
+
+// block writes a statement list; a nil block encodes as an empty one.
+func (en *progEncoder) block(b *Block, depth int) error {
+	if b == nil {
+		en.e.Uvarint(0)
+		return nil
+	}
+	en.e.Uvarint(uint64(len(b.Stmts)))
+	for _, s := range b.Stmts {
+		if err := en.stmt(s, depth); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- decoding ---
 
-type decoder struct {
-	vars  []*Var // globals then current function's locals
+type progDecoder struct {
+	d     *wire.Decoder
+	vars  []*Var // globals then the current function's locals
 	funcs []*Func
 }
 
-func (de *decoder) varAt(i int) (*Var, error) {
+// DecodeProgram reconstructs a program serialized by EncodeProgram. The
+// result shares nothing with any other program; variable identity and
+// call targets are rebuilt from the encoded reference tables, and every
+// reference is range-checked.
+func DecodeProgram(data []byte) (*Program, error) {
+	progDecodes.Add(1)
+	p, err := decodeProgram(wire.NewDecoder(data))
+	if err != nil {
+		return nil, fmt.Errorf("ir: decode: %w", err)
+	}
+	return p, nil
+}
+
+func decodeProgram(d *wire.Decoder) (*Program, error) {
+	d.Tag(progTag)
+	p := NewProgram(d.String())
+	de := &progDecoder{d: d}
+	globals, err := de.varList()
+	if err != nil {
+		return nil, err
+	}
+	p.Globals = globals
+	// Every function shell exists before any body is read, so calls can
+	// resolve forward references.
+	n := d.Len(4) // a function is >= 4 bytes
+	if n > 0 {
+		shells := make([]Func, n)
+		p.Funcs = make([]*Func, n)
+		for i := range shells {
+			p.Funcs[i] = &shells[i]
+		}
+	}
+	de.funcs = p.Funcs
+	for _, f := range p.Funcs {
+		f.Name = d.String()
+		if f.Ret, err = GetType(d); err != nil {
+			return nil, err
+		}
+		if f.Locals, err = de.varList(); err != nil {
+			return nil, err
+		}
+		for _, v := range f.Locals {
+			if v.IsParam {
+				f.Params = append(f.Params, v)
+			}
+		}
+		f.tempCounter = d.Int()
+		de.vars = append(append(de.vars[:0], globals...), f.Locals...)
+		if f.Body, err = de.block(0); err != nil {
+			return nil, fmt.Errorf("%s: func %s: %w", p.Name, f.Name, err)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// fail reports a semantic decode error — unless the wire decoder has
+// already failed, in which case its zero values caused this one and the
+// wire error is the real cause.
+func (de *progDecoder) fail(format string, args ...any) error {
+	if err := de.d.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// varList reads a length-prefixed variable list into one block.
+func (de *progDecoder) varList() ([]*Var, error) {
+	d := de.d
+	n := d.Len(2) // a variable is >= 2 bytes (name len + kind)
+	if n == 0 {
+		return nil, d.Err()
+	}
+	block := make([]Var, n)
+	out := make([]*Var, n)
+	for i := range block {
+		v := &block[i]
+		v.Name = d.String()
+		t, err := GetType(d)
+		if err != nil {
+			return nil, err
+		}
+		v.Type = t
+		v.IsParam, v.IsGlobal, v.Wire, v.Synthetic = d.Bool(), d.Bool(), d.Bool(), d.Bool()
+		out[i] = v
+	}
+	return out, d.Err()
+}
+
+func (de *progDecoder) varAt() (*Var, error) {
+	i := de.d.Int()
 	if i < 0 || i >= len(de.vars) {
-		return nil, fmt.Errorf("ir: decode: variable reference %d out of range", i)
+		return nil, de.fail("variable reference %d out of range", i)
 	}
 	return de.vars[i], nil
 }
 
-func (de *decoder) expr(e *encExpr) (Expr, error) {
-	if e == nil {
-		return nil, nil
+// nest bounds the decoder's recursion: a forged payload of deeply
+// nested nodes must fail, not overflow the stack.
+func (de *progDecoder) nest(depth int) error {
+	if depth > wire.MaxDepth {
+		return de.fail("nesting deeper than %d", wire.MaxDepth)
 	}
-	// Only some kinds carry a type of their own (VarRef, Index, and Call
-	// derive theirs from the referenced entity and leave Typ zero).
-	typ := (*Type)(nil)
-	switch e.Kind {
-	case encConst, encBin, encUn, encSel, encCast:
-		var err error
-		if typ, err = decodeType(e.Typ); err != nil {
-			return nil, err
-		}
-	}
-	arg := func(i int) (Expr, error) {
-		if i >= len(e.Args) {
-			return nil, fmt.Errorf("ir: decode: expression kind %d missing arg %d", e.Kind, i)
-		}
-		return de.expr(&e.Args[i])
-	}
-	switch e.Kind {
-	case encConst:
-		return &ConstExpr{Val: e.Val, Typ: typ}, nil
-	case encVarRef:
-		v, err := de.varAt(e.Var)
-		if err != nil {
-			return nil, err
-		}
-		return &VarExpr{V: v}, nil
-	case encIndex:
-		v, err := de.varAt(e.Var)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &IndexExpr{Arr: v, Index: idx}, nil
-	case encBin:
-		l, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		r, err := arg(1)
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: BinOp(e.Op), L: l, R: r, Typ: typ}, nil
-	case encUn:
-		x, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &UnExpr{Op: UnOp(e.Op), X: x, Typ: typ}, nil
-	case encSel:
-		c, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		th, err := arg(1)
-		if err != nil {
-			return nil, err
-		}
-		el, err := arg(2)
-		if err != nil {
-			return nil, err
-		}
-		return &SelExpr{Cond: c, Then: th, Else: el, Typ: typ}, nil
-	case encCast:
-		x, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &CastExpr{X: x, Typ: typ}, nil
-	case encCall:
-		out := &CallExpr{Name: e.Name}
-		if e.Func >= 0 {
-			if e.Func >= len(de.funcs) {
-				return nil, fmt.Errorf("ir: decode: function reference %d out of range", e.Func)
-			}
-			out.F = de.funcs[e.Func]
-		}
-		for i := range e.Args {
-			a, err := de.expr(&e.Args[i])
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, a)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("ir: decode: unknown expression kind %d", e.Kind)
+	return nil
 }
 
-func (de *decoder) stmt(s *encStmt) (Stmt, error) {
-	if s == nil {
+func (de *progDecoder) expr(depth int) (Expr, error) {
+	if err := de.nest(depth); err != nil {
+		return nil, err
+	}
+	d := de.d
+	var (
+		x   Expr
+		err error
+	)
+	switch kind := d.Int(); kind {
+	case exprConst:
+		c := &ConstExpr{Val: d.Int64()}
+		if c.Typ, err = GetType(d); err == nil {
+			err = de.args(depth)
+		}
+		x = c
+	case exprVar:
+		v := &VarExpr{}
+		if v.V, err = de.varAt(); err == nil {
+			err = de.args(depth)
+		}
+		x = v
+	case exprIndex:
+		ix := &IndexExpr{}
+		if ix.Arr, err = de.varAt(); err == nil {
+			err = de.args(depth, &ix.Index)
+		}
+		x = ix
+	case exprBin:
+		b := &BinExpr{Op: BinOp(d.Int())}
+		if b.Typ, err = GetType(d); err == nil {
+			err = de.args(depth, &b.L, &b.R)
+		}
+		x = b
+	case exprUn:
+		u := &UnExpr{Op: UnOp(d.Int())}
+		if u.Typ, err = GetType(d); err == nil {
+			err = de.args(depth, &u.X)
+		}
+		x = u
+	case exprSel:
+		sel := &SelExpr{}
+		if sel.Typ, err = GetType(d); err == nil {
+			err = de.args(depth, &sel.Cond, &sel.Then, &sel.Else)
+		}
+		x = sel
+	case exprCast:
+		c := &CastExpr{}
+		if c.Typ, err = GetType(d); err == nil {
+			err = de.args(depth, &c.X)
+		}
+		x = c
+	case exprCall:
+		c := &CallExpr{Name: d.String()}
+		x, err = c, de.call(c, depth)
+	default:
+		return nil, de.fail("unknown expression kind %d", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// args reads an expression's argument count, which must match the
+// fields of its kind, and decodes one argument into each field.
+func (de *progDecoder) args(depth int, fields ...*Expr) error {
+	if n := de.d.Len(2); n != len(fields) { // an expression node is >= 2 bytes
+		return de.fail("expression has %d args, want %d", n, len(fields))
+	}
+	for _, f := range fields {
+		x, err := de.expr(depth + 1)
+		if err != nil {
+			return err
+		}
+		*f = x
+	}
+	return nil
+}
+
+// call reads a call's target, -1 when unresolved, and its arguments.
+func (de *progDecoder) call(c *CallExpr, depth int) error {
+	fi := de.d.Int()
+	if fi < -1 || fi >= len(de.funcs) {
+		return de.fail("function reference %d out of range", fi)
+	}
+	if fi >= 0 {
+		c.F = de.funcs[fi]
+	}
+	n := de.d.Len(2) // an expression node is >= 2 bytes
+	if n == 0 {
+		return nil
+	}
+	c.Args = make([]Expr, n)
+	for i := range c.Args {
+		x, err := de.expr(depth + 1)
+		if err != nil {
+			return err
+		}
+		c.Args[i] = x
+	}
+	return nil
+}
+
+// optExpr reads an optional expression behind its presence flag.
+func (de *progDecoder) optExpr(depth int) (Expr, error) {
+	if !de.d.Bool() {
 		return nil, nil
 	}
-	switch s.Kind {
-	case encAssign:
-		lhs, err := de.expr(s.LHS)
+	return de.expr(depth)
+}
+
+// optAssign reads an optional for-loop init/post.
+func (de *progDecoder) optAssign(depth int, what string) (*AssignStmt, error) {
+	if !de.d.Bool() {
+		return nil, nil
+	}
+	s, err := de.stmt(depth)
+	if err != nil {
+		return nil, err
+	}
+	a, ok := s.(*AssignStmt)
+	if !ok {
+		return nil, de.fail("for-%s is %T", what, s)
+	}
+	return a, nil
+}
+
+func (de *progDecoder) stmt(depth int) (Stmt, error) {
+	if err := de.nest(depth); err != nil {
+		return nil, err
+	}
+	switch kind := de.d.Int(); kind {
+	case stmtAssign:
+		lhs, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		lv, ok := lhs.(LValue)
 		if !ok {
-			return nil, fmt.Errorf("ir: decode: assignment LHS is %T", lhs)
+			return nil, de.fail("assignment LHS is %T", lhs)
 		}
-		rhs, err := de.expr(s.RHS)
+		rhs, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return &AssignStmt{LHS: lv, RHS: rhs}, nil
-	case encIf:
-		cond, err := de.expr(s.Cond)
+	case stmtIf:
+		cond, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		then, err := de.block(s.Then)
+		then, err := de.block(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		out := &IfStmt{Cond: cond, Then: then}
-		if s.HasElse {
-			if out.Else, err = de.block(s.Else); err != nil {
+		s := &IfStmt{Cond: cond, Then: then}
+		if de.d.Bool() {
+			if s.Else, err = de.block(depth + 1); err != nil {
 				return nil, err
 			}
 		}
-		return out, nil
-	case encFor:
-		cond, err := de.expr(s.Cond)
+		return s, nil
+	case stmtFor:
+		cond, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		body, err := de.block(s.Then)
+		body, err := de.block(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		out := &ForStmt{Cond: cond, Body: body, Label: s.Label}
-		if s.Init != nil {
-			st, err := de.stmt(s.Init)
-			if err != nil {
-				return nil, err
-			}
-			a, ok := st.(*AssignStmt)
-			if !ok {
-				return nil, fmt.Errorf("ir: decode: for-init is %T", st)
-			}
-			out.Init = a
+		s := &ForStmt{Cond: cond, Body: body, Label: de.d.String()}
+		if s.Init, err = de.optAssign(depth+1, "init"); err != nil {
+			return nil, err
 		}
-		if s.Post != nil {
-			st, err := de.stmt(s.Post)
-			if err != nil {
-				return nil, err
-			}
-			a, ok := st.(*AssignStmt)
-			if !ok {
-				return nil, fmt.Errorf("ir: decode: for-post is %T", st)
-			}
-			out.Post = a
+		if s.Post, err = de.optAssign(depth+1, "post"); err != nil {
+			return nil, err
 		}
-		return out, nil
-	case encWhile:
-		cond, err := de.expr(s.Cond)
+		return s, nil
+	case stmtWhile:
+		cond, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		body, err := de.block(s.Then)
+		body, err := de.block(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		return &WhileStmt{Cond: cond, Body: body, Label: s.Label, Bound: s.Bound}, nil
-	case encReturn:
-		val, err := de.expr(s.Val)
+		return &WhileStmt{Cond: cond, Body: body, Label: de.d.String(), Bound: de.d.Int()}, nil
+	case stmtReturn:
+		val, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return &ReturnStmt{Val: val}, nil
-	case encExprStmt:
-		call, err := de.expr(s.Call)
+	case stmtExpr:
+		call, err := de.optExpr(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		c, ok := call.(*CallExpr)
 		if !ok {
-			return nil, fmt.Errorf("ir: decode: expression statement is %T", call)
+			return nil, de.fail("expression statement is %T", call)
 		}
 		return &ExprStmt{Call: c}, nil
-	case encBlock:
-		b, err := de.block(s.Then)
+	case stmtBlock:
+		return de.block(depth + 1)
+	default:
+		return nil, de.fail("unknown statement kind %d", kind)
+	}
+}
+
+func (de *progDecoder) block(depth int) (*Block, error) {
+	n := de.d.Len(1)
+	b := &Block{Stmts: make([]Stmt, n)}
+	for i := range b.Stmts {
+		s, err := de.stmt(depth)
 		if err != nil {
 			return nil, err
 		}
-		return b, nil
+		b.Stmts[i] = s
 	}
-	return nil, fmt.Errorf("ir: decode: unknown statement kind %d", s.Kind)
-}
-
-func (de *decoder) block(stmts []encStmt) (*Block, error) {
-	out := &Block{Stmts: make([]Stmt, 0, len(stmts))}
-	for i := range stmts {
-		s, err := de.stmt(&stmts[i])
-		if err != nil {
-			return nil, err
-		}
-		out.Stmts = append(out.Stmts, s)
-	}
-	return out, nil
-}
-
-func decodeVar(e encVar) (*Var, error) {
-	t, err := decodeType(e.Type)
-	if err != nil {
-		return nil, err
-	}
-	return &Var{Name: e.Name, Type: t, IsParam: e.IsParam,
-		IsGlobal: e.IsGlobal, Wire: e.Wire, Synthetic: e.Synthetic}, nil
-}
-
-// DecodeProgram reconstructs a program serialized by EncodeProgram. The
-// result shares nothing with any other program; variable identity and
-// call targets are rebuilt from the encoded reference tables.
-func DecodeProgram(data []byte) (*Program, error) {
-	progDecodes.Add(1)
-	ep, err := decodeProgramWire(data)
-	if err != nil {
-		return nil, fmt.Errorf("ir: decode: %w", err)
-	}
-	return rebuildProgram(ep)
-}
-
-// rebuildProgram resolves the flattened intermediate form back into a
-// pointer-webbed program, validating every table reference.
-func rebuildProgram(ep *encProgram) (*Program, error) {
-	p := NewProgram(ep.Name)
-	de := &decoder{}
-	globals := make([]*Var, 0, len(ep.Globals))
-	for _, eg := range ep.Globals {
-		g, err := decodeVar(eg)
-		if err != nil {
-			return nil, err
-		}
-		globals = append(globals, g)
-		p.Globals = append(p.Globals, g)
-	}
-	// Materialize every function shell first so calls can resolve
-	// forward references.
-	for _, ef := range ep.Funcs {
-		ret, err := decodeType(ef.Ret)
-		if err != nil {
-			return nil, err
-		}
-		f := &Func{Name: ef.Name, Ret: ret, tempCounter: ef.TempCounter}
-		for _, ev := range ef.Locals {
-			v, err := decodeVar(ev)
-			if err != nil {
-				return nil, err
-			}
-			f.Locals = append(f.Locals, v)
-			if v.IsParam {
-				f.Params = append(f.Params, v)
-			}
-		}
-		p.Funcs = append(p.Funcs, f)
-		de.funcs = append(de.funcs, f)
-	}
-	for i, ef := range ep.Funcs {
-		f := p.Funcs[i]
-		de.vars = de.vars[:0]
-		de.vars = append(de.vars, globals...)
-		de.vars = append(de.vars, f.Locals...)
-		body, err := de.block(ef.Body)
-		if err != nil {
-			return nil, fmt.Errorf("%s: func %s: %w", ep.Name, ef.Name, err)
-		}
-		f.Body = body
-	}
-	return p, nil
+	return b, nil
 }

@@ -1,23 +1,30 @@
 package rtl
 
-import (
-	"fmt"
-	"sort"
-	"sync/atomic"
-
-	"sparkgo/internal/ir"
-)
-
 // This file is the lossless serialization of RTL modules — the payload
 // of the backend artifact cache. Signals are the module's only pointer
 // currency: gates, register writes, FSM edges, and the architectural
 // port maps all reference them, and both the simulator (rtlsim) and the
 // HDL emitters rely on signal pointer identity, so the wire form
 // references signals by their position in the Signals slice and the
-// decoder interns exactly one *Signal per position. The port maps are
-// flattened to name-sorted slices (map iteration order is random);
-// encode(decode(x)) is byte-identical to x. The binary wire framing
-// lives in wirecodec.go.
+// decoder interns exactly one *Signal per position.
+//
+// Each direction is one walk over internal/wire. The port maps are
+// written name-sorted (map iteration order is random), so identical
+// modules encode to identical bytes and encode(decode(x)) is
+// byte-identical to x.
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"sync/atomic"
+
+	"sparkgo/internal/ir"
+	"sparkgo/internal/wire"
+)
+
+// moduleTag versions the RTL wire layout.
+const moduleTag = "rtlmod/1"
 
 // moduleDecodes counts DecodeModule calls — the zero-decode revival
 // tests assert disk-warm sweeps only pay a backend decode when the
@@ -28,290 +35,248 @@ var moduleDecodes atomic.Int64
 // process start.
 func ModuleDecodeCount() int64 { return moduleDecodes.Load() }
 
-type signalCode struct {
-	ID    int
-	Name  string
-	Typ   ir.TypeCode
-	Kind  int
-	Const int64
-	Init  int64
-}
-
-type gateCode struct {
-	Out         int
-	Kind        int
-	Bin         int
-	Un          int
-	UnsignedOps bool
-	In          []int
-}
-
-type regWriteCode struct {
-	Reg   int
-	State int
-	Value int
-}
-
-type rtlTransCode struct {
-	From      int
-	Cond      int // -1 when unconditional
-	CondValue bool
-	To        int
-}
-
-type scalarPortCode struct {
-	Name string
-	Sig  int
-}
-
-type arrayPortCode struct {
-	Name string
-	Sigs []int
-}
-
-type moduleCode struct {
-	Name      string
-	NumStates int
-	Signals   []signalCode
-	Gates     []gateCode
-	RegWrites []regWriteCode
-	Trans     []rtlTransCode
-	// Port maps sorted by name for deterministic bytes.
-	ScalarPorts []scalarPortCode
-	ArrayPorts  []arrayPortCode
-	RetSignal   int // -1 for void designs
-	NextID      int
-}
-
 // EncodeModule serializes a module losslessly into a self-contained
-// byte string, framed by the deterministic binary codec of
-// internal/wire. The inverse is DecodeModule.
+// byte string in the deterministic binary layout of internal/wire. The
+// inverse is DecodeModule.
 func EncodeModule(m *Module) ([]byte, error) {
-	mc, err := flattenModule(m)
-	if err != nil {
-		return nil, err
-	}
-	return encodeModuleWire(mc), nil
-}
-
-// flattenModule lowers the module's signal pointer web onto the
-// position-interned intermediate form; both framings serialize it.
-func flattenModule(m *Module) (*moduleCode, error) {
-	mc := moduleCode{Name: m.Name, NumStates: m.NumStates, NextID: m.nextID}
-	mc.Signals = make([]signalCode, 0, len(m.Signals))
 	sigIndex := make(map[*Signal]int, len(m.Signals))
 	for i, s := range m.Signals {
 		sigIndex[s] = i
-		mc.Signals = append(mc.Signals, signalCode{
-			ID: s.ID, Name: s.Name, Typ: ir.EncodeType(s.Type),
-			Kind: int(s.Kind), Const: s.Const, Init: s.Init,
-		})
 	}
-	sigRef := func(s *Signal) (int, error) {
-		if s == nil {
-			return -1, nil
-		}
-		i, ok := sigIndex[s]
-		if !ok {
-			return 0, fmt.Errorf("rtl: encode: reference to foreign signal %q", s.Name)
-		}
-		return i, nil
-	}
-	totalIn := 0
-	for _, g := range m.Gates {
-		totalIn += len(g.In)
-	}
-	inArena := make([]int, 0, totalIn) // one backing array for every gate's input list
-	mc.Gates = make([]gateCode, 0, len(m.Gates))
-	for _, g := range m.Gates {
-		gc := gateCode{Kind: int(g.Kind), Bin: int(g.Bin), Un: int(g.Un),
-			UnsignedOps: g.UnsignedOps}
-		var err error
-		if gc.Out, err = sigRef(g.Out); err != nil {
-			return nil, err
-		}
-		start := len(inArena)
-		for _, in := range g.In {
-			i, err := sigRef(in)
-			if err != nil {
-				return nil, err
+	e := wire.NewEncoder(1024)
+	sigRef := func(s *Signal) error {
+		i := -1
+		if s != nil {
+			var ok bool
+			if i, ok = sigIndex[s]; !ok {
+				return fmt.Errorf("rtl: encode: reference to foreign signal %q", s.Name)
 			}
-			inArena = append(inArena, i)
 		}
-		gc.In = inArena[start:len(inArena):len(inArena)]
-		mc.Gates = append(mc.Gates, gc)
+		e.Int(i)
+		return nil
 	}
-	mc.RegWrites = make([]regWriteCode, 0, len(m.RegWrites))
-	for _, rw := range m.RegWrites {
-		ri, err := sigRef(rw.Reg)
-		if err != nil {
-			return nil, err
-		}
-		vi, err := sigRef(rw.Value)
-		if err != nil {
-			return nil, err
-		}
-		mc.RegWrites = append(mc.RegWrites, regWriteCode{Reg: ri, State: rw.State, Value: vi})
-	}
-	mc.Trans = make([]rtlTransCode, 0, len(m.Trans))
-	for _, tr := range m.Trans {
-		ci, err := sigRef(tr.Cond)
-		if err != nil {
-			return nil, err
-		}
-		mc.Trans = append(mc.Trans, rtlTransCode{
-			From: tr.From, Cond: ci, CondValue: tr.CondValue, To: tr.To})
-	}
-	for name, s := range m.ScalarPort {
-		i, err := sigRef(s)
-		if err != nil {
-			return nil, err
-		}
-		mc.ScalarPorts = append(mc.ScalarPorts, scalarPortCode{Name: name, Sig: i})
-	}
-	sort.Slice(mc.ScalarPorts, func(i, j int) bool {
-		return mc.ScalarPorts[i].Name < mc.ScalarPorts[j].Name
-	})
-	for name, sigs := range m.ArrayPort {
-		pc := arrayPortCode{Name: name}
+	sigRefs := func(sigs []*Signal) error {
+		e.Uvarint(uint64(len(sigs)))
 		for _, s := range sigs {
-			i, err := sigRef(s)
-			if err != nil {
-				return nil, err
+			if err := sigRef(s); err != nil {
+				return err
 			}
-			pc.Sigs = append(pc.Sigs, i)
 		}
-		mc.ArrayPorts = append(mc.ArrayPorts, pc)
+		return nil
 	}
-	sort.Slice(mc.ArrayPorts, func(i, j int) bool {
-		return mc.ArrayPorts[i].Name < mc.ArrayPorts[j].Name
-	})
-	var err error
-	if mc.RetSignal, err = sigRef(m.RetSignal); err != nil {
+
+	e.Tag(moduleTag)
+	e.String(m.Name)
+	e.Int(m.NumStates)
+	if err := sigRef(m.RetSignal); err != nil {
 		return nil, err
 	}
-	return &mc, nil
+	e.Int(m.nextID)
+	e.Uvarint(uint64(len(m.Signals)))
+	for _, s := range m.Signals {
+		e.Int(s.ID)
+		e.String(s.Name)
+		ir.PutType(e, s.Type)
+		e.Int(int(s.Kind))
+		e.Int64(s.Const)
+		e.Int64(s.Init)
+	}
+	e.Uvarint(uint64(len(m.Gates)))
+	for _, g := range m.Gates {
+		if err := sigRef(g.Out); err != nil {
+			return nil, err
+		}
+		e.Int(int(g.Kind))
+		e.Int(int(g.Bin))
+		e.Int(int(g.Un))
+		e.Bool(g.UnsignedOps)
+		if err := sigRefs(g.In); err != nil {
+			return nil, err
+		}
+	}
+	e.Uvarint(uint64(len(m.RegWrites)))
+	for _, rw := range m.RegWrites {
+		if err := sigRef(rw.Reg); err != nil {
+			return nil, err
+		}
+		e.Int(rw.State)
+		if err := sigRef(rw.Value); err != nil {
+			return nil, err
+		}
+	}
+	e.Uvarint(uint64(len(m.Trans)))
+	for _, tr := range m.Trans {
+		e.Int(tr.From)
+		if err := sigRef(tr.Cond); err != nil {
+			return nil, err
+		}
+		e.Bool(tr.CondValue)
+		e.Int(tr.To)
+	}
+	scalars := slices.Sorted(maps.Keys(m.ScalarPort))
+	e.Uvarint(uint64(len(scalars)))
+	for _, name := range scalars {
+		e.String(name)
+		if err := sigRef(m.ScalarPort[name]); err != nil {
+			return nil, err
+		}
+	}
+	arrays := slices.Sorted(maps.Keys(m.ArrayPort))
+	e.Uvarint(uint64(len(arrays)))
+	for _, name := range arrays {
+		e.String(name)
+		if err := sigRefs(m.ArrayPort[name]); err != nil {
+			return nil, err
+		}
+	}
+	return e.Data(), nil
 }
 
 // DecodeModule reconstructs a module serialized by EncodeModule. Signal
 // identity is interned — every reference to one wire position resolves
-// to the same *Signal — and the construction-time memo tables (constant
-// dedup, gate structural sharing) are rebuilt, so a decoded module is
-// indistinguishable from a freshly built one to the simulator, the
-// emitters, and further construction alike.
+// to the same *Signal — and every reference is range-checked. The
+// construction-time memo tables (constant dedup, gate structural
+// sharing) rebuild lazily, so a decoded module is indistinguishable
+// from a freshly built one to the simulator, the emitters, and further
+// construction alike.
 func DecodeModule(data []byte) (*Module, error) {
 	moduleDecodes.Add(1)
-	mc, err := decodeModuleWire(data)
+	m, err := decodeModule(wire.NewDecoder(data))
 	if err != nil {
 		return nil, fmt.Errorf("rtl: decode: %w", err)
 	}
-	return rebuildModule(mc)
+	return m, nil
 }
 
-// rebuildModule resolves the flattened form back into a signal-interned
-// module, memo tables included.
-func rebuildModule(mc *moduleCode) (*Module, error) {
-	m := NewModule(mc.Name)
-	m.NumStates = mc.NumStates
-	m.nextID = mc.NextID
+func decodeModule(d *wire.Decoder) (*Module, error) {
+	d.Tag(moduleTag)
+	m := NewModule(d.String())
+	m.NumStates = d.Int()
+	// The return signal precedes the signal table on the wire; it is
+	// resolved once the table exists.
+	ret := d.Int()
+	m.nextID = d.Int()
+
 	// Signals and gates are allocated in blocks: one malloc per kind
 	// instead of one per object, which matters because decode is the
 	// disk-revival hot path and the GC scans what it allocates.
-	sigBlock := make([]Signal, len(mc.Signals))
-	sigs := make([]*Signal, len(mc.Signals))
-	for i, sc := range mc.Signals {
-		t, err := ir.DecodeType(sc.Typ)
+	n := d.Len(7) // a signal is >= 7 bytes
+	sigBlock := make([]Signal, n)
+	m.Signals = make([]*Signal, n)
+	for i := range sigBlock {
+		s := &sigBlock[i]
+		s.ID, s.Name = d.Int(), d.String()
+		t, err := ir.GetType(d)
 		if err != nil {
-			return nil, fmt.Errorf("rtl: decode: signal %q: %w", sc.Name, err)
+			return nil, fmt.Errorf("signal %q: %w", s.Name, err)
 		}
-		sigBlock[i] = Signal{ID: sc.ID, Name: sc.Name, Type: t,
-			Kind: SigKind(sc.Kind), Const: sc.Const, Init: sc.Init}
-		sigs[i] = &sigBlock[i]
+		s.Type, s.Kind, s.Const, s.Init = t, SigKind(d.Int()), d.Int64(), d.Int64()
+		m.Signals[i] = s
 	}
-	m.Signals = sigs
+	// fail reports a semantic error, unless a wire failure (whose zero
+	// values caused it) came first.
+	fail := func(format string, args ...any) error {
+		if err := d.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf(format, args...)
+	}
 	sigAt := func(i int) (*Signal, error) {
 		if i == -1 {
 			return nil, nil
 		}
-		if i < 0 || i >= len(sigs) {
-			return nil, fmt.Errorf("rtl: decode: signal reference %d out of range", i)
+		if i < 0 || i >= len(m.Signals) {
+			return nil, fail("signal reference %d out of range", i)
 		}
-		return sigs[i], nil
+		return m.Signals[i], nil
 	}
-	totalIn := 0
-	for _, gc := range mc.Gates {
-		totalIn += len(gc.In)
+	// mustSig reads a reference that may not be nil.
+	mustSig := func(what string) (*Signal, error) {
+		s, err := sigAt(d.Int())
+		if err == nil && s == nil {
+			err = fail("%s without signal", what)
+		}
+		return s, err
 	}
-	gateBlock := make([]Gate, len(mc.Gates))
-	inArena := make([]*Signal, 0, totalIn)
-	m.Gates = make([]*Gate, 0, len(mc.Gates))
-	for gi, gc := range mc.Gates {
-		g := &gateBlock[gi]
-		*g = Gate{Kind: GateKind(gc.Kind), Bin: ir.BinOp(gc.Bin), Un: ir.UnOp(gc.Un),
-			UnsignedOps: gc.UnsignedOps}
-		var err error
-		if g.Out, err = sigAt(gc.Out); err != nil {
+	var err error
+	if m.RetSignal, err = sigAt(ret); err != nil {
+		return nil, err
+	}
+
+	n = d.Len(6) // a gate is >= 6 bytes
+	gateBlock := make([]Gate, n)
+	m.Gates = make([]*Gate, n)
+	// Every gate's input list is carved from one arena: filled as the
+	// gates are read, then copied once to its exact size so the decoded
+	// module does not pin the arena's growth slack.
+	inArena := make([]*Signal, 0, 2*n)
+	for i := range gateBlock {
+		g := &gateBlock[i]
+		if g.Out, err = mustSig("gate output"); err != nil {
 			return nil, err
 		}
-		if g.Out == nil {
-			return nil, fmt.Errorf("rtl: decode: gate without output signal")
-		}
+		g.Kind, g.Bin, g.Un, g.UnsignedOps = GateKind(d.Int()), ir.BinOp(d.Int()), ir.UnOp(d.Int()), d.Bool()
 		start := len(inArena)
-		for _, i := range gc.In {
-			in, err := sigAt(i)
+		for range d.Len(1) {
+			in, err := mustSig("gate input")
 			if err != nil {
 				return nil, err
-			}
-			if in == nil {
-				return nil, fmt.Errorf("rtl: decode: gate with nil input signal")
 			}
 			inArena = append(inArena, in)
 		}
 		g.In = inArena[start:len(inArena):len(inArena)]
-		m.Gates = append(m.Gates, g)
+		m.Gates[i] = g
 	}
-	for _, rc := range mc.RegWrites {
-		reg, err := sigAt(rc.Reg)
-		if err != nil {
-			return nil, err
-		}
-		val, err := sigAt(rc.Value)
-		if err != nil {
-			return nil, err
-		}
-		if reg == nil || val == nil {
-			return nil, fmt.Errorf("rtl: decode: register write with nil signal")
-		}
-		m.RegWrites = append(m.RegWrites, RegWrite{Reg: reg, State: rc.State, Value: val})
+	exact := slices.Clone(inArena)
+	for _, g := range m.Gates {
+		k := len(g.In)
+		g.In, exact = exact[:k:k], exact[k:]
 	}
-	for _, tc := range mc.Trans {
-		cond, err := sigAt(tc.Cond)
-		if err != nil {
-			return nil, err
-		}
-		m.Trans = append(m.Trans, Transition{
-			From: tc.From, Cond: cond, CondValue: tc.CondValue, To: tc.To})
-	}
-	for _, pc := range mc.ScalarPorts {
-		s, err := sigAt(pc.Sig)
-		if err != nil {
-			return nil, err
-		}
-		m.ScalarPort[pc.Name] = s
-	}
-	for _, pc := range mc.ArrayPorts {
-		var elems []*Signal
-		for _, i := range pc.Sigs {
-			s, err := sigAt(i)
-			if err != nil {
+
+	if n := d.Len(3); n > 0 { // a register write is >= 3 bytes
+		m.RegWrites = make([]RegWrite, n)
+		for i := range m.RegWrites {
+			rw := &m.RegWrites[i]
+			if rw.Reg, err = mustSig("register write"); err != nil {
 				return nil, err
 			}
-			elems = append(elems, s)
+			rw.State = d.Int()
+			if rw.Value, err = mustSig("register write"); err != nil {
+				return nil, err
+			}
 		}
-		m.ArrayPort[pc.Name] = elems
 	}
-	var err error
-	if m.RetSignal, err = sigAt(mc.RetSignal); err != nil {
+	if n := d.Len(4); n > 0 { // a transition is >= 4 bytes
+		m.Trans = make([]Transition, n)
+		for i := range m.Trans {
+			tr := &m.Trans[i]
+			tr.From = d.Int()
+			if tr.Cond, err = sigAt(d.Int()); err != nil {
+				return nil, err
+			}
+			tr.CondValue, tr.To = d.Bool(), d.Int()
+		}
+	}
+	for range d.Len(2) { // a scalar port is >= 2 bytes
+		name := d.String()
+		if m.ScalarPort[name], err = sigAt(d.Int()); err != nil {
+			return nil, err
+		}
+	}
+	for range d.Len(2) { // an array port is >= 2 bytes
+		name := d.String()
+		var elems []*Signal
+		if k := d.Len(1); k > 0 {
+			elems = make([]*Signal, k)
+			for i := range elems {
+				if elems[i], err = sigAt(d.Int()); err != nil {
+					return nil, err
+				}
+			}
+		}
+		m.ArrayPort[name] = elems
+	}
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	// The construction memo tables (constant dedup, structural gate

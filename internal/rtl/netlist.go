@@ -130,8 +130,8 @@ type Module struct {
 
 	// Construction arenas: signals and gates are carved from fixed-size
 	// chunks instead of allocated one heap object per call — the same
-	// block-allocation the codec's rebuildModule uses on decode, applied
-	// to the build path the midend re-runs per explored design point.
+	// block-allocation DecodeModule uses, applied to the build path the
+	// midend re-runs per explored design point.
 	// Chunks are never resliced once handed out, so the pointers stay
 	// stable for the life of the module.
 	sigArena  []Signal

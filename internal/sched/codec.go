@@ -1,27 +1,32 @@
 package sched
 
+// This file is the lossless serialization of schedules — the payload of
+// the midend artifact cache. A Result is layered over a graph: ops are
+// referenced by their position in the graph's construction order
+// (htg.Graph.AllOps), variables by the graph's VarTable, and the graph
+// itself travels embedded in its own lossless encoding, so a decoded
+// schedule is a self-contained design ready for the backend.
+//
+// Each direction is one walk over internal/wire. Every map in Result
+// (OpState, Arrival, Finish, VarClass, ReentrantStates, the dependence
+// adjacency) is written as an index-ordered list: map iteration order
+// is random, and the codec's contract is that encode(decode(x)) is
+// byte-identical to x.
+
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"sparkgo/internal/delay"
 	"sparkgo/internal/dfa"
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ir"
+	"sparkgo/internal/wire"
 )
 
-// This file is the lossless serialization of schedules — the payload of
-// the midend artifact cache. A Result is layered over a graph: ops are
-// referenced by their position in the graph's construction order
-// (htg.Graph.AllOps), variables by the graph's VarTable, and the graph
-// itself travels embedded in its own lossless encoding, so a decoded
-// schedule is a self-contained design ready for the backend. Every map
-// in Result (OpState, Arrival, Finish, VarClass, ReentrantStates, the
-// dependence adjacency) is flattened to an index-ordered slice on the
-// wire: map iteration order is random, and the codec's contract is
-// that encode(decode(x)) is byte-identical to x. The binary wire
-// framing lives in wirecodec.go.
+// resultTag versions the schedule wire layout.
+const resultTag = "sched/1"
 
 // resultDecodes counts DecodeResult calls — the zero-decode revival
 // tests assert disk-warm sweeps never pay a midend decode.
@@ -31,308 +36,298 @@ var resultDecodes atomic.Int64
 // process start.
 func ResultDecodeCount() int64 { return resultDecodes.Load() }
 
-type schedTransCode struct {
-	From      int
-	Cond      int // VarTable reference, -1 when unconditional
-	CondValue bool
-	To        int
-}
-
-type varClassCode struct {
-	Var   int
-	Class int
-}
-
-type depEdgeCode struct {
-	From int // op index
-	To   int
-	Kind int
-	Var  int // VarTable reference, -1 when none
-}
-
-type resultCode struct {
-	Graph []byte // htg.EncodeGraph of G
-	Mode  int
-
-	HasModel    bool
-	NandDelay   float64
-	ClockPeriod float64
-
-	NumStates int
-	// OpState/Arrival/Finish are indexed by op position (AllOps order).
-	OpState []int
-	Arrival []float64
-	Finish  []float64
-	// OpOrder holds op indices per state.
-	OpOrder     [][]int
-	Transitions []schedTransCode
-	// VarClass is sorted by VarTable index.
-	VarClass      []varClassCode
-	StateCritPath []float64
-	// ReentrantStates lists the marked states in ascending order.
-	ReentrantStates []int
-	ClockViolations int
-
-	HasDeps bool
-	// DepOps is the dependence graph's op list (almost always the
-	// identity order over AllOps, but encoded explicitly); DepEdges is
-	// the successor adjacency flattened in (op, insertion) order —
-	// predecessor lists are rebuilt by replaying the edges.
-	DepOps   []int
-	DepEdges []depEdgeCode
-}
-
 // EncodeResult serializes a schedule losslessly into a self-contained
-// byte string (graph and program included), framed by the deterministic
-// binary codec of internal/wire. The inverse is DecodeResult.
+// byte string (graph and program included) in the deterministic binary
+// layout of internal/wire. The inverse is DecodeResult.
 func EncodeResult(r *Result) ([]byte, error) {
-	rc, err := flattenResult(r)
-	if err != nil {
-		return nil, err
-	}
-	return encodeResultWire(rc), nil
-}
-
-// flattenResult lowers the schedule's maps and pointers onto the
-// index-ordered intermediate form, the embedded graph in its own
-// lossless encoding.
-func flattenResult(r *Result) (*resultCode, error) {
 	graph, err := htg.EncodeGraph(r.G)
 	if err != nil {
 		return nil, fmt.Errorf("sched: encode: %w", err)
 	}
-	rc := resultCode{
-		Graph: graph, Mode: int(r.Mode), NumStates: r.NumStates,
-		StateCritPath:   append([]float64(nil), r.StateCritPath...),
-		ClockViolations: r.ClockViolations,
-	}
-	if r.Model != nil {
-		rc.HasModel = true
-		rc.NandDelay = r.Model.NandDelay
-		rc.ClockPeriod = r.Model.ClockPeriod
-	}
-
 	ops := r.G.AllOps()
 	opIndex := make(map[*htg.Op]int, len(ops))
 	for i, op := range ops {
 		opIndex[op] = i
 	}
-	opRef := func(op *htg.Op) (int, error) {
-		i, ok := opIndex[op]
-		if !ok {
-			return 0, fmt.Errorf("sched: encode: op %d not in graph", op.ID)
-		}
-		return i, nil
-	}
-	varIndex := map[*ir.Var]int{}
-	for i, v := range r.G.VarTable() {
+	vars := r.G.VarTable()
+	varIndex := make(map[*ir.Var]int, len(vars))
+	for i, v := range vars {
 		varIndex[v] = i
 	}
-	varRef := func(v *ir.Var) (int, error) {
-		if v == nil {
-			return -1, nil
-		}
-		i, ok := varIndex[v]
+
+	e := wire.NewEncoder(512 + len(graph))
+	opRef := func(op *htg.Op) error {
+		i, ok := opIndex[op]
 		if !ok {
-			return 0, fmt.Errorf("sched: encode: reference to foreign variable %q", v.Name)
+			return fmt.Errorf("sched: encode: op %d not in graph", op.ID)
 		}
-		return i, nil
+		e.Int(i)
+		return nil
+	}
+	varRef := func(v *ir.Var) error {
+		i := -1
+		if v != nil {
+			var ok bool
+			if i, ok = varIndex[v]; !ok {
+				return fmt.Errorf("sched: encode: reference to foreign variable %q", v.Name)
+			}
+		}
+		e.Int(i)
+		return nil
 	}
 
-	rc.OpState = make([]int, len(ops))
-	rc.Arrival = make([]float64, len(ops))
-	rc.Finish = make([]float64, len(ops))
-	for i, op := range ops {
-		rc.OpState[i] = r.OpState[op]
-		rc.Arrival[i] = r.Arrival[op]
-		rc.Finish[i] = r.Finish[op]
+	e.Tag(resultTag)
+	e.Bytes(graph)
+	e.Int(int(r.Mode))
+	e.Bool(r.Model != nil)
+	if r.Model != nil {
+		e.Float64(r.Model.NandDelay)
+		e.Float64(r.Model.ClockPeriod)
 	}
+	e.Int(r.NumStates)
+	// OpState, Arrival and Finish are indexed by op position.
+	e.Uvarint(uint64(len(ops)))
+	for _, op := range ops {
+		e.Int(r.OpState[op])
+	}
+	e.Uvarint(uint64(len(ops)))
+	for _, op := range ops {
+		e.Float64(r.Arrival[op])
+	}
+	e.Uvarint(uint64(len(ops)))
+	for _, op := range ops {
+		e.Float64(r.Finish[op])
+	}
+	e.Uvarint(uint64(len(r.OpOrder)))
 	for _, list := range r.OpOrder {
-		idx := make([]int, 0, len(list))
+		e.Uvarint(uint64(len(list)))
 		for _, op := range list {
-			i, err := opRef(op)
-			if err != nil {
+			if err := opRef(op); err != nil {
 				return nil, err
 			}
-			idx = append(idx, i)
 		}
-		rc.OpOrder = append(rc.OpOrder, idx)
 	}
+	e.Uvarint(uint64(len(r.Transitions)))
 	for _, tr := range r.Transitions {
-		ci, err := varRef(tr.Cond)
-		if err != nil {
+		e.Int(tr.From)
+		if err := varRef(tr.Cond); err != nil {
 			return nil, err
 		}
-		rc.Transitions = append(rc.Transitions, schedTransCode{
-			From: tr.From, Cond: ci, CondValue: tr.CondValue, To: tr.To})
+		e.Bool(tr.CondValue)
+		e.Int(tr.To)
 	}
-	for v, cls := range r.VarClass {
-		i, err := varRef(v)
-		if err != nil {
-			return nil, err
+	// VarClass in VarTable order; a key outside the table is foreign.
+	e.Uvarint(uint64(len(r.VarClass)))
+	written := 0
+	for i, v := range vars {
+		if cls, ok := r.VarClass[v]; ok {
+			e.Int(i)
+			e.Int(int(cls))
+			written++
 		}
-		rc.VarClass = append(rc.VarClass, varClassCode{Var: i, Class: int(cls)})
 	}
-	sort.Slice(rc.VarClass, func(i, j int) bool { return rc.VarClass[i].Var < rc.VarClass[j].Var })
+	if written != len(r.VarClass) {
+		return nil, fmt.Errorf("sched: encode: %d var-class entries reference foreign variables",
+			len(r.VarClass)-written)
+	}
+	e.Float64s(r.StateCritPath)
+	var reentrant []int
 	for s, on := range r.ReentrantStates {
 		if on {
-			rc.ReentrantStates = append(rc.ReentrantStates, s)
+			reentrant = append(reentrant, s)
 		}
 	}
-	sort.Ints(rc.ReentrantStates)
-
+	slices.Sort(reentrant)
+	e.Ints(reentrant)
+	e.Int(r.ClockViolations)
+	e.Bool(r.Deps != nil)
 	if r.Deps != nil {
-		rc.HasDeps = true
+		// The dependence graph's op list is almost always the identity
+		// order over AllOps, but travels explicitly; the successor
+		// adjacency follows in (op, insertion) order, and the decoder
+		// rebuilds the predecessor lists by replaying it.
+		e.Uvarint(uint64(len(r.Deps.Ops)))
+		edges := 0
 		for _, op := range r.Deps.Ops {
-			i, err := opRef(op)
-			if err != nil {
+			if err := opRef(op); err != nil {
 				return nil, err
 			}
-			rc.DepOps = append(rc.DepOps, i)
+			edges += len(r.Deps.Succs[op])
 		}
+		e.Uvarint(uint64(edges))
 		for _, op := range r.Deps.Ops {
-			for _, e := range r.Deps.Succs[op] {
-				fi, err := opRef(e.From)
-				if err != nil {
+			for _, ed := range r.Deps.Succs[op] {
+				if err := opRef(ed.From); err != nil {
 					return nil, err
 				}
-				ti, err := opRef(e.To)
-				if err != nil {
+				if err := opRef(ed.To); err != nil {
 					return nil, err
 				}
-				vi, err := varRef(e.Var)
-				if err != nil {
+				e.Int(int(ed.Kind))
+				if err := varRef(ed.Var); err != nil {
 					return nil, err
 				}
-				rc.DepEdges = append(rc.DepEdges, depEdgeCode{
-					From: fi, To: ti, Kind: int(e.Kind), Var: vi})
 			}
 		}
 	}
-
-	return &rc, nil
+	return e.Data(), nil
 }
 
 // DecodeResult reconstructs a schedule serialized by EncodeResult,
 // graph and program included. The result shares nothing with any other
 // schedule; op and variable identity is rebuilt from the embedded
-// graph's tables.
+// graph's tables, and every reference is range-checked.
 func DecodeResult(data []byte) (*Result, error) {
 	resultDecodes.Add(1)
-	rc, err := decodeResultWire(data)
+	r, err := decodeResult(wire.NewDecoder(data))
 	if err != nil {
 		return nil, fmt.Errorf("sched: decode: %w", err)
 	}
-	return rebuildResult(rc)
+	return r, nil
 }
 
-// rebuildResult resolves the flattened form back into a schedule over a
-// freshly decoded graph.
-func rebuildResult(rc *resultCode) (*Result, error) {
-	g, err := htg.DecodeGraph(rc.Graph)
-	if err != nil {
-		return nil, fmt.Errorf("sched: decode: %w", err)
+func decodeResult(d *wire.Decoder) (*Result, error) {
+	d.Tag(resultTag)
+	graph := d.Bytes()
+	r := &Result{Mode: Mode(d.Int())}
+	if d.Bool() {
+		r.Model = &delay.Model{NandDelay: d.Float64(), ClockPeriod: d.Float64()}
 	}
+	r.NumStates = d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	g, err := htg.DecodeGraph(graph)
+	if err != nil {
+		return nil, err
+	}
+	r.G = g
 	ops := g.AllOps()
-	opAt := func(i int) (*htg.Op, error) {
+	vars := g.VarTable()
+	// fail reports a semantic error, unless a wire failure (whose zero
+	// values caused it) came first.
+	fail := func(format string, args ...any) error {
+		if err := d.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf(format, args...)
+	}
+	opAt := func() (*htg.Op, error) {
+		i := d.Int()
 		if i < 0 || i >= len(ops) {
-			return nil, fmt.Errorf("sched: decode: op reference %d out of range", i)
+			return nil, fail("op reference %d out of range", i)
 		}
 		return ops[i], nil
 	}
-	vars := g.VarTable()
-	varAt := func(i int) (*ir.Var, error) {
+	varAt := func() (*ir.Var, error) {
+		i := d.Int()
 		if i == -1 {
 			return nil, nil
 		}
 		if i < 0 || i >= len(vars) {
-			return nil, fmt.Errorf("sched: decode: variable reference %d out of range", i)
+			return nil, fail("variable reference %d out of range", i)
 		}
 		return vars[i], nil
 	}
-	if len(rc.OpState) != len(ops) || len(rc.Arrival) != len(ops) || len(rc.Finish) != len(ops) {
-		return nil, fmt.Errorf("sched: decode: op table size mismatch (%d ops, %d states)",
-			len(ops), len(rc.OpState))
+	opTable := func(minBytes int) error {
+		if n := d.Len(minBytes); n != len(ops) {
+			return fail("op table size mismatch (%d ops, %d entries)", len(ops), n)
+		}
+		return nil
 	}
 
-	r := &Result{
-		G: g, Mode: Mode(rc.Mode), NumStates: rc.NumStates,
-		OpState:         make(map[*htg.Op]int, len(ops)),
-		Arrival:         make(map[*htg.Op]float64, len(ops)),
-		Finish:          make(map[*htg.Op]float64, len(ops)),
-		VarClass:        map[*ir.Var]VarClass{},
-		ReentrantStates: map[int]bool{},
-		StateCritPath:   append([]float64(nil), rc.StateCritPath...),
-		ClockViolations: rc.ClockViolations,
+	if err := opTable(1); err != nil {
+		return nil, err
 	}
-	if rc.HasModel {
-		r.Model = &delay.Model{NandDelay: rc.NandDelay, ClockPeriod: rc.ClockPeriod}
+	r.OpState = make(map[*htg.Op]int, len(ops))
+	for _, op := range ops {
+		r.OpState[op] = d.Int()
 	}
-	for i, op := range ops {
-		r.OpState[op] = rc.OpState[i]
-		r.Arrival[op] = rc.Arrival[i]
-		r.Finish[op] = rc.Finish[i]
+	if err := opTable(8); err != nil {
+		return nil, err
 	}
-	for _, list := range rc.OpOrder {
-		var state []*htg.Op
-		for _, i := range list {
-			op, err := opAt(i)
-			if err != nil {
+	r.Arrival = make(map[*htg.Op]float64, len(ops))
+	for _, op := range ops {
+		r.Arrival[op] = d.Float64()
+	}
+	if err := opTable(8); err != nil {
+		return nil, err
+	}
+	r.Finish = make(map[*htg.Op]float64, len(ops))
+	for _, op := range ops {
+		r.Finish[op] = d.Float64()
+	}
+	if n := d.Len(1); n > 0 {
+		r.OpOrder = make([][]*htg.Op, n)
+		for s := range r.OpOrder {
+			if m := d.Len(1); m > 0 {
+				r.OpOrder[s] = make([]*htg.Op, m)
+				for i := range r.OpOrder[s] {
+					if r.OpOrder[s][i], err = opAt(); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+	if n := d.Len(4); n > 0 { // a transition is >= 4 bytes
+		r.Transitions = make([]Transition, n)
+		for i := range r.Transitions {
+			tr := &r.Transitions[i]
+			tr.From = d.Int()
+			if tr.Cond, err = varAt(); err != nil {
 				return nil, err
 			}
-			state = append(state, op)
+			tr.CondValue, tr.To = d.Bool(), d.Int()
 		}
-		r.OpOrder = append(r.OpOrder, state)
 	}
-	for _, tc := range rc.Transitions {
-		cv, err := varAt(tc.Cond)
-		if err != nil {
-			return nil, err
-		}
-		r.Transitions = append(r.Transitions, Transition{
-			From: tc.From, Cond: cv, CondValue: tc.CondValue, To: tc.To})
-	}
-	for _, vc := range rc.VarClass {
-		v, err := varAt(vc.Var)
+	n := d.Len(2) // a var-class entry is >= 2 bytes
+	r.VarClass = make(map[*ir.Var]VarClass, n)
+	for range n {
+		v, err := varAt()
 		if err != nil {
 			return nil, err
 		}
 		if v == nil {
-			return nil, fmt.Errorf("sched: decode: var-class entry without variable")
+			return nil, fail("var-class entry without variable")
 		}
-		r.VarClass[v] = VarClass(vc.Class)
+		r.VarClass[v] = VarClass(d.Int())
 	}
-	for _, s := range rc.ReentrantStates {
-		r.ReentrantStates[s] = true
+	r.StateCritPath = d.Float64s()
+	r.ReentrantStates = map[int]bool{}
+	for range d.Len(1) {
+		r.ReentrantStates[d.Int()] = true
 	}
-
-	if rc.HasDeps {
+	r.ClockViolations = d.Int()
+	if d.Bool() {
 		deps := &dfa.Graph{Succs: map[*htg.Op][]dfa.Edge{}, Preds: map[*htg.Op][]dfa.Edge{}}
-		for _, i := range rc.DepOps {
-			op, err := opAt(i)
-			if err != nil {
-				return nil, err
+		if n := d.Len(1); n > 0 {
+			deps.Ops = make([]*htg.Op, n)
+			for i := range deps.Ops {
+				if deps.Ops[i], err = opAt(); err != nil {
+					return nil, err
+				}
 			}
-			deps.Ops = append(deps.Ops, op)
 		}
-		for _, ec := range rc.DepEdges {
-			from, err := opAt(ec.From)
-			if err != nil {
+		for range d.Len(4) { // a dependence edge is >= 4 bytes
+			var ed dfa.Edge
+			if ed.From, err = opAt(); err != nil {
 				return nil, err
 			}
-			to, err := opAt(ec.To)
-			if err != nil {
+			if ed.To, err = opAt(); err != nil {
 				return nil, err
 			}
-			v, err := varAt(ec.Var)
-			if err != nil {
+			ed.Kind = dfa.EdgeKind(d.Int())
+			if ed.Var, err = varAt(); err != nil {
 				return nil, err
 			}
-			e := dfa.Edge{From: from, To: to, Kind: dfa.EdgeKind(ec.Kind), Var: v}
-			deps.Succs[from] = append(deps.Succs[from], e)
-			deps.Preds[to] = append(deps.Preds[to], e)
+			deps.Succs[ed.From] = append(deps.Succs[ed.From], ed)
+			deps.Preds[ed.To] = append(deps.Preds[ed.To], ed)
 		}
 		r.Deps = deps
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

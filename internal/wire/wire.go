@@ -23,6 +23,17 @@ import (
 	"math"
 )
 
+// MaxDepth bounds the nesting of the recursive structures a codec walks
+// (expression and statement trees, HTG node trees). A forged payload of
+// deeply nested nodes costs a few bytes per level, so without a bound a
+// small input could overflow the decoding goroutine's stack, a fatal
+// error recover cannot catch. Each codec enforces the bound in both
+// directions, so every encoding it writes also decodes: a design nested
+// deeper is unencodable, and the caches compute it instead of storing
+// it. Real designs sit far below the bound; a 4,000-deep expression
+// chain has room to spare.
+const MaxDepth = 1 << 14
+
 // Encoder appends wire primitives to a growing buffer. The zero value
 // is ready to use.
 type Encoder struct {
