@@ -17,12 +17,6 @@
 //	BenchmarkFig16_NaturalForm         E14  while→for normalization
 //	BenchmarkAblation_*                A1-A4 coordination ablations
 //	BenchmarkExploration               E15  full design-space sweep
-//	BenchmarkExploreSweepCold          cold-cache concurrent sweep
-//	BenchmarkExploreSweepWarm          cache-hit path of the same sweep
-//	BenchmarkExploreSweepDiskCold      cold sweep that also populates a disk cache
-//	BenchmarkExploreSweepDiskWarm      fresh engine served from on-disk artifacts
-//	BenchmarkSearchHillClimb           adaptive hill-climbing search (E17)
-//	BenchmarkSearchGenetic             adaptive genetic search (E17)
 //	BenchmarkSynthesizeILD/n=*         end-to-end synthesis timing sweep
 //	BenchmarkRTLSimILD                 simulated decode throughput
 //	BenchmarkInterpILD                 behavioral decode throughput
@@ -36,7 +30,6 @@ import (
 
 	"sparkgo/internal/core"
 	"sparkgo/internal/experiments"
-	"sparkgo/internal/explore"
 	"sparkgo/internal/ild"
 	"sparkgo/internal/interp"
 	"sparkgo/internal/report"
@@ -149,104 +142,6 @@ func BenchmarkExploration(b *testing.B) {
 		emit(b, "E15", t, err)
 	}
 }
-
-// sweepSpace is the benchmark grid: every toggle variant and two unroll
-// bounds over two buffer sizes, plus the classical baseline.
-func sweepSpace() []explore.Config {
-	return explore.Grid([]int{4, 8}, explore.Variants(), []int{0, 8}, true)
-}
-
-// BenchmarkExploreSweepCold measures a concurrent sweep with an empty
-// cache each iteration: raw parallel synthesis throughput.
-func BenchmarkExploreSweepCold(b *testing.B) {
-	space := sweepSpace()
-	b.ReportMetric(float64(len(space)), "configs")
-	for i := 0; i < b.N; i++ {
-		eng := &explore.Engine{}
-		pts := eng.Sweep(space)
-		if best := explore.BestCycles(pts); best == nil || best.Latency != 1 {
-			b.Fatalf("sweep lost the 1-cycle design: %+v", best)
-		}
-	}
-}
-
-// BenchmarkExploreSweepWarm measures the same sweep against a warm cache:
-// the memoized hit path that makes repeated/overlapping exploration cheap.
-func BenchmarkExploreSweepWarm(b *testing.B) {
-	space := sweepSpace()
-	eng := &explore.Engine{}
-	eng.Sweep(space) // prime
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts := eng.Sweep(space)
-		if best := explore.BestCycles(pts); best == nil || best.Latency != 1 {
-			b.Fatalf("warm sweep lost the 1-cycle design: %+v", best)
-		}
-	}
-}
-
-// BenchmarkExploreSweepDiskCold measures a cold sweep that additionally
-// writes every stage artifact and evaluated point to a fresh disk cache:
-// the write-side overhead of persistence.
-func BenchmarkExploreSweepDiskCold(b *testing.B) {
-	space := sweepSpace()
-	b.ReportMetric(float64(len(space)), "configs")
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := b.TempDir()
-		b.StartTimer()
-		eng := &explore.Engine{CacheDir: dir}
-		pts := eng.Sweep(space)
-		if best := explore.BestCycles(pts); best == nil || best.Latency != 1 {
-			b.Fatalf("disk-cold sweep lost the 1-cycle design: %+v", best)
-		}
-	}
-}
-
-// BenchmarkExploreSweepDiskWarm measures the restart path the disk cache
-// exists for: each iteration builds a completely fresh engine — empty
-// memory caches, standing in for a new process — against a pre-populated
-// cache directory. Compare against BenchmarkExploreSweepCold for the
-// persistence payoff.
-func BenchmarkExploreSweepDiskWarm(b *testing.B) {
-	space := sweepSpace()
-	dir := b.TempDir()
-	prime := &explore.Engine{CacheDir: dir}
-	prime.Sweep(space)
-	b.ReportMetric(float64(len(space)), "configs")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := &explore.Engine{CacheDir: dir}
-		pts := eng.Sweep(space)
-		if best := explore.BestCycles(pts); best == nil || best.Latency != 1 {
-			b.Fatalf("disk-warm sweep lost the 1-cycle design: %+v", best)
-		}
-		if st := eng.Stats(); st.PointComputed != 0 {
-			b.Fatalf("disk-warm sweep synthesized %d configs, want 0", st.PointComputed)
-		}
-	}
-}
-
-// benchSearch measures one adaptive search strategy on a cold engine per
-// iteration: the cost of finding the best design with a fixed evaluation
-// budget, stage-cache sharing included.
-func benchSearch(b *testing.B, st explore.Strategy) {
-	sp := explore.DefaultSpace(8)
-	obj := explore.WeightedObjective(1000, 1)
-	budget := explore.Budget{MaxEvaluations: 20}
-	b.ReportMetric(float64(budget.MaxEvaluations), "evals")
-	for i := 0; i < b.N; i++ {
-		eng := &explore.Engine{}
-		res := st.Search(eng, sp, obj, budget, 1)
-		if res.Best.Err != "" || res.Best.Latency != 1 {
-			b.Fatalf("search lost the 1-cycle design: %+v", res.Best)
-		}
-	}
-}
-
-func BenchmarkSearchHillClimb(b *testing.B) { benchSearch(b, explore.HillClimb{}) }
-
-func BenchmarkSearchGenetic(b *testing.B) { benchSearch(b, explore.Genetic{}) }
 
 // BenchmarkSynthesizeILD times the full coordinated flow per buffer size:
 // the "design space exploration speed" the paper positions Spark for.

@@ -3,40 +3,50 @@
 // E1–E17 and the A-series ablations). With no arguments it runs every
 // experiment; pass experiment ids (e.g. "E12 A E15 E17") to select.
 //
-// The -sweep mode runs a standalone concurrent sweep over
-// (preset × pass toggles × unroll bounds × buffer sizes) and prints the
-// full point cloud, the latency/area Pareto frontier, and the engine's
-// per-stage cache statistics (memory vs disk hits vs computed):
+// The -sweep and -search modes run sparkd's own sweep and search jobs
+// (internal/service): in this process on a private job queue, or on a
+// daemon with -remote. Either way the same jobs run and the same tables
+// print.
+//
+// -sweep evaluates (preset × pass toggles × unroll bounds × buffer
+// sizes) and prints the point cloud in grid order, the latency/area
+// Pareto frontier, and the cache and queue statistics (memory vs disk
+// vs remote hits vs computed, per stage):
 //
 //	explore -sweep [-workers 8] [-sizes 4,8,16,32] [-sim 1] [-csv]
 //	        [-cache-dir .explore-cache] [-remote-cache http://host:8341]
 //	        [-src a.c,b.c]
 //
-// -src replaces the built-in ILD generator with arbitrary user programs
-// parsed from files: the sweep batches every named source into one
-// configuration space. -cache-dir persists stage artifacts and
-// evaluated points on disk, so repeated sweeps — including across
-// process restarts — reuse earlier synthesis work; -remote-cache chains
-// a sparkd daemon's /v1/blobs API behind the local tiers, so a cold
-// machine reuses the fleet's artifacts; -cache-max-bytes
-// garbage-collects the cache directory afterwards (oldest artifacts
-// first, including those under retired schema versions).
+// -src replaces the built-in ILD generator with user programs parsed
+// from files: each file is its own sweep job with its own frontier, and
+// its configs are named by the program's content fingerprint.
+// -cache-dir persists stage artifacts and evaluated points on disk, so
+// repeated sweeps — including across process restarts — reuse earlier
+// synthesis work; -remote-cache chains a sparkd daemon's /v1/blobs API
+// behind the local tiers, so a cold machine reuses the fleet's
+// artifacts; -cache-max-bytes garbage-collects the cache directory once
+// after the run (oldest artifacts first, including those under retired
+// schema versions).
 //
-// The -search mode replaces the exhaustive grid with an adaptive search
-// over the same axes (pass orderings × motion knockouts × unroll bounds
-// × chaining) and prints its improvement trajectory, best design, and
-// cache statistics:
+// -search replaces the exhaustive grid with an adaptive search over the
+// same axes (pass orderings × motion knockouts × unroll bounds ×
+// chaining) and prints its improvement trajectory, summary, and the
+// same statistics:
 //
 //	explore -search [-strategy hill|genetic|anneal] [-budget 64] [-deadline 30s]
 //	        [-objective latency|area|weighted] [-seed 1] [-n 16]
-//	        [-search-json BENCH_search.json]
+//
+// -deadline is a hard limit for a sweep and a soft budget for a search,
+// which stops between batches and still reports its best design.
+// -remote host:port ships the jobs to a sparkd daemon instead (the
+// engine flags then belong to the daemon), and -follow streams each
+// job's live events to stderr.
 //
 // Performance is measured by the repository's benchmark (BENCHMARK.json,
 // run with `bash bench/run.sh`), which drives these same engines through
-// in-process sparkd daemons and the experiment suite.
-//
-// The local -sweep and -search modes accept -cpuprofile/-memprofile for
-// pprof capture; profile remote runs with sparkd -pprof instead.
+// in-process sparkd daemons and the experiment suite. In-process -sweep
+// and -search runs accept -cpuprofile/-memprofile for pprof capture;
+// profile remote runs with sparkd -pprof instead.
 //
 // Usage:
 //
@@ -49,17 +59,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"sparkgo/internal/experiments"
 	"sparkgo/internal/explore"
-	"sparkgo/internal/ir"
-	"sparkgo/internal/parser"
 	"sparkgo/internal/report"
+	"sparkgo/internal/service"
 )
 
 func main() {
@@ -77,22 +84,13 @@ func main() {
 	strategy := flag.String("strategy", "hill", "search strategy: hill (steepest-ascent + restarts), genetic, or anneal (simulated annealing)")
 	objective := flag.String("objective", "weighted", "search objective: latency, area, or weighted")
 	budget := flag.Int("budget", 64, "search budget: max distinct configurations evaluated (0 = unbounded)")
-	deadline := flag.Duration("deadline", 0, "search wall-clock budget (0 = unbounded)")
+	deadline := flag.Duration("deadline", 0, "wall-clock limit: a hard deadline per -sweep job, a soft budget for -search (0 = unbounded)")
 	seed := flag.Int64("seed", 1, "search RNG seed (same seed, same trajectory)")
-	searchJSON := flag.String("search-json", "", "write the search summary to this JSON file (with -search)")
 	remote := flag.String("remote", "", "ship -sweep/-search jobs to a sparkd daemon at this address instead of running locally")
 	follow := flag.Bool("follow", false, "with -remote: subscribe to the job's live event stream (SSE) and print progress/trajectory lines")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the -sweep/-search run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at the end of the -sweep/-search run to this file")
 	flag.Parse()
-
-	printTable := func(t *report.Table) {
-		if *csv {
-			fmt.Println(t.CSV())
-		} else {
-			fmt.Println(t)
-		}
-	}
 
 	// Mode flags that would silently lose to one another are conflicts:
 	// -search runs the adaptive engine over the built-in generator at -n
@@ -117,10 +115,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-follow streams a daemon job's events and requires -remote")
 		os.Exit(1)
 	}
-	if *remote != "" && *searchJSON != "" {
-		fmt.Fprintln(os.Stderr, "-search-json is not supported with -remote (the daemon's /v1/jobs/{id} JSON is the machine-readable result)")
-		os.Exit(1)
-	}
 
 	// Profiling captures this process, so it pairs with the local sweep
 	// and search modes only: under -remote the work runs in the daemon
@@ -143,52 +137,39 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *search {
+	if *sweep || *search {
+		mode := "sweep"
+		var reqs []service.Request
 		var err error
-		if *remote != "" {
-			err = runRemoteSearch(ctx, *remote, *strategy, *objective, *n, *budget, *deadline, *seed, *follow, printTable)
+		if *search {
+			mode = "search"
+			reqs, err = searchRequests(*strategy, *objective, *n, *budget, *deadline, *seed)
 		} else {
-			stopProf, perr := startProfiles(*cpuProfile, *memProfile)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "search FAILED: %v\n", perr)
-				os.Exit(1)
-			}
-			err = runSearch(ctx, *strategy, *objective, *n, *budget, *deadline, *seed,
-				*workers, *sim, *cacheDir, *remoteCache, *searchJSON, printTable)
+			reqs, err = sweepRequests(*sizes, *srcFiles, *deadline)
+		}
+		var r runner
+		gcDir := *cacheDir
+		if *remote != "" {
+			// The engine flags belong to the daemon under -remote.
+			r, gcDir = newRemoteClient(*remote, *follow), ""
+		} else {
+			r = newLocalRunner(&explore.Engine{Workers: *workers, SimTrials: *sim, CacheDir: *cacheDir, RemoteCache: *remoteCache})
+		}
+		var stopProf func() error
+		if err == nil {
+			stopProf, err = startProfiles(*cpuProfile, *memProfile)
+		}
+		if err == nil {
+			err = runJobs(ctx, r, reqs, os.Stdout, *csv)
 			if err == nil {
-				err = runCacheGC(*cacheDir, *cacheMaxBytes)
+				err = runCacheGC(gcDir, *cacheMaxBytes)
 			}
 			if perr := stopProf(); perr != nil && err == nil {
 				err = perr
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "search FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *sweep {
-		var err error
-		if *remote != "" {
-			err = runRemoteSweep(ctx, *remote, *sizes, *srcFiles, *deadline, *follow, printTable)
-		} else {
-			stopProf, perr := startProfiles(*cpuProfile, *memProfile)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "sweep FAILED: %v\n", perr)
-				os.Exit(1)
-			}
-			err = runSweepLocal(ctx, *sizes, *srcFiles, *cacheDir, *remoteCache, *workers, *sim, *deadline, printTable)
-			if err == nil {
-				err = runCacheGC(*cacheDir, *cacheMaxBytes)
-			}
-			if perr := stopProf(); perr != nil && err == nil {
-				err = perr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep FAILED: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", mode, err)
 			os.Exit(1)
 		}
 		return
@@ -229,7 +210,7 @@ func main() {
 		}
 		t, err := e.run()
 		if t != nil {
-			printTable(t)
+			printTable(os.Stdout, *csv, t)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.id, err)
@@ -284,103 +265,4 @@ func parseSizes(sizeList string) ([]int, error) {
 		return nil, fmt.Errorf("no buffer sizes given")
 	}
 	return sizes, nil
-}
-
-// loadSources parses the -src file list into a named source table. Names
-// are file basenames without extension; duplicates are rejected rather
-// than silently shadowed.
-func loadSources(fileList string) (map[string]*ir.Program, []string, error) {
-	sources := map[string]*ir.Program{}
-	var names []string
-	for _, path := range strings.Split(fileList, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		text, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		if _, dup := sources[name]; dup {
-			return nil, nil, fmt.Errorf("duplicate source name %q (from %s)", name, path)
-		}
-		prog, err := parser.Parse(name, string(text))
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		sources[name] = prog
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("no source files given")
-	}
-	return sources, names, nil
-}
-
-// runSweepLocal executes the standalone exploration sweep and prints the
-// point cloud, the Pareto frontier, and the engine's cache statistics.
-// The context (SIGINT/SIGTERM) and the -deadline flag both cancel the
-// sweep mid-run; a cancelled sweep reports how far it got and fails.
-func runSweepLocal(ctx context.Context, sizeList, srcFiles, cacheDir, remoteCache string,
-	workers, simTrials int, deadline time.Duration, printTable func(*report.Table)) error {
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	eng := &explore.Engine{Workers: workers, SimTrials: simTrials, CacheDir: cacheDir, RemoteCache: remoteCache}
-	var space []explore.Config
-	if srcFiles != "" {
-		sources, names, err := loadSources(srcFiles)
-		if err != nil {
-			return err
-		}
-		eng.Sources = sources
-		space = explore.GridSources(names, explore.Variants(), []int{0, 8}, true)
-	} else {
-		sizes, err := parseSizes(sizeList)
-		if err != nil {
-			return err
-		}
-		space = explore.Grid(sizes, explore.Variants(), []int{0, 8}, true)
-	}
-	pts := eng.SweepContext(ctx, space)
-	printTable(explore.Table(fmt.Sprintf("design-space sweep (%d configs)", len(space)), pts))
-	printTable(explore.Table("latency/area Pareto frontier", explore.Frontier(pts)))
-	printTable(cacheTable(eng.Stats()))
-	fmt.Printf("workers: %d\n", eng.EffectiveWorkers(len(space)))
-	failed, skipped := 0, 0
-	for _, p := range pts {
-		switch {
-		case explore.IsCanceled(p):
-			skipped++
-		case p.Err != "":
-			failed++
-		}
-	}
-	if skipped > 0 {
-		return fmt.Errorf("sweep canceled: %d of %d configurations not evaluated (%v)",
-			skipped, len(space), context.Cause(ctx))
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d configurations failed", failed, len(space))
-	}
-	return nil
-}
-
-// cacheTable renders the engine's per-stage cache statistics: where each
-// lookup was served from (memory, disk, the remote peer, or computed by
-// synthesis), one row per layer of the staged flow, plus a row for the
-// absorbed store errors.
-func cacheTable(s explore.Stats) *report.Table {
-	t := report.New("exploration cache statistics",
-		"layer", "memory hits", "disk hits", "remote hits", "computed", "errors")
-	t.Add("point", s.PointMemHits, s.PointDiskHits, s.PointRemoteHits, s.PointComputed, "")
-	t.Add("frontend stage", s.FrontendMemHits, s.FrontendDiskHits, s.FrontendRemoteHits, s.FrontendComputed, "")
-	t.Add("midend stage", s.MidendMemHits, s.MidendDiskHits, s.MidendRemoteHits, s.MidendComputed, "")
-	t.Add("backend stage", s.BackendMemHits, s.BackendDiskHits, s.BackendRemoteHits, s.BackendComputed, "")
-	t.Add("disk", "", "", "", "", s.DiskErrors)
-	t.Add("remote", "", "", "", "", s.RemoteErrors)
-	return t
 }

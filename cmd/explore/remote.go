@@ -13,14 +13,13 @@ import (
 	"time"
 
 	"sparkgo/internal/obs"
-	"sparkgo/internal/report"
 	"sparkgo/internal/service"
 )
 
-// remoteClient ships jobs to a sparkd daemon instead of evaluating them
-// in-process: the -remote mode of cmd/explore. The flags keep their
-// local meaning; only the execution venue changes — and with it the
-// caches, which the daemon shares across every client.
+// remoteClient is the runner for the -remote mode of cmd/explore: it
+// ships jobs to a sparkd daemon instead of running them in-process. The
+// flags keep their local meaning; only the execution venue changes —
+// and with it the caches, which the daemon shares across every client.
 type remoteClient struct {
 	base string // http://host:port
 	http *http.Client
@@ -29,13 +28,14 @@ type remoteClient struct {
 	follow bool
 }
 
-func newRemoteClient(addr string) *remoteClient {
+func newRemoteClient(addr string, follow bool) *remoteClient {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
 	return &remoteClient{
-		base: strings.TrimRight(addr, "/"),
-		http: &http.Client{Timeout: 30 * time.Second},
+		base:   strings.TrimRight(addr, "/"),
+		http:   &http.Client{Timeout: 30 * time.Second},
+		follow: follow,
 	}
 }
 
@@ -82,12 +82,14 @@ func (c *remoteClient) do(ctx context.Context, method, path string, body, out an
 	return json.Unmarshal(data, out)
 }
 
-// submitAndWait submits one job and polls it to a terminal status,
-// reporting queue progress on stderr. Context cancellation (Ctrl-C)
-// stops polling, cancels the remote job, and returns the context error.
-func (c *remoteClient) submitAndWait(ctx context.Context, req service.Request) (service.JobView, error) {
+// run submits one job and polls it to a terminal status, reporting
+// queue progress on stderr. Context cancellation (Ctrl-C) stops polling,
+// cancels the remote job, and returns the context error. The submit
+// itself ignores cancellation: a POST cut short after the daemon
+// accepted it would leave a job running that nobody cancels.
+func (c *remoteClient) run(ctx context.Context, req service.Request) (service.JobView, error) {
 	var job service.JobView
-	if err := c.do(ctx, "POST", "/v1/jobs", req, &job); err != nil {
+	if err := c.do(context.WithoutCancel(ctx), "POST", "/v1/jobs", req, &job); err != nil {
 		return job, err
 	}
 	if job.Deduped {
@@ -129,13 +131,13 @@ func (c *remoteClient) submitAndWait(ctx context.Context, req service.Request) (
 			return job, err
 		}
 	}
-	if job.Status == service.StatusFailed {
-		return job, fmt.Errorf("remote job %s failed: %s", job.ID, job.Error)
-	}
-	if job.Status == service.StatusCanceled {
-		return job, fmt.Errorf("remote job %s was canceled", job.ID)
-	}
-	return job, nil
+	return job, jobErr(job)
+}
+
+// stats reads the daemon's /v1/stats.
+func (c *remoteClient) stats(ctx context.Context) (service.StatsView, error) {
+	var st service.StatsView
+	return st, c.do(ctx, "GET", "/v1/stats", nil, &st)
 }
 
 // followEvents consumes GET /v1/jobs/{id}/events and prints each frame
@@ -204,155 +206,5 @@ func (c *remoteClient) abandon(jobID string, cause error) error {
 	cancelCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
 	defer stop()
 	_ = c.do(cancelCtx, "DELETE", "/v1/jobs/"+jobID, nil, nil)
-	return fmt.Errorf("interrupted; remote job %s cancelled: %w", jobID, cause)
-}
-
-// remoteStatsTables renders the daemon's /v1/stats as the same cache
-// table local runs print, plus the queue's job accounting.
-func (c *remoteClient) remoteStatsTables(ctx context.Context) ([]*report.Table, error) {
-	var st service.StatsView
-	if err := c.do(ctx, "GET", "/v1/stats", nil, &st); err != nil {
-		return nil, err
-	}
-	t := report.New(fmt.Sprintf("daemon cache statistics (schema %s)", st.CacheSchema),
-		"layer", "memory hits", "disk hits", "computed", "disk errors")
-	t.Add("point", st.Engine.PointMemHits, st.Engine.PointDiskHits, st.Engine.PointComputed, "")
-	t.Add("frontend stage", st.Engine.FrontendMemHits, st.Engine.FrontendDiskHits, st.Engine.FrontendComputed, "")
-	t.Add("midend stage", st.Engine.MidendMemHits, st.Engine.MidendDiskHits, st.Engine.MidendComputed, "")
-	t.Add("backend stage", st.Engine.BackendMemHits, st.Engine.BackendDiskHits, st.Engine.BackendComputed, "")
-	t.Add("disk", "", "", "", st.Engine.DiskErrors)
-	q := report.New("daemon queue statistics", "metric", "value")
-	q.Add("submitted", st.Queue.Submitted)
-	q.Add("coalesced (single-flight)", st.Queue.Coalesced)
-	q.Add("queued", st.Queue.Queued)
-	q.Add("running", st.Queue.Running)
-	q.Add("done", st.Queue.Done)
-	q.Add("failed", st.Queue.Failed)
-	q.Add("canceled", st.Queue.Canceled)
-	return []*report.Table{t, q}, nil
-}
-
-// pointTable renders remote point views in the local sweep-table shape.
-func pointTable(title string, pts []service.PointView) *report.Table {
-	t := report.New(title,
-		"config", "cycles", "latency", "crit path (gu)", "area", "muxes", "FUs", "err")
-	for _, p := range pts {
-		t.Add(p.Config, p.Cycles, p.Latency, p.CritPath, p.Area, p.Muxes, p.FUs, p.Err)
-	}
-	return t
-}
-
-// runRemoteSweep ships the -sweep flags to the daemon: one job for the
-// generator grid, or one per -src file (each file is its own source
-// space, matching the local batched sweep's per-source grids). The
-// -deadline flag maps to the job's hard deadline — the same fail-fast
-// semantics the local sweep gives it.
-func runRemoteSweep(ctx context.Context, addr, sizeList, srcFiles string,
-	deadline time.Duration, follow bool, printTable func(*report.Table)) error {
-	c := newRemoteClient(addr)
-	c.follow = follow
-	var reqs []service.Request
-	if srcFiles != "" {
-		for _, path := range strings.Split(srcFiles, ",") {
-			path = strings.TrimSpace(path)
-			if path == "" {
-				continue
-			}
-			text, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, service.Request{
-				Kind: service.KindSweep, Source: string(text), Classical: true,
-				DeadlineMS: deadline.Milliseconds(),
-			})
-		}
-		if len(reqs) == 0 {
-			return fmt.Errorf("no source files given")
-		}
-	} else {
-		sizes, err := parseSizes(sizeList)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, service.Request{
-			Kind: service.KindSweep, Sizes: sizes, Classical: true,
-			DeadlineMS: deadline.Milliseconds(),
-		})
-	}
-	for _, req := range reqs {
-		job, err := c.submitAndWait(ctx, req)
-		if err != nil {
-			return err
-		}
-		res := job.Result
-		if res == nil {
-			return fmt.Errorf("remote job %s: done without result", job.ID)
-		}
-		title := fmt.Sprintf("remote design-space sweep (%d configs, job %s)", len(res.Points), job.ID)
-		printTable(pointTable(title, res.Points))
-		printTable(pointTable("latency/area Pareto frontier", res.Frontier))
-		if res.SourceFingerprint != "" {
-			fmt.Printf("source fingerprint: %s (reuse via source_ref)\n", res.SourceFingerprint)
-		}
-	}
-	tables, err := c.remoteStatsTables(ctx)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		printTable(t)
-	}
-	return nil
-}
-
-// runRemoteSearch ships the -search flags to the daemon. The -deadline
-// flag maps to the job's *soft* search budget (budget_ms), matching the
-// local semantics: the search stops gracefully at the deadline and
-// still reports its best design, rather than failing the job.
-func runRemoteSearch(ctx context.Context, addr, strategy, objective string, n, budgetEvals int,
-	deadline time.Duration, seed int64, follow bool, printTable func(*report.Table)) error {
-	c := newRemoteClient(addr)
-	c.follow = follow
-	job, err := c.submitAndWait(ctx, service.Request{
-		Kind: service.KindSearch, N: n,
-		Strategy: strategy, Objective: objective,
-		Budget: budgetEvals, Seed: seed,
-		BudgetMS: deadline.Milliseconds(),
-	})
-	if err != nil {
-		return err
-	}
-	res := job.Result
-	if res == nil || res.Search == nil {
-		return fmt.Errorf("remote job %s: done without search result", job.ID)
-	}
-	sv := res.Search
-	t := report.New(
-		fmt.Sprintf("remote adaptive search: %s over n=%d (objective=%s seed=%d, job %s)",
-			sv.Strategy, n, sv.Objective, sv.Seed, job.ID),
-		"evaluation", "score", "latency", "area", "config")
-	for _, s := range sv.Trajectory {
-		t.Add(s.Evaluation, s.Score, s.Point.Latency, s.Point.Area, s.Point.Config)
-	}
-	printTable(t)
-	sum := report.New("remote search summary", "metric", "value")
-	sum.Add("evaluations", sv.Evaluations)
-	sum.Add("revisits (free)", sv.Revisits)
-	sum.Add("exhausted budget", sv.Exhausted)
-	if sv.Best != nil {
-		sum.Add("best score", sv.BestScore)
-		sum.Add("best latency", sv.Best.Latency)
-		sum.Add("best area", sv.Best.Area)
-		sum.Add("best config", sv.Best.Config)
-	}
-	printTable(sum)
-	tables, err := c.remoteStatsTables(ctx)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		printTable(t)
-	}
-	return nil
+	return interrupted(jobID, cause)
 }

@@ -41,8 +41,6 @@
 package core
 
 import (
-	"context"
-
 	"sparkgo/internal/delay"
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ir"
@@ -172,29 +170,14 @@ type Result struct {
 // want artifact reuse across runs — many configurations over one source
 // — drive the stages individually (internal/explore does).
 func Synthesize(input *ir.Program, opt Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), input, opt)
-}
-
-// SynthesizeContext is Synthesize under a context: cancellation and
-// deadline expiry are observed between stages, so an abandoned synthesis
-// stops within one stage of work and returns the context error. This is
-// the entry point long-running callers — the exploration engine, the
-// service daemon — drive, composed from the same staged flow.
-func SynthesizeContext(ctx context.Context, input *ir.Program, opt Options) (*Result, error) {
-	fa, err := FrontendContext(ctx, input, opt.FrontendOptions())
+	fa, err := Frontend(input, opt.FrontendOptions())
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// The artifact is private to this call, so the midend may consume
 	// its program without the defensive clone shared artifacts need.
 	ma, err := midend(fa.Program, fa, opt.MidendOptions())
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ba, err := Backend(ma, opt.BackendOptions())

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -176,18 +175,6 @@ func (fa *FrontendArtifact) Materialize() []byte {
 	}
 	fa.Fingerprint = ir.FingerprintBytes(enc)
 	return enc
-}
-
-// FrontendContext is Frontend gated on a context: a context already done
-// returns its error instead of starting the pass pipeline. The pipeline
-// itself runs to completion once started — stage work is the unit of
-// cancellation in the staged flow (see SynthesizeContext), matching the
-// exploration engine's evaluation-batch granularity.
-func FrontendContext(ctx context.Context, input *ir.Program, o FrontendOptions) (*FrontendArtifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Frontend(input, o)
 }
 
 // Frontend runs the transformation stage: clone the input, drive the
@@ -378,15 +365,6 @@ func DecodeMidendArtifact(enc []byte) (*MidendArtifact, error) {
 	}, nil
 }
 
-// MidendContext is Midend gated on a context (see FrontendContext for
-// the cancellation granularity contract).
-func MidendContext(ctx context.Context, fa *FrontendArtifact, o MidendOptions) (*MidendArtifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Midend(fa, o)
-}
-
 // Midend runs the scheduling stage: clone the frontend artifact's
 // program (artifacts are shared across configurations, so the stage must
 // not mutate its input), lower to the HTG, and schedule under the
@@ -574,15 +552,6 @@ func DecodeBackendArtifact(enc []byte) (*BackendArtifact, error) {
 		return nil, err
 	}
 	return ba, nil
-}
-
-// BackendContext is Backend gated on a context (see FrontendContext for
-// the cancellation granularity contract).
-func BackendContext(ctx context.Context, ma *MidendArtifact, o BackendOptions) (*BackendArtifact, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Backend(ma, o)
 }
 
 // Backend runs the binding/netlist stage on a scheduled design.

@@ -325,7 +325,7 @@ func (e *Engine) EvaluateContext(ctx context.Context, c Config) Point {
 		e.record(stagePoint, dispComputed, start)
 		return Point{Config: c, Err: err.Error()}
 	}
-	pt, err := lookup(e, stagePoint, e.pointKey(c, src.fingerprint), func() (*Point, []byte, error) {
+	pt, err := lookup(ctx, e, stagePoint, e.pointKey(c, src.fingerprint), func() (*Point, []byte, error) {
 		pt := e.synthesize(ctx, c, src)
 		if pt.Err != "" {
 			// Propagating the failure as an error keeps it out of every

@@ -184,7 +184,4 @@ func TestFrontier(t *testing.T) {
 			}
 		}
 	}
-	if tab := explore.Table("sweep", pts); tab == nil {
-		t.Fatal("nil table")
-	}
 }

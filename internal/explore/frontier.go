@@ -1,7 +1,5 @@
 package explore
 
-import "sparkgo/internal/report"
-
 // Frontier returns the Pareto-optimal points of the latency/area
 // trade-off: every point for which no other point is at least as good on
 // both axes and strictly better on one. Failed points are excluded. The
@@ -62,18 +60,4 @@ func BestArea(points []Point) *Point {
 		}
 	}
 	return best
-}
-
-// Table renders points as a report table in presentation order.
-func Table(title string, points []Point) *report.Table {
-	t := report.New(title,
-		"config", "cycles", "latency", "crit path (gu)", "area", "muxes", "FUs", "err")
-	pts := make([]Point, len(points))
-	copy(pts, points)
-	sortStable(pts)
-	for _, p := range pts {
-		t.Add(p.Config.String(), p.Cycles, p.Latency, p.CritPath, p.Area,
-			p.Muxes, p.FUs, p.Err)
-	}
-	return t
 }

@@ -260,9 +260,20 @@ func (e *Engine) record(s stage, d disp, start time.Time) {
 // rule) are purged, counted in DiskErrors and looked up once more; a
 // second bad payload computes uncached, so a bad cache never fails the
 // evaluation.
-func lookup[T any](e *Engine, s stage, key string,
+//
+// A context already done when compute is due returns its error instead
+// of starting the stage; hits are served regardless. Stage work is the
+// unit of cancellation: a compute, once started, runs to completion.
+func lookup[T any](ctx context.Context, e *Engine, s stage, key string,
 	compute func() (T, []byte, error), revive func([]byte) (T, error)) (T, error) {
 	start := e.stageStart()
+	run := func() (T, []byte, error) {
+		if err := ctx.Err(); err != nil {
+			var zero T
+			return zero, nil, err
+		}
+		return compute()
+	}
 	if key != "" {
 		kind := stageKinds[s]
 		// led: this caller ran the flight's compute. Do runs it on the
@@ -271,7 +282,7 @@ func lookup[T any](e *Engine, s stage, key string,
 		led := false
 		do := func() ([]byte, any, error) {
 			led = true
-			v, data, err := compute()
+			v, data, err := run()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -303,7 +314,7 @@ func lookup[T any](e *Engine, s stage, key string,
 			e.blobStack().Delete(kind, key)
 		}
 	}
-	v, _, err := compute()
+	v, _, err := run()
 	e.record(s, dispComputed, start)
 	return v, err
 }
@@ -383,8 +394,8 @@ func (e *Engine) resolveSource(c Config) (*sourceEntry, error) {
 // concurrent callers (see lookup).
 func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.FrontendOptions) (*core.FrontendArtifact, error) {
 	key := core.FrontendKeyFrom(src.fingerprint, o)
-	return lookup(e, stageFrontend, key, func() (*core.FrontendArtifact, []byte, error) {
-		fa, err := core.FrontendContext(ctx, src.prog, o)
+	return lookup(ctx, e, stageFrontend, key, func() (*core.FrontendArtifact, []byte, error) {
+		fa, err := core.Frontend(src.prog, o)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -443,8 +454,8 @@ type frontendBlob struct {
 // (Sched) only when the backend stage misses its own caches.
 func (e *Engine) midend(ctx context.Context, fa *core.FrontendArtifact, o core.MidendOptions) (*core.MidendArtifact, error) {
 	key := core.MidendKey(fa, o)
-	return lookup(e, stageMidend, key, func() (*core.MidendArtifact, []byte, error) {
-		ma, err := core.MidendContext(ctx, fa, o)
+	return lookup(ctx, e, stageMidend, key, func() (*core.MidendArtifact, []byte, error) {
+		ma, err := core.Midend(fa, o)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -488,8 +499,8 @@ type midendBlob struct {
 // (Mod), and only when SimTrials asks for it.
 func (e *Engine) backend(ctx context.Context, ma *core.MidendArtifact, o core.BackendOptions) (*core.BackendArtifact, error) {
 	key := core.BackendKey(ma, o)
-	return lookup(e, stageBackend, key, func() (*core.BackendArtifact, []byte, error) {
-		ba, err := core.BackendContext(ctx, ma, o)
+	return lookup(ctx, e, stageBackend, key, func() (*core.BackendArtifact, []byte, error) {
+		ba, err := core.Backend(ma, o)
 		if err != nil {
 			return nil, nil, err
 		}

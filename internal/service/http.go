@@ -78,12 +78,19 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. Requests are small JSON
+// objects whose largest field is an inline source (a few KB for the ILD
+// family), so 1 MiB leaves ample headroom while keeping one client from
+// making the daemon buffer an arbitrarily large body.
+const maxSubmitBytes = 1 << 20
+
 // submit handles POST /v1/jobs: decode, enqueue (or attach to the
 // in-flight identical job), and answer 202 with the job view. A deduped
-// submit is flagged so clients know they are polling shared work.
+// submit is flagged so clients know they are polling shared work. A
+// body over maxSubmitBytes fails to decode and is answered 400.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err)

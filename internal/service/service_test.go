@@ -376,6 +376,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyCap: a submit body over maxSubmitBytes is refused with
+// 400 before it becomes a job, and the daemon keeps accepting normal
+// submits afterwards.
+func TestSubmitBodyCap(t *testing.T) {
+	srv, q := testServer(t, 1)
+	// A valid request behind a cap's worth of leading whitespace: only
+	// the size is wrong with it.
+	big := strings.Repeat(" ", maxSubmitBytes) + `{"kind":"synth","n":4}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatalf("oversized submit: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized submit: HTTP %d, want 400", resp.StatusCode)
+	}
+	if st := q.Stats().Queue; st.Submitted != 0 || len(q.List()) != 0 {
+		t.Errorf("oversized submit created a job: %+v", st)
+	}
+	job := submit(t, srv.URL, Request{Kind: KindSynth, N: 4})
+	if job.ID == "" {
+		t.Fatalf("normal submit after the oversized one: %+v", job)
+	}
+	if st := q.Stats().Queue; st.Submitted != 1 {
+		t.Errorf("submitted = %d after one normal submit, want 1", st.Submitted)
+	}
+}
+
 // TestStatsEngineKeys pins the /v1/stats "engine" key set: CI's jq gates
 // and clients read these snake_case names, so a renamed or dropped
 // explore.Stats field must fail here rather than in a dashboard.
