@@ -163,96 +163,6 @@ func BenchmarkSynthesizeILD(b *testing.B) {
 	}
 }
 
-// benchSimWorkload synthesizes the n=32 ILD design under the given
-// preset and draws the 64-trial stimulus set the scalar-vs-batch
-// simulator benchmarks share.
-func benchSimWorkload(b *testing.B, preset core.Preset) (*core.Result, []*interp.Env) {
-	b.Helper()
-	p := ild.Program(32)
-	res, err := core.Synthesize(p, core.Options{Preset: preset})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	envs := make([]*interp.Env, rtlsim.MaxLanes)
-	for i := range envs {
-		envs[i] = interp.RandomEnv(p, rng)
-	}
-	return res, envs
-}
-
-// benchmarkSimScalar measures the per-trial scalar loop the evaluation
-// layers used before batching: one fresh Sim per stimulus vector, a map
-// allocated every cycle. Run with -benchmem to see the allocation cost.
-func benchmarkSimScalar(b *testing.B, preset core.Preset) {
-	res, envs := benchSimWorkload(b, preset)
-	maxCycles := rtlsim.WatchdogCycles(res.Module.NumStates)
-	b.ReportMetric(float64(len(envs)), "trials")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, env := range envs {
-			sim := rtlsim.New(res.Module)
-			if err := sim.LoadEnv(res.Input, env); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(maxCycles); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// benchmarkSimBatch measures a compiled batched path on the same
-// workload, including the per-point Compile cost the exploration engine
-// pays: lower the netlist once, step all 64 trials in lockstep lanes.
-// The compile argument selects the execution model (bit-sliced
-// rtlsim.Compile vs struct-of-arrays rtlsim.CompileSoA).
-func benchmarkSimBatch(b *testing.B, preset core.Preset, compile func(*rtl.Module) *rtlsim.Program) {
-	res, envs := benchSimWorkload(b, preset)
-	maxCycles := rtlsim.WatchdogCycles(res.Module.NumStates)
-	b.ReportMetric(float64(len(envs)), "trials")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog := compile(res.Module)
-		batch := prog.NewBatch(len(envs))
-		for ln, env := range envs {
-			if err := batch.LoadEnv(ln, res.Input, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := batch.Run(maxCycles); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimScalarILD / BenchmarkSimBatchILD / BenchmarkSimBitParILD:
-// 64 trials of the paper's single-cycle n=32 decoder — the dominant cost
-// of a disk-warm-sim sweep — on the scalar reference, the
-// struct-of-arrays batch, and the bit-sliced batch.
-func BenchmarkSimScalarILD(b *testing.B) { benchmarkSimScalar(b, core.MicroprocessorBlock) }
-
-func BenchmarkSimBatchILD(b *testing.B) {
-	benchmarkSimBatch(b, core.MicroprocessorBlock, rtlsim.CompileSoA)
-}
-
-func BenchmarkSimBitParILD(b *testing.B) {
-	benchmarkSimBatch(b, core.MicroprocessorBlock, rtlsim.Compile)
-}
-
-// The same three-way comparison on the sequential classical-ASIC FSM,
-// where the scalar loop's per-cycle map allocation multiplies with the
-// cycle count and the control network dominates the gate mix.
-func BenchmarkSimScalarILDClassical(b *testing.B) { benchmarkSimScalar(b, core.ClassicalASIC) }
-
-func BenchmarkSimBatchILDClassical(b *testing.B) {
-	benchmarkSimBatch(b, core.ClassicalASIC, rtlsim.CompileSoA)
-}
-
-func BenchmarkSimBitParILDClassical(b *testing.B) {
-	benchmarkSimBatch(b, core.ClassicalASIC, rtlsim.Compile)
-}
-
 // BenchmarkMidendAllocs pins the allocation count of the midend builders
 // — HTG lowering plus the RTL signal web — which carve their nodes from
 // fixed-size arenas instead of allocating per op/signal. Run with

@@ -47,7 +47,6 @@ import (
 	"sparkgo/internal/pass"
 	"sparkgo/internal/rtl"
 	"sparkgo/internal/sched"
-	"sparkgo/internal/transform"
 )
 
 // Preset selects a synthesis regime.
@@ -81,8 +80,7 @@ type Options struct {
 	// backend reads it, sweeping ReportModel alone revives frontend AND
 	// midend artifacts and re-runs just the binding/report stage.
 	ReportModel *delay.Model
-	Resources   *sched.Resources // nil: preset default
-	MaxUnroll   int              // 0: transform.DefaultMaxUnroll
+	MaxUnroll   int // 0: transform.DefaultMaxUnroll
 
 	// Ablation switches (DESIGN.md experiments A1-A4).
 	NoSpeculation bool
@@ -97,13 +95,10 @@ type Options struct {
 	// Passes, when non-empty, replaces the preset pipeline with an
 	// explicit ordered pass list in internal/pass spec syntax (e.g.
 	// "inline", "speculate", "unroll all full"). This is the knob the
-	// exploration engine sweeps; the ablation switches above are
-	// shorthands that resolve to a pass list via PassSpecs.
+	// exploration engine sweeps and the one synthesis scripts (§4 of
+	// the paper) set; the ablation switches above are shorthands that
+	// resolve to a pass list via PassSpecs.
 	Passes []string
-	// CustomPasses, when non-empty, replaces the preset's transformation
-	// pipeline entirely with pre-built passes (synthesis scripts, §4 of
-	// the paper). Takes precedence over Passes.
-	CustomPasses []transform.Pass
 	// CustomRounds bounds fixed-point iteration of the pipeline
 	// (0 = pass.DefaultMaxRounds).
 	CustomRounds int
@@ -123,11 +118,8 @@ func (o Options) Toggles() pass.Toggles {
 
 // PassSpecs returns the ordered pass list this Options resolves to: the
 // explicit Passes when set, otherwise the preset plan under the ablation
-// toggles. Nil when CustomPasses overrides spec resolution entirely.
+// toggles.
 func (o Options) PassSpecs() []string {
-	if len(o.CustomPasses) > 0 {
-		return nil
-	}
 	if len(o.Passes) > 0 {
 		return o.Passes
 	}

@@ -167,10 +167,13 @@ func FuzzDecodeBackendArtifact(f *testing.F) {
 	_, _, _, _, shellEnc := fuzzArtifacts(f)
 	addSeeds(f, shellEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// DecodeBackendArtifact exercises both layers: the shell parse of
-		// ReviveBackendArtifact and the eager netlist decode behind Mod.
-		ba, err := core.DecodeBackendArtifact(data)
+		// Both layers: the shell parse of ReviveBackendArtifact and the
+		// netlist decode behind Mod.
+		ba, err := core.ReviveBackendArtifact(data)
 		if err != nil {
+			return
+		}
+		if _, err := ba.Mod(); err != nil {
 			return
 		}
 		if enc := ba.Materialize(); enc == nil {

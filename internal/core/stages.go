@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -13,7 +12,6 @@ import (
 	"sparkgo/internal/pass"
 	"sparkgo/internal/rtl"
 	"sparkgo/internal/sched"
-	"sparkgo/internal/transform"
 	"sparkgo/internal/wire"
 )
 
@@ -56,11 +54,6 @@ type FrontendOptions struct {
 	Passes []string
 	// Rounds bounds fixed-point iteration (0 = pass.DefaultMaxRounds).
 	Rounds int
-	// CustomPasses, when non-empty, replaces Passes with pre-built
-	// opaque passes (synthesis scripts). Opaque passes have no spec
-	// text to hash, so the stage key is empty and the artifact is not
-	// cacheable by input — its output fingerprint still is.
-	CustomPasses []transform.Pass
 }
 
 // canonical renders the option fields that affect frontend output. The
@@ -75,19 +68,10 @@ func (o FrontendOptions) canonical() string {
 	return fmt.Sprintf("passes=[%s] rounds=%d", strings.Join(esc, "; "), o.Rounds)
 }
 
-// FrontendKey composes the frontend stage key from the input program's
-// content fingerprint and the options. Empty when the options carry
-// opaque CustomPasses (nothing stable to hash).
-func FrontendKey(input *ir.Program, o FrontendOptions) string {
-	return FrontendKeyFrom(ir.Fingerprint(input), o)
-}
-
-// FrontendKeyFrom is FrontendKey for callers that already hold the input
-// fingerprint (the exploration engine memoizes fingerprints per source).
+// FrontendKeyFrom composes the frontend stage key from the input
+// program's content fingerprint (ir.Fingerprint; the exploration engine
+// memoizes it per source) and the options.
 func FrontendKeyFrom(inputFingerprint string, o FrontendOptions) string {
-	if len(o.CustomPasses) > 0 {
-		return ""
-	}
 	return ir.HashText(fmt.Sprintf("frontend/v%d|src=%s|%s",
 		FrontendVersion, inputFingerprint, o.canonical()))
 }
@@ -99,11 +83,6 @@ func FrontendKeyFrom(inputFingerprint string, o FrontendOptions) string {
 // lowering.
 type FrontendArtifact struct {
 	Program *ir.Program // transformed program; treat as immutable
-	// Source is the canonical printed form of Program — the
-	// human-readable rendering carried alongside the artifact. Empty
-	// until Materialize runs; the one-shot Synthesize path never pays
-	// for it.
-	Source string
 	// Fingerprint is ir.Fingerprint of Program: the artifact's content
 	// identity, independent of which pass list produced it. Empty until
 	// Materialize runs.
@@ -111,9 +90,11 @@ type FrontendArtifact struct {
 	// Key is the stage key H(input fingerprint, options, version).
 	// Frontend itself leaves it empty — computing it would hash the
 	// input a second time, and the one-shot Synthesize path never reads
-	// it; callers that computed it (FrontendKey/FrontendKeyFrom, as the
-	// exploration engine does) stamp it on the artifact themselves.
-	Key       string
+	// it; callers that computed it (FrontendKeyFrom, as the exploration
+	// engine does) stamp it on the artifact themselves.
+	Key string
+	// Stages and PassStats report how Frontend got there; an artifact
+	// revived from a persisted encoding leaves them empty.
 	Stages    []StageMetrics
 	PassStats []pass.Stat
 	Rounds    int
@@ -129,8 +110,8 @@ type FrontendArtifact struct {
 // ReviveFrontendArtifact rebuilds a frontend artifact shell from a
 // persisted program encoding without decoding it: disk revival is
 // hash-verified by the cache layer, so the decode is deferred until a
-// caller actually needs the program (Prog). Metadata fields (Source,
-// Fingerprint, Rounds, ...) are the caller's to stamp from its own
+// caller actually needs the program (Prog). Metadata fields
+// (Fingerprint, Rounds, ...) are the caller's to stamp from its own
 // persisted record.
 func ReviveFrontendArtifact(progEnc []byte) *FrontendArtifact {
 	return &FrontendArtifact{progEnc: progEnc}
@@ -158,19 +139,17 @@ func (fa *FrontendArtifact) Prog() (*ir.Program, error) {
 	return fa.Program, fa.decodeErr
 }
 
-// Materialize computes and stores the artifact's canonical Source and
-// content Fingerprint, returning the lossless program encoding the
-// fingerprint hashes (nil if the program failed to encode) so callers
-// persisting the artifact can reuse it instead of encoding again. Call
-// it from the goroutine that created the artifact, before sharing it;
-// Synthesize never calls it, keeping the one-shot path free of
-// serialization cost.
+// Materialize computes and stores the artifact's content Fingerprint,
+// returning the lossless program encoding the fingerprint hashes (nil
+// if the program failed to encode) so callers persisting the artifact
+// can reuse it instead of encoding again. Call it from the goroutine
+// that created the artifact, before sharing it; Synthesize never calls
+// it, keeping the one-shot path free of serialization cost.
 func (fa *FrontendArtifact) Materialize() []byte {
-	fa.Source = ir.Print(fa.Program)
 	enc, err := ir.EncodeProgram(fa.Program)
 	if err != nil {
 		// Mirror ir.Fingerprint's fallback for unencodable programs.
-		fa.Fingerprint = ir.HashText("unencodable|" + fa.Source)
+		fa.Fingerprint = ir.HashText("unencodable|" + ir.Print(fa.Program))
 		return nil
 	}
 	fa.Fingerprint = ir.FingerprintBytes(enc)
@@ -180,13 +159,9 @@ func (fa *FrontendArtifact) Materialize() []byte {
 // Frontend runs the transformation stage: clone the input, drive the
 // pass pipeline to a fixed point, validate, and fingerprint the result.
 func Frontend(input *ir.Program, o FrontendOptions) (*FrontendArtifact, error) {
-	passes := o.CustomPasses
-	if len(passes) == 0 {
-		var err error
-		passes, err = pass.BuildAll(o.Passes)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	passes, err := pass.BuildAll(o.Passes)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	work := ir.CloneProgram(input)
 	fa := &FrontendArtifact{Program: work}
@@ -220,8 +195,7 @@ func Frontend(input *ir.Program, o FrontendOptions) (*FrontendArtifact, error) {
 // test compares accumulated path delay against the clock period.
 type MidendOptions struct {
 	Preset     Preset
-	Model      *delay.Model     // nil: delay.Default()
-	Resources  *sched.Resources // nil: preset default
+	Model      *delay.Model // nil: delay.Default()
 	NoChaining bool
 }
 
@@ -239,25 +213,6 @@ func (o MidendOptions) canonical() string {
 	fmt.Fprintf(&b, "preset=%s nand=%g clock=%g", o.Preset, m.NandDelay, m.ClockPeriod)
 	if o.NoChaining {
 		b.WriteString(" nochain")
-	}
-	if r := o.Resources; r != nil {
-		if r.Unlimited {
-			b.WriteString(" res=unlimited")
-		} else {
-			classes := make([]int, 0, len(r.Counts))
-			for c := range r.Counts {
-				classes = append(classes, int(c))
-			}
-			sort.Ints(classes)
-			b.WriteString(" res={")
-			for i, c := range classes {
-				if i > 0 {
-					b.WriteString(",")
-				}
-				fmt.Fprintf(&b, "%s:%d", sched.Class(c), r.Counts[sched.Class(c)])
-			}
-			b.WriteString("}")
-		}
 	}
 	return b.String()
 }
@@ -348,23 +303,6 @@ func (ma *MidendArtifact) Materialize() []byte {
 	return enc
 }
 
-// DecodeMidendArtifact revives a midend artifact from its lossless
-// encoding. The caller owns verification: re-Materialize the result and
-// compare fingerprints against the persisted value before trusting it
-// (the exploration engine's disk layer does).
-func DecodeMidendArtifact(enc []byte) (*MidendArtifact, error) {
-	res, err := sched.DecodeResult(enc)
-	if err != nil {
-		return nil, fmt.Errorf("core: revive midend: %w", err)
-	}
-	return &MidendArtifact{
-		Program:  res.G.Prog,
-		Graph:    res.G,
-		Schedule: res,
-		Cycles:   res.NumStates,
-	}, nil
-}
-
 // Midend runs the scheduling stage: clone the frontend artifact's
 // program (artifacts are shared across configurations, so the stage must
 // not mutate its input), lower to the HTG, and schedule under the
@@ -418,9 +356,6 @@ func (o MidendOptions) schedConfig(g *htg.Graph) sched.Config {
 		cfg.Mode = sched.ModeSequential
 		cfg.Resources = sched.Classical()
 	}
-	if o.Resources != nil {
-		cfg.Resources = *o.Resources
-	}
 	return cfg
 }
 
@@ -456,11 +391,6 @@ func BackendKey(ma *MidendArtifact, o BackendOptions) string {
 type BackendArtifact struct {
 	Module *rtl.Module
 	Stats  delay.Report
-	// Fingerprint is the artifact's content identity: the SHA-256 of its
-	// lossless encoding (netlist plus report). Empty until Materialize
-	// runs.
-	Fingerprint string
-	Key         string
 
 	// modEnc holds the netlist's lossless encoding on artifacts revived
 	// from disk; Mod decodes it on first use. The report shell decodes
@@ -474,13 +404,14 @@ type BackendArtifact struct {
 // technology report followed by the netlist's lossless encoding.
 const backendTag = "backend/1"
 
-// Materialize computes and stores the artifact's content Fingerprint,
-// returning the lossless encoding it hashes (nil if the module failed
-// to encode); see MidendArtifact.Materialize for the contract.
+// Materialize returns the artifact's lossless encoding (nil if the
+// module failed to encode): the bytes the exploration engine persists
+// and ReviveBackendArtifact reads back. No stage key chains on a
+// backend artifact, so unlike the other stages it carries no content
+// fingerprint.
 func (ba *BackendArtifact) Materialize() []byte {
 	mod, err := rtl.EncodeModule(ba.Module)
 	if err != nil {
-		ba.Fingerprint = ir.HashText("unencodable-backend|" + ba.Key)
 		return nil
 	}
 	e := wire.NewEncoder(64 + len(mod))
@@ -491,9 +422,7 @@ func (ba *BackendArtifact) Materialize() []byte {
 	e.Int(ba.Stats.Muxes)
 	e.Int(ba.Stats.FUs)
 	e.Bytes(mod)
-	enc := e.Data()
-	ba.Fingerprint = ir.FingerprintBytes(enc)
-	return enc
+	return e.Data()
 }
 
 // ReviveBackendArtifact rebuilds a backend artifact from its persisted
@@ -540,20 +469,6 @@ func (ba *BackendArtifact) Mod() (*rtl.Module, error) {
 	return ba.Module, ba.decodeErr
 }
 
-// DecodeBackendArtifact revives a backend artifact from its lossless
-// encoding, netlist included — the eager form of ReviveBackendArtifact
-// for callers that need the module immediately.
-func DecodeBackendArtifact(enc []byte) (*BackendArtifact, error) {
-	ba, err := ReviveBackendArtifact(enc)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ba.Mod(); err != nil {
-		return nil, err
-	}
-	return ba, nil
-}
-
 // Backend runs the binding/netlist stage on a scheduled design.
 func Backend(ma *MidendArtifact, o BackendOptions) (*BackendArtifact, error) {
 	s, err := ma.Sched()
@@ -564,18 +479,12 @@ func Backend(ma *MidendArtifact, o BackendOptions) (*BackendArtifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rtl: %w", err)
 	}
-	return &BackendArtifact{
-		Module: m, Stats: m.Stats(o.model()), Key: BackendKey(ma, o),
-	}, nil
+	return &BackendArtifact{Module: m, Stats: m.Stats(o.model())}, nil
 }
 
 // FrontendOptions projects the option fields the frontend stage reads.
 func (o Options) FrontendOptions() FrontendOptions {
-	return FrontendOptions{
-		Passes:       o.PassSpecs(),
-		Rounds:       o.CustomRounds,
-		CustomPasses: o.CustomPasses,
-	}
+	return FrontendOptions{Passes: o.PassSpecs(), Rounds: o.CustomRounds}
 }
 
 // MidendOptions projects the option fields the midend stage reads.
@@ -583,7 +492,6 @@ func (o Options) MidendOptions() MidendOptions {
 	return MidendOptions{
 		Preset:     o.Preset,
 		Model:      o.Model,
-		Resources:  o.Resources,
 		NoChaining: o.NoChaining,
 	}
 }

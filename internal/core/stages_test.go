@@ -51,9 +51,9 @@ func TestStagedMatchesSynthesize(t *testing.T) {
 // back-end knobs must not perturb the frontend key (that is what lets a
 // sweep share frontend runs), while every frontend-relevant field must.
 func TestFrontendKeyReadsOnlyFrontendFields(t *testing.T) {
-	p := ild.Program(4)
+	fp := ir.Fingerprint(ild.Program(4))
 	base := core.Options{Preset: core.MicroprocessorBlock}
-	key := core.FrontendKey(p, base.FrontendOptions())
+	key := core.FrontendKeyFrom(fp, base.FrontendOptions())
 	if key == "" {
 		t.Fatal("empty frontend key for hashable options")
 	}
@@ -63,7 +63,7 @@ func TestFrontendKeyReadsOnlyFrontendFields(t *testing.T) {
 		"nochaining": {Preset: core.MicroprocessorBlock, NoChaining: true},
 		"model":      {Preset: core.MicroprocessorBlock, Model: nil},
 	} {
-		if k := core.FrontendKey(p, o.FrontendOptions()); k != key {
+		if k := core.FrontendKeyFrom(fp, o.FrontendOptions()); k != key {
 			t.Errorf("%s changed the frontend key", name)
 		}
 	}
@@ -76,17 +76,17 @@ func TestFrontendKeyReadsOnlyFrontendFields(t *testing.T) {
 		"rounds":      {Preset: core.MicroprocessorBlock, CustomRounds: 1},
 		"passes":      {Passes: []string{"inline", "dce"}},
 	} {
-		if k := core.FrontendKey(p, o.FrontendOptions()); k == key {
+		if k := core.FrontendKeyFrom(fp, o.FrontendOptions()); k == key {
 			t.Errorf("%s did not change the frontend key", name)
 		}
 	}
 
 	// A different source must change the key too.
-	if k := core.FrontendKey(ild.Program(5), base.FrontendOptions()); k == key {
+	if k := core.FrontendKeyFrom(ir.Fingerprint(ild.Program(5)), base.FrontendOptions()); k == key {
 		t.Error("different source, same frontend key")
 	}
 	// Same content, different pointer: identical key (content hashing).
-	if k := core.FrontendKey(ild.Program(4), base.FrontendOptions()); k != key {
+	if k := core.FrontendKeyFrom(ir.Fingerprint(ild.Program(4)), base.FrontendOptions()); k != key {
 		t.Error("identical source content produced a different frontend key")
 	}
 }
@@ -145,22 +145,18 @@ func TestMidendDoesNotMutateArtifact(t *testing.T) {
 	}
 }
 
-// TestFrontendArtifactSelfConsistency: the artifact's Source must be
-// the canonical print of its program and the fingerprint its content
-// hash.
+// TestFrontendArtifactSelfConsistency: the artifact's fingerprint must
+// be the content hash of its program.
 func TestFrontendArtifactSelfConsistency(t *testing.T) {
 	fa, err := core.Frontend(ild.Program(3),
 		core.Options{Preset: core.MicroprocessorBlock}.FrontendOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa.Source != "" || fa.Fingerprint != "" {
+	if fa.Fingerprint != "" {
 		t.Error("Frontend paid for content identity the one-shot path never reads")
 	}
 	enc := fa.Materialize()
-	if fa.Source != ir.Print(fa.Program) {
-		t.Error("artifact Source is not the canonical print of its program")
-	}
 	if ir.Fingerprint(fa.Program) != fa.Fingerprint {
 		t.Error("artifact fingerprint is not the content hash of its program")
 	}

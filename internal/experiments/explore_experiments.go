@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -171,7 +172,7 @@ func E17AdaptiveSearch(n, workers int) (*report.Table, error) {
 	obj := explore.WeightedObjective(1000, 1)
 	for _, st := range []explore.Strategy{explore.HillClimb{}, explore.Genetic{}} {
 		eng := &explore.Engine{Workers: workers}
-		res := st.Search(eng, sp, obj, budget, 1)
+		res := st.Search(context.Background(), eng, sp, obj, budget, 1)
 		stats := eng.Stats()
 		t.Add(res.Strategy, res.Evaluations, res.Best.Latency, res.Best.Area,
 			stats.FrontendMemHits, len(res.Trajectory))

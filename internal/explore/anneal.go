@@ -17,44 +17,24 @@ import (
 // staleRounds consecutive anneals discover nothing new — the same
 // convergence rule the other strategies follow.
 //
-// The zero value is a usable configuration; like HillClimb and Genetic,
-// a run is deterministic under a seed, including its improvement
+// A run is deterministic under a seed, including its improvement
 // trajectory.
-type SimulatedAnnealing struct {
-	// InitialTemp is the starting temperature in objective units
-	// (0 = auto: calibrated to the identity candidate's score so early
-	// uphill moves of a few percent are routinely accepted).
-	InitialTemp float64
-	// Cooling is the per-step temperature multiplier in (0, 1)
-	// (0 = 0.92).
-	Cooling float64
-	// FloorRatio stops one anneal when T falls below
-	// InitialTemp·FloorRatio (0 = 1e-3); the walker then reheats from a
-	// random candidate.
-	FloorRatio float64
-}
+type SimulatedAnnealing struct{}
 
-func (a SimulatedAnnealing) Name() string { return "anneal" }
+// Annealing schedule: each anneal starts at a temperature calibrated to
+// its starting score (see Search), multiplies it by annealCooling per
+// step, and reheats once it falls below annealFloor of the start.
+const (
+	annealCooling = 0.92
+	annealFloor   = 1e-3
+)
 
-func (a SimulatedAnnealing) defaults() SimulatedAnnealing {
-	d := a
-	if d.Cooling <= 0 || d.Cooling >= 1 {
-		d.Cooling = 0.92
-	}
-	if d.FloorRatio <= 0 || d.FloorRatio >= 1 {
-		d.FloorRatio = 1e-3
-	}
-	return d
-}
+func (SimulatedAnnealing) Name() string { return "anneal" }
 
-func (a SimulatedAnnealing) Search(eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
-	return a.SearchContext(context.Background(), eng, sp, obj, b, seed)
-}
-
-// SearchContext is Search under a context: cancellation stops the walk
-// at the next evaluation boundary, keeping the trajectory found so far.
-func (a SimulatedAnnealing) SearchContext(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
-	a = a.defaults()
+// Search anneals until the budget, convergence or cancellation stops
+// it; cancellation takes effect at the next evaluation boundary,
+// keeping the trajectory found so far.
+func (a SimulatedAnnealing) Search(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	run := newSearchRun(ctx, eng, &sp, obj, b, a.Name(), seed)
 	stale := 0
@@ -69,19 +49,16 @@ func (a SimulatedAnnealing) SearchContext(ctx context.Context, eng *Engine, sp S
 			run.out() // stamp Exhausted/Canceled before stopping
 			break
 		}
-		temp := a.InitialTemp
-		if temp <= 0 {
-			// Auto-calibrate to the starting score: a few-percent uphill
-			// move is routinely accepted early on. A failed start (+Inf)
-			// falls back to a unit temperature — every proposal from a
-			// failure is then judged on its own score.
-			temp = 1
-			if !math.IsInf(curScore, 1) && curScore > 0 {
-				temp = 0.05 * curScore
-			}
+		// Calibrate to the starting score: a few-percent uphill move is
+		// routinely accepted early on. A failed start (+Inf) falls back
+		// to a unit temperature — every proposal from a failure is then
+		// judged on its own score.
+		temp := 1.0
+		if !math.IsInf(curScore, 1) && curScore > 0 {
+			temp = 0.05 * curScore
 		}
-		floor := temp * a.FloorRatio
-		for ; temp > floor && !run.out(); temp *= a.Cooling {
+		floor := temp * annealFloor
+		for ; temp > floor && !run.out(); temp *= annealCooling {
 			next := cur.clone()
 			sp.mutate(&next, rng)
 			// Draw the acceptance threshold before scoring: the RNG

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -15,7 +16,7 @@ const annealBudget = 24
 
 func annealOnce(t *testing.T, eng *explore.Engine, seed int64) explore.Result {
 	t.Helper()
-	res := explore.SimulatedAnnealing{}.Search(eng, explore.DefaultSpace(4),
+	res := explore.SimulatedAnnealing{}.Search(context.Background(), eng, explore.DefaultSpace(4),
 		explore.WeightedObjective(1000, 1), explore.Budget{MaxEvaluations: annealBudget}, seed)
 	if math.IsInf(res.BestScore, 1) {
 		t.Fatalf("anneal found no successful design: %+v", res)
@@ -88,7 +89,7 @@ func TestAnnealConvergesUnbudgeted(t *testing.T) {
 		Epilogue:       []string{"constfold", "copyprop", "dce"},
 		ToggleChaining: true,
 	}
-	res := explore.SimulatedAnnealing{}.Search(&explore.Engine{}, sp,
+	res := explore.SimulatedAnnealing{}.Search(context.Background(), &explore.Engine{}, sp,
 		explore.LatencyObjective(), explore.Budget{}, 11)
 	if res.Exhausted {
 		t.Errorf("unbudgeted anneal reported a spent budget: %+v", res)

@@ -2,54 +2,33 @@ package explore
 
 import (
 	"fmt"
-	"time"
 
 	"sparkgo/internal/core"
-	"sparkgo/internal/pass"
 	"sparkgo/internal/wire"
 )
 
 // Wire codecs for the engine's disk blobs. A blob is a thin shell
 // around a stage artifact's lossless encoding: the payload travels as
 // opaque bytes (already wire-framed by its own codec), and the metadata
-// the sweep reads — fingerprints, cycle counts, pass statistics — rides
+// the sweep reads — fingerprints, cycle and round counts — rides
 // alongside so revival never has to decode the payload to answer for
 // it. Integrity is the cache layer's job (a streamed SHA-256 over the
 // whole blob), so decoding here is pure parsing, no verification.
 
-// Blob format tags.
+// Blob format tags. The backend blob has none of its own: it is core's
+// backend encoding, tagged by core.
 const (
-	frontendBlobTag = "expfe/1"
+	frontendBlobTag = "expfe/2"
 	midendBlobTag   = "expme/1"
-	backendBlobTag  = "expbe/1"
 	pointTag        = "exppt/1"
 )
 
 func (b *frontendBlob) encode() []byte {
-	e := wire.NewEncoder(256 + len(b.Program) + len(b.Source))
+	e := wire.NewEncoder(128 + len(b.Program))
 	e.Tag(frontendBlobTag)
 	e.Bytes(b.Program)
-	e.String(b.Source)
 	e.String(b.Fingerprint)
 	e.Int(b.Rounds)
-	e.Uvarint(uint64(len(b.Stages)))
-	for _, m := range b.Stages {
-		e.String(m.Pass)
-		e.Bool(m.Changed)
-		e.Int(m.Stmts)
-		e.Int(m.Ops)
-		e.Int(m.Ifs)
-		e.Int(m.Loops)
-		e.Int(m.Calls)
-		e.Int(m.Funcs)
-	}
-	e.Uvarint(uint64(len(b.PassStats)))
-	for _, st := range b.PassStats {
-		e.String(st.Name)
-		e.Int(st.Runs)
-		e.Int(st.Changes)
-		e.Int64(int64(st.Duration))
-	}
 	return e.Data()
 }
 
@@ -58,28 +37,8 @@ func decodeFrontendBlob(data []byte) (*frontendBlob, error) {
 	d.Tag(frontendBlobTag)
 	b := &frontendBlob{
 		Program:     d.Bytes(),
-		Source:      d.String(),
 		Fingerprint: d.String(),
 		Rounds:      d.Int(),
-	}
-	if n := d.Len(8); n > 0 { // a stage metric row is >= 8 bytes
-		b.Stages = make([]core.StageMetrics, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			b.Stages = append(b.Stages, core.StageMetrics{
-				Pass: d.String(), Changed: d.Bool(),
-				Stmts: d.Int(), Ops: d.Int(), Ifs: d.Int(),
-				Loops: d.Int(), Calls: d.Int(), Funcs: d.Int(),
-			})
-		}
-	}
-	if n := d.Len(4); n > 0 { // a pass stat is >= 4 bytes
-		b.PassStats = make([]pass.Stat, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			b.PassStats = append(b.PassStats, pass.Stat{
-				Name: d.String(), Runs: d.Int(), Changes: d.Int(),
-				Duration: time.Duration(d.Int64()),
-			})
-		}
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("explore: frontend blob: %w", err)
@@ -106,27 +65,6 @@ func decodeMidendBlob(data []byte) (*midendBlob, error) {
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("explore: midend blob: %w", err)
-	}
-	return b, nil
-}
-
-func (b *backendBlob) encode() []byte {
-	e := wire.NewEncoder(128 + len(b.Artifact))
-	e.Tag(backendBlobTag)
-	e.Bytes(b.Artifact)
-	e.String(b.Fingerprint)
-	return e.Data()
-}
-
-func decodeBackendBlob(data []byte) (*backendBlob, error) {
-	d := wire.NewDecoder(data)
-	d.Tag(backendBlobTag)
-	b := &backendBlob{
-		Artifact:    d.Bytes(),
-		Fingerprint: d.String(),
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("explore: backend blob: %w", err)
 	}
 	return b, nil
 }

@@ -2,10 +2,9 @@ package explore
 
 import (
 	"testing"
-	"time"
 
 	"sparkgo/internal/core"
-	"sparkgo/internal/pass"
+	"sparkgo/internal/ild"
 )
 
 // Fuzz targets for the engine's blob decoders. Blob decoding is pure
@@ -29,16 +28,7 @@ func addBlobSeeds(f *testing.F, seed []byte) {
 }
 
 func FuzzDecodeFrontendBlob(f *testing.F) {
-	blob := frontendBlob{
-		Program:     []byte("not-a-real-program-encoding"),
-		Source:      "ild:4",
-		Fingerprint: "fp",
-		Rounds:      2,
-		Stages: []core.StageMetrics{
-			{Pass: "cse", Changed: true, Stmts: 3, Ops: 7, Ifs: 1, Loops: 1, Calls: 0, Funcs: 2},
-		},
-		PassStats: []pass.Stat{{Name: "cse", Runs: 2, Changes: 1, Duration: time.Millisecond}},
-	}
+	blob := frontendBlob{Program: []byte("not-a-real-program-encoding"), Fingerprint: "fp", Rounds: 2}
 	addBlobSeeds(f, blob.encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeFrontendBlob(data)
@@ -61,15 +51,21 @@ func FuzzDecodeMidendBlob(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBackendBlob fuzzes the backend blob decoder the engine
+// revives with — core.ReviveBackendArtifact, since the blob is core's
+// backend encoding as-is — then the lazy netlist decode behind Mod.
 func FuzzDecodeBackendBlob(f *testing.F) {
-	blob := backendBlob{Artifact: []byte("artifact-bytes"), Fingerprint: "fp"}
-	addBlobSeeds(f, blob.encode())
+	res, err := core.Synthesize(ild.Program(2), core.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	addBlobSeeds(f, (&core.BackendArtifact{Module: res.Module, Stats: res.Stats}).Materialize())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBackendBlob(data)
+		ba, err := core.ReviveBackendArtifact(data)
 		if err != nil {
 			return
 		}
-		b.encode()
+		ba.Mod()
 	})
 }
 

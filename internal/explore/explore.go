@@ -18,9 +18,9 @@
 //
 // Every memoized layer lives behind one tiered blob store
 // (internal/blob): an always-on bounded in-memory LRU, an optional disk
-// tier (CacheDir; internal/cache with content-address deduplication of
-// stage artifacts), and an optional remote tier (RemoteCache; another
-// daemon's /v1/blobs API). Lookups read through fastest-first and
+// tier (CacheDir; internal/cache, one hash-verified file per artifact),
+// and an optional remote tier (RemoteCache; another daemon's /v1/blobs
+// API). Lookups read through fastest-first and
 // backfill upward, computed artifacts write through every tier, and
 // concurrent lookups of one key share a single flight — so sweeps
 // survive process restarts, many processes share one cache directory,
@@ -263,9 +263,6 @@ type Engine struct {
 	// tiers miss (and receives the ones computed here). Remote failures
 	// degrade to local work and are counted in Stats.RemoteErrors.
 	RemoteCache string
-	// MemCacheBytes bounds the in-memory blob tier
-	// (0 = blob.DefaultMemBytes).
-	MemCacheBytes int64
 	// Obs, when set before the engine's first use, receives one span
 	// event per stage-cache lookup (duration + disposition), one event
 	// per simulation, and the blob store's tier traffic. A nil bus

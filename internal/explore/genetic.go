@@ -13,51 +13,27 @@ import (
 // regresses. Each generation is scored as one engine batch, so the
 // worker pool parallelizes within a generation while the trajectory
 // stays seed-deterministic.
-type Genetic struct {
-	// Population size (default 12; the identity candidate — the paper's
-	// coordinated plan — is always seeded into the first generation).
-	Population int
-	// Generations caps evolution (0 = until the budget runs out or
-	// staleRounds consecutive generations discover nothing new).
-	Generations int
-	// TournamentK is the selection tournament size (default 3).
-	TournamentK int
-	// CrossoverRate is the probability a child is bred from two parents
-	// rather than cloned from one (default 0.9).
-	CrossoverRate float64
-	// MutationRate is the per-child probability of one mutation move
-	// (default 0.5). Mutation positions are tail-biased (see
-	// Space.mutate), preserving pass-list prefixes.
-	MutationRate float64
-	// Elite is the number of best candidates copied unchanged into the
-	// next generation (default 1).
-	Elite int
-}
+type Genetic struct{}
 
-func (g Genetic) Name() string { return "genetic" }
+// Genetic parameters. The identity candidate — the paper's coordinated
+// plan — is always seeded into the first generation.
+const (
+	gaPopulation = 12
+	// gaTournament is the selection tournament size.
+	gaTournament = 3
+	// gaCrossover is the probability a child is bred from two parents
+	// rather than cloned from one.
+	gaCrossover = 0.9
+	// gaMutation is the per-child probability of one mutation move.
+	// Mutation positions are tail-biased (see Space.mutate), preserving
+	// pass-list prefixes.
+	gaMutation = 0.5
+	// gaElite is the number of best candidates copied unchanged into
+	// the next generation.
+	gaElite = 1
+)
 
-// defaults fills zero fields; the zero value is a usable configuration.
-func (g Genetic) defaults() Genetic {
-	if g.Population <= 0 {
-		g.Population = 12
-	}
-	if g.TournamentK <= 0 {
-		g.TournamentK = 3
-	}
-	if g.CrossoverRate <= 0 {
-		g.CrossoverRate = 0.9
-	}
-	if g.MutationRate <= 0 {
-		g.MutationRate = 0.5
-	}
-	if g.Elite <= 0 {
-		g.Elite = 1
-	}
-	if g.Elite > g.Population {
-		g.Elite = g.Population
-	}
-	return g
-}
+func (Genetic) Name() string { return "genetic" }
 
 // scored pairs a candidate with its objective value for ranking.
 type scored struct {
@@ -65,31 +41,27 @@ type scored struct {
 	score float64
 }
 
-func (g Genetic) Search(eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
-	return g.SearchContext(context.Background(), eng, sp, obj, b, seed)
-}
-
-// SearchContext is Search under a context: cancellation stops evolution
-// at the next generation boundary, keeping the trajectory found so far.
-func (g Genetic) SearchContext(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
-	g = g.defaults()
+// Search evolves until the budget, convergence or cancellation stops
+// it; cancellation takes effect at the next generation boundary,
+// keeping the trajectory found so far.
+func (g Genetic) Search(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	run := newSearchRun(ctx, eng, &sp, obj, b, g.Name(), seed)
 
 	// Found the first generation on the identity plan — paired with its
 	// chaining flip, the guaranteed frontend-sharing probe of the
 	// scheduler knob — plus random draws.
-	pop := make([]candidate, 0, g.Population)
+	pop := make([]candidate, 0, gaPopulation)
 	pop = append(pop, sp.identity())
-	if sp.ToggleChaining && g.Population > 1 {
+	if sp.ToggleChaining {
 		flip := sp.identity()
 		flip.chain = !flip.chain
 		pop = append(pop, flip)
 	}
-	for len(pop) < g.Population {
+	for len(pop) < gaPopulation {
 		pop = append(pop, sp.random(rng))
 	}
-	ranked := g.rank(run, pop)
+	ranked := rank(run, pop)
 	if len(ranked) == 0 {
 		// Nothing scored: the budget or the context cut the first
 		// generation. out() stamps Exhausted/Canceled on the result.
@@ -99,26 +71,23 @@ func (g Genetic) SearchContext(ctx context.Context, eng *Engine, sp Space, obj O
 
 	stale := 0
 	for gen := 0; !run.out() && stale < staleRounds; gen++ {
-		if g.Generations > 0 && gen >= g.Generations {
-			break
-		}
 		before := run.result.Evaluations
-		next := make([]candidate, 0, g.Population)
-		for i := 0; i < g.Elite && i < len(ranked); i++ {
+		next := make([]candidate, 0, gaPopulation)
+		for i := 0; i < gaElite && i < len(ranked); i++ {
 			next = append(next, ranked[i].cand.clone())
 		}
-		for len(next) < g.Population {
-			child := g.tournament(ranked, rng).cand.clone()
-			if rng.Float64() < g.CrossoverRate {
-				mate := g.tournament(ranked, rng)
+		for len(next) < gaPopulation {
+			child := tournament(ranked, rng).cand.clone()
+			if rng.Float64() < gaCrossover {
+				mate := tournament(ranked, rng)
 				child = crossover(child, mate.cand, rng)
 			}
-			if rng.Float64() < g.MutationRate {
+			if rng.Float64() < gaMutation {
 				sp.mutate(&child, rng)
 			}
 			next = append(next, child)
 		}
-		ranked = g.rank(run, next)
+		ranked = rank(run, next)
 		if len(ranked) == 0 {
 			run.out() // stamp Exhausted/Canceled before stopping
 			break     // budget (or cancellation) cut the whole generation
@@ -138,7 +107,7 @@ func (g Genetic) SearchContext(ctx context.Context, eng *Engine, sp Space, obj O
 // survivors best-first (stable under equal scores, so ranking — and the
 // whole run — is deterministic). Candidates the budget left unscored are
 // dropped.
-func (g Genetic) rank(run *searchRun, pop []candidate) []scored {
+func rank(run *searchRun, pop []candidate) []scored {
 	vals, ok := run.scores(pop)
 	ranked := make([]scored, 0, len(pop))
 	for i := range pop {
@@ -150,11 +119,11 @@ func (g Genetic) rank(run *searchRun, pop []candidate) []scored {
 	return ranked
 }
 
-// tournament draws TournamentK candidates with replacement and returns
+// tournament draws gaTournament candidates with replacement and returns
 // the fittest.
-func (g Genetic) tournament(ranked []scored, rng *rand.Rand) scored {
+func tournament(ranked []scored, rng *rand.Rand) scored {
 	best := ranked[rng.Intn(len(ranked))]
-	for i := 1; i < g.TournamentK; i++ {
+	for i := 1; i < gaTournament; i++ {
 		if c := ranked[rng.Intn(len(ranked))]; c.score < best.score {
 			best = c
 		}

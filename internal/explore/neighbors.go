@@ -151,7 +151,7 @@ func (sp *Space) motionSpec(i int, c candidate) string {
 }
 
 // neighbors enumerates the candidate's neighborhood, cheapest and most
-// prefix-preserving moves first, capped at limit (0 = all):
+// prefix-preserving moves first:
 //
 //  1. the chaining flip — identical pass list, so it is served from the
 //     incumbent's frontend artifact (a frontend mem-hit by construction);
@@ -159,12 +159,12 @@ func (sp *Space) motionSpec(i int, c candidate) string {
 //  3. adjacent swaps in the motion order, deepest pair first;
 //  4. motion enable flips, deepest execution position first.
 //
-// The tail-first ordering is the prefix bias the stage cache wants: a
-// capped neighborhood mutates only the deepest pass-list positions, so
-// candidate lists share long prefixes with the incumbent — and converge
-// back onto already-evaluated full lists (point or frontend cache hits)
-// far more often than head mutations would.
-func (sp *Space) neighbors(c candidate, limit int) []candidate {
+// The tail-first ordering is the prefix bias the stage cache wants: the
+// first moves mutate only the deepest pass-list positions, so candidate
+// lists share long prefixes with the incumbent — and converge back onto
+// already-evaluated full lists (point or frontend cache hits) far more
+// often than head mutations would.
+func (sp *Space) neighbors(c candidate) []candidate {
 	var out []candidate
 	add := func(n candidate) { out = append(out, n) }
 	if sp.ToggleChaining {
@@ -195,9 +195,6 @@ func (sp *Space) neighbors(c candidate, limit int) []candidate {
 			n.mask[c.order[i]] = !n.mask[c.order[i]]
 			add(n)
 		}
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
 	}
 	return out
 }

@@ -46,13 +46,13 @@ func TestSpaceConfigLowering(t *testing.T) {
 
 // TestNeighborsPrefixBias pins the neighborhood contract: the chaining
 // flip (identical pass list — a guaranteed frontend share) comes first,
-// order mutations touch the deepest pass-list positions first, and a
-// capped neighborhood therefore keeps only prefix-preserving moves.
+// order mutations touch the deepest pass-list positions first, and the
+// cheapest moves therefore all preserve the pass-list prefix.
 func TestNeighborsPrefixBias(t *testing.T) {
 	sp := DefaultSpace(4)
 	id := sp.identity()
 	base := sp.config(id)
-	neigh := sp.neighbors(id, 0)
+	neigh := sp.neighbors(id)
 	// chain flip + 1 unroll step + 3 swaps + 4 mask flips
 	if len(neigh) != 9 {
 		t.Fatalf("full neighborhood has %d moves, want 9", len(neigh))
@@ -70,18 +70,12 @@ func TestNeighborsPrefixBias(t *testing.T) {
 		t.Fatalf("first swap mutates %v, want deepest pair -> %v", got, wantTail)
 	}
 
-	// A capped neighborhood is a prefix of the full one: cheap and
-	// deep-mutation moves survive, head mutations are dropped.
-	capped := sp.neighbors(id, 3)
-	if !reflect.DeepEqual(capped, neigh[:3]) {
-		t.Fatal("capped neighborhood is not the cheapest prefix")
-	}
-	// Every order move among the kept three preserves the pass-list
-	// head through the first motion.
-	for _, n := range capped {
+	// The three cheapest moves keep the pass-list head through the
+	// first motion.
+	for _, n := range neigh[:3] {
 		cfg := sp.config(n)
 		if !strings.HasPrefix(strings.Join(cfg.Passes, ";"), "inline;drop-uncalled;speculate") {
-			t.Fatalf("capped move broke the shared prefix: %v", cfg.Passes)
+			t.Fatalf("cheap move broke the shared prefix: %v", cfg.Passes)
 		}
 	}
 }

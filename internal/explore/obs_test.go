@@ -25,7 +25,7 @@ func TestSearchObserverCallbacks(t *testing.T) {
 	}
 	budget := explore.Budget{MaxEvaluations: 12}
 	for _, st := range append(searchStrategies(), explore.SimulatedAnnealing{}) {
-		baseline := st.Search(&explore.Engine{}, sp, explore.LatencyObjective(), budget, 7)
+		baseline := st.Search(context.Background(), &explore.Engine{}, sp, explore.LatencyObjective(), budget, 7)
 
 		var batches []int
 		var steps []explore.Step
@@ -35,7 +35,7 @@ func TestSearchObserverCallbacks(t *testing.T) {
 			OnImprovement: func(s explore.Step) { steps = append(steps, s) },
 			OnRound:       func(int) { rounds++ },
 		})
-		res := st.SearchContext(ctx, &explore.Engine{}, sp, explore.LatencyObjective(), budget, 7)
+		res := st.Search(ctx, &explore.Engine{}, sp, explore.LatencyObjective(), budget, 7)
 
 		if !reflect.DeepEqual(res.Trajectory, baseline.Trajectory) {
 			t.Errorf("%s: observer changed the trajectory", st.Name())

@@ -115,22 +115,19 @@ type Result struct {
 	// on strategy convergence.
 	Exhausted bool
 	// Canceled reports that the run was cut short by context
-	// cancellation (SearchContext); the trajectory up to the cut is
-	// still valid, and Exhausted is set too — a cancelled budget is a
-	// spent budget.
+	// cancellation; the trajectory up to the cut is still valid, and
+	// Exhausted is set too — a cancelled budget is a spent budget.
 	Canceled bool
 }
 
 // Strategy is one adaptive search algorithm over a Space. Searches are
 // deterministic: the same (engine-visible state, space, objective,
 // budget, seed) yields the same Result, regardless of how warm the
-// engine's caches are. SearchContext additionally honors cancellation
-// between evaluation batches — a cancelled run keeps everything scored
-// so far; Search is SearchContext under context.Background().
+// engine's caches are. Cancellation is honored between evaluation
+// batches — a cancelled run keeps everything scored so far.
 type Strategy interface {
 	Name() string
-	Search(eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result
-	SearchContext(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result
+	Search(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result
 }
 
 // StrategyByName resolves the CLI strategy names: "hill" (steepest-
@@ -169,7 +166,7 @@ type SearchObserver struct {
 type searchObserverKey struct{}
 
 // WithSearchObserver attaches an observer to a context; any strategy's
-// SearchContext under that context reports to it.
+// Search under that context reports to it.
 func WithSearchObserver(ctx context.Context, o *SearchObserver) context.Context {
 	return context.WithValue(ctx, searchObserverKey{}, o)
 }
@@ -345,20 +342,11 @@ func (r *searchRun) score(c candidate) (float64, bool) {
 // coordinated plan — then seeded random restarts), score the whole
 // prefix-biased neighborhood, move to the best strict improvement, and
 // restart from a fresh random candidate at each local optimum until the
-// budget is spent.
-type HillClimb struct {
-	// Restarts caps random restarts after the initial descent
-	// (0 = until the budget runs out or staleRounds consecutive
-	// restarts discover nothing new).
-	Restarts int
-	// NeighborLimit caps the per-step neighborhood (0 = the full
-	// neighborhood). Because neighbors are ordered cheapest- and
-	// deepest-mutation-first, a small cap concentrates the search on
-	// prefix-preserving moves.
-	NeighborLimit int
-}
+// budget is spent or staleRounds consecutive restarts discover nothing
+// new.
+type HillClimb struct{}
 
-func (h HillClimb) Name() string { return "hill-climb" }
+func (HillClimb) Name() string { return "hill-climb" }
 
 // staleRounds is the convergence heuristic for unbudgeted searches:
 // after this many consecutive outer rounds (restarts / generations)
@@ -366,21 +354,14 @@ func (h HillClimb) Name() string { return "hill-climb" }
 // strategy declares the space mined out and stops.
 const staleRounds = 5
 
-func (h HillClimb) Search(eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
-	return h.SearchContext(context.Background(), eng, sp, obj, b, seed)
-}
-
-// SearchContext is Search under a context: cancellation stops the climb
-// at the next evaluation-batch boundary (a neighborhood), keeping the
-// trajectory found so far.
-func (h HillClimb) SearchContext(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
+// Search climbs until the budget, convergence or cancellation stops it;
+// cancellation takes effect at the next evaluation-batch boundary (a
+// neighborhood), keeping the trajectory found so far.
+func (h HillClimb) Search(ctx context.Context, eng *Engine, sp Space, obj Objective, b Budget, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	run := newSearchRun(ctx, eng, &sp, obj, b, h.Name(), seed)
 	stale := 0
 	for restart := 0; !run.out() && stale < staleRounds; restart++ {
-		if h.Restarts > 0 && restart > h.Restarts {
-			break
-		}
 		before := run.result.Evaluations
 		cur := sp.identity()
 		if restart > 0 {
@@ -392,7 +373,7 @@ func (h HillClimb) SearchContext(ctx context.Context, eng *Engine, sp Space, obj
 			break
 		}
 		for !run.out() {
-			neigh := sp.neighbors(cur, h.NeighborLimit)
+			neigh := sp.neighbors(cur)
 			scores, scored := run.scores(neigh)
 			best, bestScore := -1, curScore
 			for i := range neigh {

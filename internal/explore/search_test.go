@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -14,7 +15,7 @@ import (
 
 // strategies under test; fresh values per use, so tests stay independent.
 func searchStrategies() []explore.Strategy {
-	return []explore.Strategy{explore.HillClimb{}, explore.Genetic{Population: 8}}
+	return []explore.Strategy{explore.HillClimb{}, explore.Genetic{}}
 }
 
 // TestSearchDeterministic: the same (space, objective, budget, seed)
@@ -25,8 +26,8 @@ func TestSearchDeterministic(t *testing.T) {
 	sp := explore.DefaultSpace(3)
 	b := explore.Budget{MaxEvaluations: 18}
 	for _, st := range searchStrategies() {
-		runA := st.Search(&explore.Engine{Workers: 7}, sp, explore.WeightedObjective(1000, 1), b, 42)
-		runB := st.Search(&explore.Engine{Workers: 2}, sp, explore.WeightedObjective(1000, 1), b, 42)
+		runA := st.Search(context.Background(), &explore.Engine{Workers: 7}, sp, explore.WeightedObjective(1000, 1), b, 42)
+		runB := st.Search(context.Background(), &explore.Engine{Workers: 2}, sp, explore.WeightedObjective(1000, 1), b, 42)
 		if !reflect.DeepEqual(runA, runB) {
 			t.Errorf("%s: same seed diverged:\n a: %+v\n b: %+v", st.Name(), runA, runB)
 		}
@@ -42,10 +43,10 @@ func TestSearchWarmEngineSameResult(t *testing.T) {
 	sp := explore.DefaultSpace(3)
 	st := explore.HillClimb{}
 	b := explore.Budget{MaxEvaluations: 12}
-	cold := st.Search(&explore.Engine{}, sp, explore.LatencyObjective(), b, 5)
+	cold := st.Search(context.Background(), &explore.Engine{}, sp, explore.LatencyObjective(), b, 5)
 	eng := &explore.Engine{}
 	eng.Sweep(explore.Grid([]int{3}, explore.Variants(), []int{0, 8}, true)) // pre-warm
-	warm := st.Search(eng, sp, explore.LatencyObjective(), b, 5)
+	warm := st.Search(context.Background(), eng, sp, explore.LatencyObjective(), b, 5)
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("warm engine changed the search result:\ncold %+v\nwarm %+v", cold, warm)
 	}
@@ -56,7 +57,7 @@ func TestSearchWarmEngineSameResult(t *testing.T) {
 func TestSearchBudgetEvaluations(t *testing.T) {
 	sp := explore.DefaultSpace(3)
 	for _, st := range searchStrategies() {
-		res := st.Search(&explore.Engine{}, sp, explore.WeightedObjective(1000, 1),
+		res := st.Search(context.Background(), &explore.Engine{}, sp, explore.WeightedObjective(1000, 1),
 			explore.Budget{MaxEvaluations: 5}, 9)
 		if res.Evaluations > 5 {
 			t.Errorf("%s: spent %d evaluations on a budget of 5", st.Name(), res.Evaluations)
@@ -76,7 +77,7 @@ func TestSearchBudgetEvaluations(t *testing.T) {
 func TestSearchDeadline(t *testing.T) {
 	sp := explore.DefaultSpace(3)
 	for _, st := range searchStrategies() {
-		res := st.Search(&explore.Engine{}, sp, explore.LatencyObjective(),
+		res := st.Search(context.Background(), &explore.Engine{}, sp, explore.LatencyObjective(),
 			explore.Budget{MaxDuration: time.Nanosecond}, 3)
 		if res.Evaluations < 1 || res.Evaluations > 12 {
 			t.Errorf("%s: deadline run spent %d evaluations, want 1..12 (one batch)",
@@ -100,7 +101,7 @@ func TestSearchFindsGridBest(t *testing.T) {
 	sp := explore.DefaultSpace(3)
 	for _, st := range searchStrategies() {
 		eng := &explore.Engine{}
-		res := st.Search(eng, sp, explore.WeightedObjective(1000, 1),
+		res := st.Search(context.Background(), eng, sp, explore.WeightedObjective(1000, 1),
 			explore.Budget{MaxEvaluations: 16}, 1)
 		if res.Best.Err != "" || res.Best.Latency != 1 {
 			t.Errorf("%s: best point %+v, want the 1-cycle design", st.Name(), res.Best)
@@ -127,7 +128,7 @@ func TestSearchFindsGridBest(t *testing.T) {
 func TestSearchRevisitsAreFree(t *testing.T) {
 	sp := explore.DefaultSpace(2)
 	sp.ToggleMotions = false // shrink: 24 orders × 2 unrolls × 2 chain = 96 distinct
-	res := explore.HillClimb{Restarts: 6}.Search(&explore.Engine{}, sp,
+	res := explore.HillClimb{}.Search(context.Background(), &explore.Engine{}, sp,
 		explore.WeightedObjective(1000, 1), explore.Budget{MaxEvaluations: 500}, 2)
 	if res.Revisits == 0 {
 		t.Fatalf("restarted hill climb never revisited a candidate: %+v", res)
@@ -154,7 +155,7 @@ func TestSearchUnbudgetedTerminates(t *testing.T) {
 		ToggleChaining: true,
 	}
 	for _, st := range searchStrategies() {
-		res := st.Search(&explore.Engine{}, sp, explore.LatencyObjective(), explore.Budget{}, 4)
+		res := st.Search(context.Background(), &explore.Engine{}, sp, explore.LatencyObjective(), explore.Budget{}, 4)
 		if res.Exhausted {
 			t.Errorf("%s: unbudgeted run marked exhausted", st.Name())
 		}
@@ -203,7 +204,7 @@ func TestSearchAllFailures(t *testing.T) {
 		Motions:  []string{"constprop", "cse"},
 	}
 	for _, st := range searchStrategies() {
-		res := st.Search(&explore.Engine{}, sp, explore.LatencyObjective(),
+		res := st.Search(context.Background(), &explore.Engine{}, sp, explore.LatencyObjective(),
 			explore.Budget{MaxEvaluations: 6}, 1)
 		if !math.IsInf(res.BestScore, 1) {
 			t.Errorf("%s: BestScore = %v on an all-fail space, want +Inf", st.Name(), res.BestScore)
@@ -224,7 +225,7 @@ func TestSearchRaceClean(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64, st explore.Strategy) {
 			defer wg.Done()
-			res := st.Search(eng, sp, explore.LatencyObjective(),
+			res := st.Search(context.Background(), eng, sp, explore.LatencyObjective(),
 				explore.Budget{MaxEvaluations: 10}, seed)
 			if res.Evaluations == 0 {
 				t.Errorf("%s: no evaluations", st.Name())

@@ -12,7 +12,6 @@ import (
 	"sparkgo/internal/ild"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/obs"
-	"sparkgo/internal/pass"
 )
 
 // SchemaVersion versions the engine's own on-disk artifact schema (the
@@ -44,7 +43,14 @@ import (
 // v6: content-address deduplication is gone — every stage payload is
 // stored directly under its logical (kind, key) again — so the
 // aliases a v5 directory holds would mis-parse as payloads.
-const SchemaVersion = 6
+//
+// v7: blobs persist only what revival reads. The frontend blob drops
+// the printed source, the per-pass stage metrics and the pass
+// statistics, keeping the program encoding, its fingerprint and the
+// round count; the backend blob is core's backend encoding itself, with
+// no wrapper or fingerprint. Both layouts changed, so a v6 blob would
+// mis-parse.
+const SchemaVersion = 7
 
 // Artifact kinds in the blob store.
 const (
@@ -101,8 +107,9 @@ func Versions() StageVersions {
 }
 
 // blobStack lazily assembles the engine's tiered blob store once:
-// L1 memory (bounded LRU), L2 disk (internal/cache), L3 remote
-// (another daemon's /v1/blobs API, so local work warms the fleet).
+// L1 memory (an LRU bounded to blob.DefaultMemBytes), L2 disk
+// (internal/cache), L3 remote (another daemon's /v1/blobs API, so
+// local work warms the fleet).
 // Every tier is written through and a hit backfills the faster ones.
 // Single-flight lives in the tiered layer, so each stage lookup below
 // is one Do call instead of a hand-rolled memo map. A disk-open
@@ -110,7 +117,7 @@ func Versions() StageVersions {
 // Stats.DiskErrors) rather than failing sweeps.
 func (e *Engine) blobStack() *blob.Tiered {
 	e.blobOnce.Do(func() {
-		local := []blob.Tier{{Name: TierMem, Store: blob.NewMem(e.MemCacheBytes)}}
+		local := []blob.Tier{{Name: TierMem, Store: blob.NewMem(blob.DefaultMemBytes)}}
 		if e.CacheDir != "" {
 			s, err := cache.Open(e.CacheDir, DiskSchema())
 			if err != nil {
@@ -406,14 +413,7 @@ func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.Frontend
 		if enc == nil {
 			return fa, nil, nil
 		}
-		fb := frontendBlob{
-			Program:     enc,
-			Source:      fa.Source,
-			Fingerprint: fa.Fingerprint,
-			Stages:      fa.Stages,
-			PassStats:   fa.PassStats,
-			Rounds:      fa.Rounds,
-		}
+		fb := frontendBlob{Program: enc, Fingerprint: fa.Fingerprint, Rounds: fa.Rounds}
 		return fa, fb.encode(), nil
 	}, func(data []byte) (*core.FrontendArtifact, error) {
 		fb, err := decodeFrontendBlob(data)
@@ -421,28 +421,23 @@ func (e *Engine) frontend(ctx context.Context, src *sourceEntry, o core.Frontend
 			return nil, err
 		}
 		fa := core.ReviveFrontendArtifact(fb.Program)
-		fa.Source = fb.Source
 		fa.Fingerprint = fb.Fingerprint
 		fa.Key = key
-		fa.Stages = fb.Stages
-		fa.PassStats = fb.PassStats
 		fa.Rounds = fb.Rounds
 		return fa, nil
 	})
 }
 
 // frontendBlob is the stored form of a frontend artifact: the
-// transformed program travels in the lossless IR encoding
-// (ir.EncodeProgram — printed surface text would lose the expression
-// types the passes assigned), alongside the reporting metadata.
-// Variable pointer identity is rebuilt by the decoder; nothing
-// downstream depends on it.
+// transformed program in the lossless IR encoding (ir.EncodeProgram —
+// printed surface text would lose the expression types the passes
+// assigned), plus the two fields a revived artifact is read for: the
+// content fingerprint the midend key chains on and the round count
+// sweep points report. Variable pointer identity is rebuilt by the
+// decoder; nothing downstream depends on it.
 type frontendBlob struct {
 	Program     []byte // ir.EncodeProgram of the transformed program
-	Source      string // canonical printed form (fingerprint pre-image)
 	Fingerprint string
-	Stages      []core.StageMetrics
-	PassStats   []pass.Stat
 	Rounds      int
 }
 
@@ -494,9 +489,10 @@ type midendBlob struct {
 // binding and building the netlist at most once per stage key (see
 // lookup). The stage keys on the midend artifact's content fingerprint,
 // so two scheduling option sets that converge on the same schedule share
-// one netlist. Revival parses the artifact's report shell and leaves
-// the netlist encoded; only the simulation path pays the module decode
-// (Mod), and only when SimTrials asks for it.
+// one netlist. The blob is core's backend encoding as-is: revival
+// parses its report shell and leaves the netlist encoded; only the
+// simulation path pays the module decode (Mod), and only when SimTrials
+// asks for it.
 func (e *Engine) backend(ctx context.Context, ma *core.MidendArtifact, o core.BackendOptions) (*core.BackendArtifact, error) {
 	key := core.BackendKey(ma, o)
 	return lookup(ctx, e, stageBackend, key, func() (*core.BackendArtifact, []byte, error) {
@@ -504,32 +500,6 @@ func (e *Engine) backend(ctx context.Context, ma *core.MidendArtifact, o core.Ba
 		if err != nil {
 			return nil, nil, err
 		}
-		enc := ba.Materialize()
-		ba.Key = key
-		if enc == nil {
-			return ba, nil, nil
-		}
-		bb := backendBlob{Artifact: enc, Fingerprint: ba.Fingerprint}
-		return ba, bb.encode(), nil
-	}, func(data []byte) (*core.BackendArtifact, error) {
-		bb, err := decodeBackendBlob(data)
-		if err != nil {
-			return nil, err
-		}
-		ba, err := core.ReviveBackendArtifact(bb.Artifact)
-		if err != nil {
-			return nil, err
-		}
-		ba.Fingerprint = bb.Fingerprint
-		ba.Key = key
-		return ba, nil
-	})
-}
-
-// backendBlob is the stored form of a backend artifact: the netlist
-// plus report in the lossless core encoding, and the content
-// fingerprint the revival is verified against.
-type backendBlob struct {
-	Artifact    []byte // core backend encoding (rtl.EncodeModule + report)
-	Fingerprint string
+		return ba, ba.Materialize(), nil
+	}, core.ReviveBackendArtifact)
 }

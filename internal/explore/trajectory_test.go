@@ -42,7 +42,7 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 			ctx := explore.WithSearchObserver(context.Background(), &explore.SearchObserver{
 				OnBatch: func(evals int) { batches = append(batches, evals) },
 			})
-			res := st.SearchContext(ctx, &explore.Engine{}, explore.DefaultSpace(3), o,
+			res := st.Search(ctx, &explore.Engine{}, explore.DefaultSpace(3), o,
 				explore.Budget{MaxEvaluations: 24}, 1)
 			fmt.Fprintf(&b, "%s %s evaluations=%d revisits=%d restarts=%d generations=%d best=%g exhausted=%v batches=%v\n",
 				obj, res.Strategy, res.Evaluations, res.Revisits, res.Restarts, res.Generations, res.BestScore, res.Exhausted, batches)

@@ -19,9 +19,12 @@
 //	rounds <n>                     # iterate the pass list up to n rounds
 //
 // A script that lists any pass replaces the preset's default pipeline with
-// exactly the listed sequence. Pass commands resolve through the
-// internal/pass registry, so every registered pass name (including aliases
-// like "const-prop" and the bounded "unroll all full <max>") is accepted.
+// exactly the listed sequence. Each pass command is kept as an
+// internal/pass spec string — the same form core.Options.Passes and the
+// exploration engine use — and is validated against the registry at parse
+// time, so every registered pass name (including aliases like "const-prop"
+// and the bounded "unroll all full <max>") is accepted and a bad command
+// fails on its line.
 package script
 
 import (
@@ -30,7 +33,6 @@ import (
 	"strings"
 
 	"sparkgo/internal/pass"
-	"sparkgo/internal/transform"
 )
 
 // Preset mirrors core.Preset without importing it (core imports script's
@@ -49,7 +51,8 @@ type Script struct {
 	Preset Preset
 	Clock  float64
 	Rounds int
-	Passes []transform.Pass
+	// Passes is the ordered pass list in internal/pass spec syntax.
+	Passes []string
 	// Lines keeps the accepted source lines for reports.
 	Lines []string
 }
@@ -109,14 +112,14 @@ func (s *Script) apply(cmd string, args []string) error {
 		}
 		s.Rounds = n
 	default:
-		// Every other command is a pass spec resolved by the registry
-		// (internal/pass), so scripts accept exactly the pass names the
-		// synthesizer and exploration engine use.
-		p, err := pass.Build(strings.Join(append([]string{cmd}, args...), " "))
-		if err != nil {
+		// Every other command is a pass spec checked against the
+		// registry (internal/pass), so scripts accept exactly the pass
+		// names the synthesizer and exploration engine use.
+		spec := strings.Join(append([]string{cmd}, args...), " ")
+		if _, err := pass.Build(spec); err != nil {
 			return err
 		}
-		s.Passes = append(s.Passes, p)
+		s.Passes = append(s.Passes, spec)
 	}
 	return nil
 }

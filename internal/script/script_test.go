@@ -1,10 +1,12 @@
 package script_test
 
 import (
+	"reflect"
 	"testing"
 
 	"sparkgo/internal/core"
 	"sparkgo/internal/ild"
+	"sparkgo/internal/ir"
 	"sparkgo/internal/script"
 )
 
@@ -120,5 +122,52 @@ func TestClassicalScript(t *testing.T) {
 	opt := core.FromScript(s)
 	if opt.Preset != core.ClassicalASIC {
 		t.Error("classical preset not mapped")
+	}
+}
+
+// TestScriptEqualsPassSpecs: a script is its pass specs — it
+// synthesizes exactly what Options{Passes: <the same specs>} does, and
+// its frontend stage gets a real cache key.
+func TestScriptEqualsPassSpecs(t *testing.T) {
+	s, err := script.Parse(`
+inline
+drop-uncalled
+speculate
+unroll   all full
+const-prop
+constfold
+dce
+rounds 3
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []string{"inline", "drop-uncalled", "speculate", "unroll all full", "const-prop", "constfold", "dce"}
+	if !reflect.DeepEqual(s.Passes, specs) {
+		t.Fatalf("script passes = %q, want %q", s.Passes, specs)
+	}
+	p := ild.Program(4)
+	scripted, err := core.Synthesize(p, core.FromScript(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.Synthesize(p, core.Options{Passes: specs, CustomRounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scripted.Stages, direct.Stages) {
+		t.Errorf("stages differ:\nscript %+v\nspecs  %+v", scripted.Stages, direct.Stages)
+	}
+	if scripted.Cycles != direct.Cycles || scripted.Stats != direct.Stats {
+		t.Errorf("script: %d cycles %+v; specs: %d cycles %+v",
+			scripted.Cycles, scripted.Stats, direct.Cycles, direct.Stats)
+	}
+	fp := ir.Fingerprint(p)
+	key := core.FrontendKeyFrom(fp, core.FromScript(s).FrontendOptions())
+	if key == "" {
+		t.Error("scripted run has an empty frontend key")
+	}
+	if want := core.FrontendKeyFrom(fp, core.Options{Passes: specs, CustomRounds: 3}.FrontendOptions()); key != want {
+		t.Errorf("script frontend key %s, want the pass-spec key %s", key, want)
 	}
 }

@@ -167,7 +167,7 @@ func (q *Queue) runSearch(ctx context.Context, j *Job) (*Result, error) {
 			q.publishJob(j, obs.Event{Type: obs.TypeRound, Kind: string(j.Req.Kind), Round: n})
 		},
 	})
-	res := st.SearchContext(ctx, q.eng, sp, obj, budget, req.Seed)
+	res := st.Search(ctx, q.eng, sp, obj, budget, req.Seed)
 	q.setProgress(j, res.Evaluations, req.Budget)
 
 	sv := &SearchView{
