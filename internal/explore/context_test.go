@@ -67,10 +67,9 @@ func TestSweepContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestSearchCanceled: both strategies stop at a batch boundary under
-// cancellation and flag the result; a run under a live context is
-// never flagged.
-func TestSearchCanceled(t *testing.T) {
+// TestSearchContextCanceled: both strategies stop at a batch boundary
+// under cancellation and flag the result.
+func TestSearchContextCanceled(t *testing.T) {
 	for _, st := range []explore.Strategy{explore.HillClimb{}, explore.Genetic{}} {
 		t.Run(st.Name(), func(t *testing.T) {
 			eng := &explore.Engine{Workers: 2}
@@ -85,11 +84,32 @@ func TestSearchCanceled(t *testing.T) {
 			if res.Evaluations != 0 {
 				t.Errorf("pre-canceled search evaluated %d configs", res.Evaluations)
 			}
-			live := st.Search(context.Background(), eng, explore.DefaultSpace(4),
-				explore.LatencyObjective(), explore.Budget{MaxEvaluations: 12}, 1)
-			if live.Canceled || live.Evaluations == 0 {
-				t.Errorf("uncanceled search: Canceled=%t after %d evaluations",
-					live.Canceled, live.Evaluations)
+		})
+	}
+}
+
+// TestSearchContextUncanceledMatchesSearch: a cancelable context that
+// is never canceled leaves the run as it is under context.Background —
+// same trajectory, no Canceled flag.
+func TestSearchContextUncanceledMatchesSearch(t *testing.T) {
+	sp := explore.DefaultSpace(4)
+	b := explore.Budget{MaxEvaluations: 12}
+	for _, st := range []explore.Strategy{explore.HillClimb{}, explore.Genetic{}} {
+		t.Run(st.Name(), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			a := st.Search(context.Background(), &explore.Engine{Workers: 2}, sp,
+				explore.LatencyObjective(), b, 1)
+			c := st.Search(ctx, &explore.Engine{Workers: 2}, sp,
+				explore.LatencyObjective(), b, 1)
+			if a.Canceled || c.Canceled {
+				t.Errorf("uncanceled runs flagged canceled")
+			}
+			if a.Evaluations == 0 || a.Evaluations != c.Evaluations ||
+				a.BestScore != c.BestScore || len(a.Trajectory) != len(c.Trajectory) {
+				t.Errorf("live-context runs diverged: %d/%v/%d vs %d/%v/%d",
+					a.Evaluations, a.BestScore, len(a.Trajectory),
+					c.Evaluations, c.BestScore, len(c.Trajectory))
 			}
 		})
 	}
