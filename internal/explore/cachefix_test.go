@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
@@ -36,7 +37,7 @@ func TestErrorPointsNotPersistedToDisk(t *testing.T) {
 	bad := failingConfig()
 
 	first := &explore.Engine{CacheDir: dir}
-	if p := first.Evaluate(bad); p.Err == "" {
+	if p := first.Evaluate(context.Background(), bad); p.Err == "" {
 		t.Fatal("failing config evaluated without error")
 	}
 	if st := first.Stats(); st.PointComputed != 1 || st.DiskErrors != 0 {
@@ -44,7 +45,7 @@ func TestErrorPointsNotPersistedToDisk(t *testing.T) {
 	}
 
 	restarted := &explore.Engine{CacheDir: dir}
-	if p := restarted.Evaluate(bad); p.Err == "" {
+	if p := restarted.Evaluate(context.Background(), bad); p.Err == "" {
 		t.Fatal("failing config evaluated without error after restart")
 	}
 	st := restarted.Stats()
@@ -59,10 +60,10 @@ func TestErrorPointsNotPersistedToDisk(t *testing.T) {
 	// same directory — only error points are excluded.
 	good := bad
 	good.Passes = nil
-	if p := first.Evaluate(good); p.Err != "" {
+	if p := first.Evaluate(context.Background(), good); p.Err != "" {
 		t.Fatalf("good config failed: %s", p.Err)
 	}
-	if p := (&explore.Engine{CacheDir: dir}).Evaluate(good); p.Err != "" {
+	if p := (&explore.Engine{CacheDir: dir}).Evaluate(context.Background(), good); p.Err != "" {
 		t.Fatalf("good config failed from disk: %s", p.Err)
 	}
 }
@@ -75,10 +76,10 @@ func TestErrorPointsNotPersistedToDisk(t *testing.T) {
 func TestErrorPointsRetriedInProcess(t *testing.T) {
 	eng := &explore.Engine{}
 	bad := failingConfig()
-	if p := eng.Evaluate(bad); p.Err == "" {
+	if p := eng.Evaluate(context.Background(), bad); p.Err == "" {
 		t.Fatal("failing config evaluated without error")
 	}
-	if p := eng.Evaluate(bad); p.Err == "" {
+	if p := eng.Evaluate(context.Background(), bad); p.Err == "" {
 		t.Fatal("failing config evaluated without error on retry")
 	}
 	if st := eng.Stats(); st.PointComputed != 2 {
@@ -90,8 +91,8 @@ func TestErrorPointsRetriedInProcess(t *testing.T) {
 	// computes once.
 	good := failingConfig()
 	good.Passes = nil
-	eng.Evaluate(good)
-	eng.Evaluate(good)
+	eng.Evaluate(context.Background(), good)
+	eng.Evaluate(context.Background(), good)
 	if st := eng.Stats(); st.PointComputed != 3 || st.PointMemHits != 1 {
 		t.Fatalf("good-config memoization regressed: %+v", st)
 	}
@@ -111,10 +112,10 @@ func TestTransientSourceFailureRetried(t *testing.T) {
 		return ild.Program(n)
 	}}
 	c := explore.Config{N: 3, Preset: core.MicroprocessorBlock}
-	if p := eng.Evaluate(c); p.Err == "" {
+	if p := eng.Evaluate(context.Background(), c); p.Err == "" {
 		t.Fatal("first evaluation should fail")
 	}
-	if p := eng.Evaluate(c); p.Err != "" {
+	if p := eng.Evaluate(context.Background(), c); p.Err != "" {
 		t.Fatalf("source not retried after transient failure: %s", p.Err)
 	}
 	if calls != 2 {
@@ -143,7 +144,7 @@ func TestPersistentBadStagePayloadComputesUncached(t *testing.T) {
 	defer peer.Close()
 
 	eng := &explore.Engine{RemoteCache: peer.URL}
-	if p := eng.Evaluate(explore.Config{N: 3, Preset: core.MicroprocessorBlock}); p.Err != "" {
+	if p := eng.Evaluate(context.Background(), explore.Config{N: 3, Preset: core.MicroprocessorBlock}); p.Err != "" {
 		t.Fatalf("bad cached payload failed the evaluation: %s", p.Err)
 	}
 	if st := eng.Stats(); st.FrontendComputed != 1 || st.FrontendRemoteHits != 0 || st.DiskErrors != 2 {

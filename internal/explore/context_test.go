@@ -30,7 +30,7 @@ func TestSweepContextPreCanceled(t *testing.T) {
 	}
 	// The same engine still evaluates normally afterwards: cancellation
 	// must not poison anything.
-	pt := eng.Evaluate(space[0])
+	pt := eng.Evaluate(context.Background(), space[0])
 	if pt.Err != "" {
 		t.Errorf("evaluate after canceled sweep: %s", pt.Err)
 	}

@@ -34,7 +34,6 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -290,9 +289,9 @@ type Engine struct {
 	diskErrors atomic.Int64
 }
 
-// Evaluate synthesizes one configuration, serving repeats from the
-// caches. Concurrent callers of the same configuration synthesize once
-// and share the result.
+// Evaluate synthesizes one configuration under ctx, serving repeats
+// from the caches. Concurrent callers of the same configuration
+// synthesize once and share the result.
 //
 // Failed evaluations are deliberately not memoized: concurrent callers
 // still share one in-flight attempt (single flight), but the error entry
@@ -300,19 +299,16 @@ type Engine struct {
 // a possibly transient failure (a simulator error, a source-resolution
 // hiccup) forever. Deterministic failures — a bad pass spec, an unknown
 // source — simply recompute to the same error each time.
-func (e *Engine) Evaluate(c Config) Point {
-	return e.EvaluateContext(context.Background(), c)
-}
-
-// EvaluateContext is Evaluate under a context. A context already done on
-// entry returns a skipped point (Err = the context error) without
-// touching any cache; cancellation mid-synthesis is observed between
-// stages, and the resulting error point follows the no-sticky-errors
-// rule, so a cancelled evaluation never poisons the caches — the next
-// caller recomputes. When concurrent callers share one in-flight
-// evaluation, the first caller's context governs it; waiters that share
-// a cancelled result simply retry on their next lookup.
-func (e *Engine) EvaluateContext(ctx context.Context, c Config) Point {
+//
+// A context already done on entry returns a skipped point (Err = the
+// context error) without touching any cache; cancellation mid-synthesis
+// is observed between stages, and the resulting error point follows the
+// no-sticky-errors rule, so a cancelled evaluation never poisons the
+// caches. When concurrent callers share one in-flight evaluation, the
+// first caller's context governs it; a waiter whose own context is still
+// alive when that evaluation is cancelled evaluates again (see lookup),
+// so a canceled point always means the caller's own context is done.
+func (e *Engine) Evaluate(ctx context.Context, c Config) Point {
 	if err := ctx.Err(); err != nil {
 		return Point{Config: c, Err: err.Error()}
 	}
@@ -323,12 +319,12 @@ func (e *Engine) EvaluateContext(ctx context.Context, c Config) Point {
 		return Point{Config: c, Err: err.Error()}
 	}
 	pt, err := lookup(ctx, e, stagePoint, e.pointKey(c, src.fingerprint), func() (*Point, []byte, error) {
-		pt := e.synthesize(ctx, c, src)
-		if pt.Err != "" {
-			// Propagating the failure as an error keeps it out of every
-			// tier (the no-sticky-errors rule); the point is rebuilt
-			// from it below.
-			return nil, nil, errors.New(pt.Err)
+		// A failure travels as an error, which keeps it out of every
+		// tier (the no-sticky-errors rule); the point is rebuilt from
+		// it below.
+		pt, err := e.synthesize(ctx, c, src)
+		if err != nil {
+			return nil, nil, err
 		}
 		return &pt, encodePoint(&pt), nil
 	}, func(data []byte) (*Point, error) {
@@ -439,7 +435,7 @@ func (e *Engine) SweepContext(ctx context.Context, space []Config) []Point {
 	workers := e.EffectiveWorkers(len(space))
 	if workers <= 1 {
 		for i, c := range space {
-			out[i] = e.EvaluateContext(ctx, c)
+			out[i] = e.Evaluate(ctx, c)
 		}
 		return out
 	}
@@ -450,7 +446,7 @@ func (e *Engine) SweepContext(ctx context.Context, space []Config) []Point {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = e.EvaluateContext(ctx, space[i])
+				out[i] = e.Evaluate(ctx, space[i])
 			}
 		}()
 	}
@@ -500,54 +496,49 @@ func (e *Engine) HasSource(name string) bool {
 // sharing the frontend artifact with every other configuration on the
 // same (source, pass list). Cancellation is observed at the stage
 // boundaries (and per simulation trial), so an abandoned evaluation
-// stops within one stage of work.
-func (e *Engine) synthesize(ctx context.Context, c Config, src *sourceEntry) Point {
-	pt := Point{Config: c}
+// stops within one stage of work and returns the context's error.
+func (e *Engine) synthesize(ctx context.Context, c Config, src *sourceEntry) (Point, error) {
 	opt := c.Options()
 	fa, err := e.frontend(ctx, src, opt.FrontendOptions())
 	if err != nil {
-		pt.Err = err.Error()
-		return pt
+		return Point{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		pt.Err = err.Error()
-		return pt
+		return Point{}, err
 	}
 	ma, err := e.midend(ctx, fa, opt.MidendOptions())
 	if err != nil {
-		pt.Err = err.Error()
-		return pt
+		return Point{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		pt.Err = err.Error()
-		return pt
+		return Point{}, err
 	}
 	ba, err := e.backend(ctx, ma, opt.BackendOptions())
 	if err != nil {
-		pt.Err = err.Error()
-		return pt
+		return Point{}, err
 	}
-	pt.Cycles = ma.Cycles
-	pt.Latency = ma.Cycles
-	pt.CritPath = ba.Stats.CriticalPath
-	pt.Area = ba.Stats.Area
-	pt.Muxes = ba.Stats.Muxes
-	pt.FUs = ba.Stats.FUs
-	pt.Rounds = fa.Rounds
+	pt := Point{
+		Config:   c,
+		Cycles:   ma.Cycles,
+		Latency:  ma.Cycles,
+		CritPath: ba.Stats.CriticalPath,
+		Area:     ba.Stats.Area,
+		Muxes:    ba.Stats.Muxes,
+		FUs:      ba.Stats.FUs,
+		Rounds:   fa.Rounds,
+	}
 	if e.SimTrials > 0 {
 		// Mod materializes the netlist: computed artifacts hand it over
 		// directly, revived ones pay their one decode here — the only
 		// place a disk-warm sweep ever decodes a payload.
 		mod, err := ba.Mod()
 		if err != nil {
-			pt.Err = err.Error()
-			return pt
+			return Point{}, err
 		}
 		simStart := e.stageStart()
 		lat, mix, err := e.simulate(ctx, src, mod, c)
 		if err != nil {
-			pt.Err = err.Error()
-			return pt
+			return Point{}, err
 		}
 		if !simStart.IsZero() {
 			e.Obs.Publish(obs.Event{
@@ -562,7 +553,7 @@ func (e *Engine) synthesize(ctx context.Context, c Config, src *sourceEntry) Poi
 		}
 		pt.Latency = lat
 	}
-	return pt
+	return pt, nil
 }
 
 // simulate measures the worst per-activation cycle count over SimTrials

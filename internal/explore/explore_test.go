@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -58,7 +59,7 @@ func TestSweepMatchesColdSynthesis(t *testing.T) {
 	// Cold spot-check: re-evaluate a spread of configs with fresh
 	// engines (empty caches) and require identical points.
 	for i := 0; i < len(space); i += 7 {
-		cold := (&explore.Engine{Workers: 1, SimTrials: 1}).Evaluate(space[i])
+		cold := (&explore.Engine{Workers: 1, SimTrials: 1}).Evaluate(context.Background(), space[i])
 		if !reflect.DeepEqual(cold, pts[i]) {
 			t.Errorf("config %q: cached %+v != cold %+v", space[i].String(), pts[i], cold)
 		}

@@ -74,20 +74,20 @@ func TestEngineStageEvents(t *testing.T) {
 	sub := bus.Subscribe(1024)
 
 	cfg := explore.Config{N: 2, Preset: core.MicroprocessorBlock}
-	if pt := eng.Evaluate(cfg); pt.Err != "" {
+	if pt := eng.Evaluate(context.Background(), cfg); pt.Err != "" {
 		t.Fatalf("cold evaluation failed: %s", pt.Err)
 	}
 	badPass := cfg
 	badPass.Passes = []string{"no-such-pass"}
-	if pt := eng.Evaluate(badPass); pt.Err == "" {
+	if pt := eng.Evaluate(context.Background(), badPass); pt.Err == "" {
 		t.Fatal("unknown pass evaluated without error")
 	}
 	badSource := cfg
 	badSource.Source = "no-such-source"
-	if pt := eng.Evaluate(badSource); pt.Err == "" {
+	if pt := eng.Evaluate(context.Background(), badSource); pt.Err == "" {
 		t.Fatal("unknown source evaluated without error")
 	}
-	if pt := eng.Evaluate(cfg); pt.Err != "" {
+	if pt := eng.Evaluate(context.Background(), cfg); pt.Err != "" {
 		t.Fatalf("warm evaluation failed: %s", pt.Err)
 	}
 	bus.Unsubscribe(sub)
@@ -171,7 +171,7 @@ func TestEngineStageEvents(t *testing.T) {
 // every instrumentation site.
 func TestEngineNilBusNoEvents(t *testing.T) {
 	eng := &explore.Engine{SimTrials: 2}
-	if pt := eng.Evaluate(explore.Config{N: 2, Preset: core.MicroprocessorBlock}); pt.Err != "" {
+	if pt := eng.Evaluate(context.Background(), explore.Config{N: 2, Preset: core.MicroprocessorBlock}); pt.Err != "" {
 		t.Fatalf("evaluation failed: %s", pt.Err)
 	}
 }

@@ -286,16 +286,6 @@ func (r *searchRun) scores(cands []candidate) (scores []float64, ok []bool) {
 		pts := r.eng.SweepContext(r.ctx, batch)
 		for bi, i := range fresh {
 			pt := pts[bi]
-			// A canceled point with our own context still alive was
-			// poisoned by a DIFFERENT caller's cancellation through the
-			// engine's single flight (the computing caller's context
-			// governs a shared evaluation; the engine drops the entry so
-			// waiters retry). Retry here — silently dropping the
-			// candidate would make the search lose arms and turn
-			// nondeterministic on a shared engine.
-			for IsCanceled(pt) && r.ctx.Err() == nil {
-				pt = r.eng.EvaluateContext(r.ctx, batch[bi])
-			}
 			if IsCanceled(pt) {
 				// Our own cancellation: neither a score nor a spent
 				// evaluation. out() will stop the run.

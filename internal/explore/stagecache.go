@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -271,6 +272,10 @@ func (e *Engine) record(s stage, d disp, start time.Time) {
 // A context already done when compute is due returns its error instead
 // of starting the stage; hits are served regardless. Stage work is the
 // unit of cancellation: a compute, once started, runs to completion.
+// The leader's context governs a shared flight, so a caller that joined
+// a flight cut short by another caller's cancellation or deadline runs
+// the lookup again while its own context is alive: a caller only ever
+// sees a context error of its own.
 func lookup[T any](ctx context.Context, e *Engine, s stage, key string,
 	compute func() (T, []byte, error), revive func([]byte) (T, error)) (T, error) {
 	start := e.stageStart()
@@ -300,6 +305,10 @@ func lookup[T any](ctx context.Context, e *Engine, s stage, key string,
 		}
 		for attempt := 0; attempt < 2; attempt++ {
 			res, err := e.blobStack().Do(kind, key, do)
+			for err != nil && !led && ctx.Err() == nil &&
+				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				res, err = e.blobStack().Do(kind, key, do)
+			}
 			if err != nil {
 				d := dispShared
 				if led {

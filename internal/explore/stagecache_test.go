@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestFrontendSharedUnderToggleDefaults(t *testing.T) {
 	}
 	eng := &explore.Engine{Workers: 1}
 	for i, c := range space {
-		if p := eng.Evaluate(c); p.Err != "" {
+		if p := eng.Evaluate(context.Background(), c); p.Err != "" {
 			t.Fatalf("config %d: %s", i, p.Err)
 		}
 	}
@@ -129,12 +130,12 @@ func TestFrontendDiskArtifactRoundTrip(t *testing.T) {
 	knob.NoChaining = true
 
 	a := &explore.Engine{Workers: 1, CacheDir: dir}
-	if p := a.Evaluate(base); p.Err != "" {
+	if p := a.Evaluate(context.Background(), base); p.Err != "" {
 		t.Fatal(p.Err)
 	}
 
 	b := &explore.Engine{Workers: 1, CacheDir: dir}
-	got := b.Evaluate(knob) // point not on disk; frontend is
+	got := b.Evaluate(context.Background(), knob) // point not on disk; frontend is
 	if got.Err != "" {
 		t.Fatal(got.Err)
 	}
@@ -146,7 +147,7 @@ func TestFrontendDiskArtifactRoundTrip(t *testing.T) {
 	if st.DiskErrors != 0 {
 		t.Fatalf("disk errors = %d (artifact failed round-trip verification?)", st.DiskErrors)
 	}
-	want := (&explore.Engine{Workers: 1}).Evaluate(knob)
+	want := (&explore.Engine{Workers: 1}).Evaluate(context.Background(), knob)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("point from revived frontend artifact diverges:\n got %+v\nwant %+v", got, want)
 	}
@@ -160,9 +161,9 @@ func TestSimTrialsPartitionDiskPoints(t *testing.T) {
 	dir := t.TempDir()
 	c := explore.Config{N: 3, Preset: core.MicroprocessorBlock}
 	a := &explore.Engine{SimTrials: 0, CacheDir: dir}
-	a.Evaluate(c)
+	a.Evaluate(context.Background(), c)
 	b := &explore.Engine{SimTrials: 2, CacheDir: dir}
-	if p := b.Evaluate(c); p.Err != "" {
+	if p := b.Evaluate(context.Background(), c); p.Err != "" {
 		t.Fatal(p.Err)
 	}
 	st := b.Stats()
@@ -252,7 +253,7 @@ func TestMultiSourceSweep(t *testing.T) {
 	}
 
 	// A config naming an unregistered source must fail cleanly, not panic.
-	bad := eng.Evaluate(explore.Config{Source: "nope", Preset: core.MicroprocessorBlock})
+	bad := eng.Evaluate(context.Background(), explore.Config{Source: "nope", Preset: core.MicroprocessorBlock})
 	if bad.Err == "" {
 		t.Fatal("unknown source evaluated without error")
 	}

@@ -61,6 +61,12 @@ func TestTwoNodeRemoteCache(t *testing.T) {
 	if s.DiskBackfills == 0 || s.MemBackfills == 0 {
 		t.Fatalf("remote hits did not backfill local tiers: %+v", s)
 	}
+	// The serving side must have seen the traffic.
+	var sv StatsView
+	getJSON(t, srvA.URL+"/v1/stats", &sv)
+	if sv.Blobs.Gets < 1 || sv.Blobs.Hits < 1 {
+		t.Fatalf("node A served no blob traffic: %+v", sv.Blobs)
+	}
 
 	// Third engine over B's now-warm disk, no remote: everything local.
 	engC := &explore.Engine{Workers: 2, SimTrials: 1, CacheDir: engB.CacheDir}

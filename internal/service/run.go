@@ -26,23 +26,6 @@ func (q *Queue) execute(ctx context.Context, j *Job) (*Result, error) {
 	return nil, fmt.Errorf("service: unknown job kind %q", j.Req.Kind)
 }
 
-// evaluate is EvaluateContext hardened against foreign cancellation:
-// the engine single-flights concurrent evaluations of one config, and
-// the computing caller's context governs the shared attempt — so THIS
-// job can receive a canceled point because a DIFFERENT job was
-// cancelled mid-evaluation. The engine drops such entries rather than
-// caching them ("waiters retry on their next lookup"); this is that
-// retry. It returns a canceled point only when this job's own context
-// is done.
-func (q *Queue) evaluate(ctx context.Context, cfg explore.Config) explore.Point {
-	for {
-		pt := q.eng.EvaluateContext(ctx, cfg)
-		if !explore.IsCanceled(pt) || ctx.Err() != nil {
-			return pt
-		}
-	}
-}
-
 // synthConfig lowers a synth request to the engine's config.
 func synthConfig(req *Request, sourceFP string) explore.Config {
 	c := explore.Config{
@@ -60,7 +43,7 @@ func synthConfig(req *Request, sourceFP string) explore.Config {
 
 func (q *Queue) runSynth(ctx context.Context, j *Job) (*Result, error) {
 	q.setProgress(j, 0, 1)
-	pt := q.evaluate(ctx, synthConfig(&j.Req, j.sourceFP))
+	pt := q.eng.Evaluate(ctx, synthConfig(&j.Req, j.sourceFP))
 	if explore.IsCanceled(pt) {
 		return nil, ctx.Err()
 	}
@@ -102,18 +85,6 @@ func (q *Queue) runSweep(ctx context.Context, j *Job) (*Result, error) {
 			end = total
 		}
 		got := q.eng.SweepContext(ctx, space[off:end])
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// Our context is alive, so any canceled point in the batch was
-		// poisoned by a DIFFERENT job's cancellation through the
-		// engine's single flight — re-evaluate it (see evaluate) rather
-		// than shipping a never-evaluated config as a failure.
-		for i, pt := range got {
-			if explore.IsCanceled(pt) {
-				got[i] = q.evaluate(ctx, space[off+i])
-			}
-		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}

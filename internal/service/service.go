@@ -21,7 +21,9 @@
 //	GET    /v1/jobs/{id}/events   live event stream (SSE): lifecycle,
 //	                              progress, and search trajectory
 //	DELETE /v1/jobs/{id}          cancel (mid-run cancellation cuts the job
-//	                              at the next evaluation-batch boundary)
+//	                              at the next evaluation-batch boundary; a
+//	                              job sharing one of its evaluations
+//	                              evaluates again instead of inheriting it)
 //	GET    /v1/stats              engine cache + queue + GC + blob + event
 //	                              counters
 //	GET    /metrics               Prometheus text exposition

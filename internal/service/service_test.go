@@ -404,8 +404,8 @@ func TestSubmitBodyCap(t *testing.T) {
 	}
 }
 
-// TestStatsEngineKeys pins the /v1/stats "engine" key set: CI's jq gates
-// and clients read these snake_case names, so a renamed or dropped
+// TestStatsEngineKeys pins the /v1/stats "engine" key set: clients and
+// dashboards read these snake_case names, so a renamed or dropped
 // explore.Stats field must fail here rather than in a dashboard.
 func TestStatsEngineKeys(t *testing.T) {
 	data, err := json.Marshal(StatsView{})

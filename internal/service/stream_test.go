@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -247,16 +248,44 @@ func TestSlowSubscriberDropped(t *testing.T) {
 	waitTerminal(t, base, blocker.ID, 60*time.Second)
 }
 
-// TestMetricsEndpoint: after one real job, /metrics serves the
-// Prometheus exposition with per-stage latency histograms, tier
-// counters, and job lifecycle counters.
+// TestMetricsEndpoint: after real jobs, /metrics serves the Prometheus
+// exposition with per-stage latency histograms, tier counters, job
+// lifecycle counters and the simulator's instruction mix, and /healthz
+// and /v1/stats agree. A repeated synth is served by the point cache
+// from memory; a synth differing only in a backend knob shares the
+// frontend artifact.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := testServer(t, 1)
 	base := srv.URL
 
-	job := submit(t, base, Request{Kind: KindSynth, N: 4})
-	if v := waitTerminal(t, base, job.ID, 60*time.Second); v.Status != StatusDone {
-		t.Fatalf("job finished %s", v.Status)
+	for _, req := range []Request{
+		{Kind: KindSynth, N: 4},
+		{Kind: KindSynth, N: 4},
+		{Kind: KindSynth, N: 4, NoChaining: true},
+	} {
+		job := submit(t, base, req)
+		if v := waitTerminal(t, base, job.ID, 60*time.Second); v.Status != StatusDone {
+			t.Fatalf("job %+v finished %s", req, v.Status)
+		}
+	}
+
+	var health struct {
+		Status        string  `json:"status"`
+		UptimeSeconds float64 `json:"uptime_seconds"`
+	}
+	if code := httpJSON(t, "GET", base+"/healthz", nil, &health); code != http.StatusOK ||
+		health.Status != "ok" || health.UptimeSeconds < 0 {
+		t.Errorf("healthz: HTTP %d %+v", code, health)
+	}
+	var sv StatsView
+	if code := httpJSON(t, "GET", base+"/v1/stats", nil, &sv); code != http.StatusOK {
+		t.Fatalf("stats: HTTP %d", code)
+	}
+	if sv.Engine.PointMemHits+sv.Engine.PointDiskHits < 1 {
+		t.Errorf("repeated synth missed the point cache: %+v", sv.Engine)
+	}
+	if sv.Engine.FrontendMemHits < 1 {
+		t.Errorf("backend-knob synth did not share the frontend: %+v", sv.Engine)
 	}
 
 	resp, err := http.Get(base + "/metrics")
@@ -264,28 +293,48 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sb strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		sb.WriteString(sc.Text())
-		sb.WriteString("\n")
-	}
-	body := sb.String()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", resp.StatusCode)
 	}
+	var types []string
+	samples := map[string]string{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			types = append(types, line)
+			continue
+		}
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			samples[line[:i]] = line[i+1:]
+		}
+	}
 	for _, want := range []string{
 		"# TYPE " + obs.MetricStageLatency + " histogram",
-		obs.MetricStageLatency + `_count{disposition="computed",stage="frontend"}`,
-		obs.MetricStageLatency + `_bucket{disposition="computed",stage="point",le="+Inf"}`,
 		"# TYPE " + obs.MetricTierOps + " counter",
-		obs.MetricTierOps + `{op="put",tier="mem"}`,
-		obs.MetricJobs + `{event="submitted"} 1`,
-		obs.MetricJobs + `{event="done"} 1`,
-		obs.MetricSimCycles + "_count",
 	} {
-		if !strings.Contains(body, want) {
+		if !slices.Contains(types, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// Labels render key-sorted: disposition before stage, op before tier.
+	for _, series := range []string{
+		obs.MetricStageLatency + `_count{disposition="computed",stage="frontend"}`,
+		obs.MetricStageLatency + `_count{disposition="mem",stage="point"}`,
+		obs.MetricStageLatency + `_bucket{disposition="computed",stage="point",le="+Inf"}`,
+		obs.MetricTierOps + `{op="put",tier="mem"}`,
+		obs.MetricTierOps + `{op="hit",tier="mem"}`,
+		obs.MetricSimCycles + "_count",
+		obs.MetricSimInsns + `{class="packed"}`,
+		obs.MetricSimInsns + `{class="wide"}`,
+	} {
+		if v, ok := samples[series]; !ok || v == "0" {
+			t.Errorf("metrics %s = %q, want a nonzero count", series, v)
+		}
+	}
+	for _, event := range []string{"submitted", "done"} {
+		if series := obs.MetricJobs + `{event="` + event + `"}`; samples[series] != "3" {
+			t.Errorf("metrics %s = %q, want 3", series, samples[series])
 		}
 	}
 }

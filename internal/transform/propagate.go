@@ -1,0 +1,321 @@
+package transform
+
+import (
+	"maps"
+
+	"sparkgo/internal/ir"
+)
+
+// ConstProp is flow-sensitive constant propagation with branch folding.
+// It is the transformation of paper Figs 3(a) and 14: after full loop
+// unrolling, the constant assignment to the loop index variable propagates
+// through all replicated iterations, the index variable disappears from the
+// code, and conditionals with now-constant conditions fold away (e.g. the
+// first "if (1 == NextStartByte)" of the unrolled ILD, which is always
+// taken).
+//
+// Semantics note: locals are defined to be zero-initialized (package interp
+// and the RTL both guarantee this), so a local's initial value is the
+// constant 0. Globals and parameters start unknown.
+func ConstProp() Pass {
+	return propagation{
+		name: "const-prop",
+		init: func(f *ir.Func) facts {
+			s := newFacts()
+			for _, v := range f.Locals {
+				if !v.IsParam && !v.IsGlobal && v.Type.IsScalar() {
+					s.known[v] = fact{}
+				}
+			}
+			return s
+		},
+		gen: func(lhs *ir.Var, rhs ir.Expr) (fact, bool) {
+			c, ok := rhs.(*ir.ConstExpr)
+			if !ok {
+				return fact{}, false
+			}
+			return fact{val: lhs.Type.Canon(c.Val)}, true
+		},
+		fold: true,
+	}.pass()
+}
+
+// CopyProp is flow-sensitive copy propagation: after "a = b;", reads of a
+// are replaced by b until either variable is redefined. Together with DCE
+// it removes the copy chains that inlining and speculation leave behind
+// (the paper applies it as one of the supporting "standard compiler
+// transformations").
+//
+// Only same-type scalar copies participate (a width-changing assignment
+// contains a cast and is left alone), so replacement is always exact.
+func CopyProp() Pass {
+	return propagation{
+		name: "copy-prop",
+		init: func(*ir.Func) facts { return newFacts() },
+		gen: func(lhs *ir.Var, rhs ir.Expr) (fact, bool) {
+			src, ok := rhs.(*ir.VarExpr)
+			if !ok || src.V == lhs || !src.V.Type.Equal(lhs.Type) {
+				return fact{}, false
+			}
+			return fact{src: src.V}, true
+		},
+	}.pass()
+}
+
+// propagation is a forward, flow-sensitive walk that substitutes what is
+// known about each variable into its reads. A pass supplies the facts a
+// function starts with, the fact an assignment creates, and whether
+// substituted expressions and constant branches fold.
+type propagation struct {
+	name string
+	init func(f *ir.Func) facts
+	gen  func(lhs *ir.Var, rhs ir.Expr) (fact, bool)
+	fold bool
+}
+
+// fact is what is known about a variable: it holds a copy of src or, when
+// src is nil, the constant val.
+type fact struct {
+	src *ir.Var
+	val int64
+}
+
+// expr returns the expression that replaces a read of v.
+func (f fact) expr(v *ir.Var) ir.Expr {
+	if f.src != nil {
+		return ir.V(f.src)
+	}
+	return ir.C(f.val, v.Type)
+}
+
+// facts maps each variable to what is known about it. Every clone made
+// during one function's walk shares read, the variables any fact has
+// held as its source, so kill looks for readers only where there can be
+// some.
+type facts struct {
+	known map[*ir.Var]fact
+	read  map[*ir.Var]bool
+}
+
+func newFacts() facts {
+	return facts{known: map[*ir.Var]fact{}, read: map[*ir.Var]bool{}}
+}
+
+func (s facts) clone() facts { return facts{known: maps.Clone(s.known), read: s.read} }
+
+func (s facts) set(v *ir.Var, f fact) {
+	s.known[v] = f
+	if f.src != nil {
+		s.read[f.src] = true
+	}
+}
+
+// kill drops the facts a write to v invalidates: v's own and every fact
+// that reads v.
+func (s facts) kill(v *ir.Var) {
+	delete(s.known, v)
+	if !s.read[v] {
+		return
+	}
+	for k, f := range s.known {
+		if f.src == v {
+			delete(s.known, k)
+		}
+	}
+}
+
+// clobberGlobals drops the facts a call invalidates: those about a global
+// and those reading one.
+func (s facts) clobberGlobals() {
+	for k, f := range s.known {
+		if k.IsGlobal || f.src != nil && f.src.IsGlobal {
+			delete(s.known, k)
+		}
+	}
+}
+
+// killWritten drops the facts invalidated by everything the statements may
+// write, so they hold on every iteration of a loop over them.
+func (s facts) killWritten(stmts []ir.Stmt) {
+	w := map[*ir.Var]bool{}
+	writtenVars(stmts, w)
+	if w[anyGlobalMarker] {
+		s.clobberGlobals()
+	}
+	for v := range w {
+		s.kill(v)
+	}
+}
+
+// join keeps in s only the facts equal on both paths.
+func (s facts) join(then, els facts) {
+	clear(s.known)
+	for k, f := range then.known {
+		if g, ok := els.known[k]; ok && g == f {
+			s.known[k] = f
+		}
+	}
+}
+
+func (pr propagation) pass() Pass {
+	return PassFunc{PassName: pr.name, Fn: func(p *ir.Program) (bool, error) {
+		changed := false
+		for _, f := range p.Funcs {
+			if pr.block(f.Body, pr.init(f)) {
+				changed = true
+			}
+		}
+		return changed, nil
+	}}
+}
+
+// substitute rewrites e, replacing reads of variables with known facts
+// and, when the pass folds, folding, and returns the new expression.
+func (pr propagation) substitute(e ir.Expr, s facts) (ir.Expr, bool) {
+	changed := false
+	out := ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
+		if v, ok := x.(*ir.VarExpr); ok {
+			if f, ok := s.known[v.V]; ok {
+				changed = true
+				return f.expr(v.V)
+			}
+			return x
+		}
+		if !pr.fold {
+			return x
+		}
+		nx := FoldExpr(x)
+		if nx != x {
+			changed = true
+		}
+		return nx
+	})
+	return out, changed
+}
+
+func (pr propagation) substituteArgs(call *ir.CallExpr, s facts) bool {
+	changed := false
+	for i, a := range call.Args {
+		na, ch := pr.substitute(a, s)
+		call.Args[i] = na
+		changed = changed || ch
+	}
+	return changed
+}
+
+// block propagates through a statement list, mutating statements in place
+// and updating s. It returns whether anything changed. The slice is
+// rebuilt only once a branch is spliced.
+func (pr propagation) block(b *ir.Block, s facts) bool {
+	changed := false
+	var out []ir.Stmt
+	for i, st := range b.Stmts {
+		ch, folded, taken := pr.stmt(st, s)
+		changed = changed || ch
+		switch {
+		case folded:
+			if out == nil {
+				out = append(make([]ir.Stmt, 0, len(b.Stmts)+len(taken)), b.Stmts[:i]...)
+			}
+			out = append(out, taken...)
+		case out != nil:
+			out = append(out, st)
+		}
+	}
+	if out != nil {
+		b.Stmts = out
+	}
+	return changed
+}
+
+// stmt processes one statement in place and reports whether anything
+// changed. An if whose condition folds to a constant reports folded and
+// the statements of its taken branch, which replace it.
+func (pr propagation) stmt(st ir.Stmt, s facts) (changed, folded bool, taken []ir.Stmt) {
+	switch x := st.(type) {
+	case *ir.AssignStmt:
+		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
+			changed = pr.substituteArgs(call, s)
+			s.clobberGlobals()
+		} else {
+			x.RHS, changed = pr.substitute(x.RHS, s)
+		}
+		switch lhs := x.LHS.(type) {
+		case *ir.VarExpr:
+			s.kill(lhs.V)
+			if f, ok := pr.gen(lhs.V, x.RHS); ok {
+				s.set(lhs.V, f)
+			}
+		case *ir.IndexExpr:
+			var ch bool
+			lhs.Index, ch = pr.substitute(lhs.Index, s)
+			changed = changed || ch
+			s.kill(lhs.Arr)
+		}
+
+	case *ir.IfStmt:
+		x.Cond, changed = pr.substitute(x.Cond, s)
+		if c, ok := x.Cond.(*ir.ConstExpr); ok && pr.fold {
+			branch := x.Else
+			if c.Val != 0 {
+				branch = x.Then
+			}
+			if branch == nil {
+				return true, true, nil
+			}
+			pr.block(branch, s)
+			return true, true, branch.Stmts
+		}
+		thenState, elseState := s.clone(), s.clone()
+		if pr.block(x.Then, thenState) {
+			changed = true
+		}
+		if x.Else != nil && pr.block(x.Else, elseState) {
+			changed = true
+		}
+		s.join(thenState, elseState)
+
+	case *ir.ForStmt:
+		if x.Init != nil {
+			changed, _, _ = pr.stmt(x.Init, s)
+		}
+		// Everything written in the loop is unknown at the condition
+		// and afterwards (no iteration needed: we only remove facts).
+		body := append([]ir.Stmt{}, x.Body.Stmts...)
+		if x.Post != nil {
+			body = append(body, x.Post)
+		}
+		s.killWritten(body)
+		var ch bool
+		x.Cond, ch = pr.substitute(x.Cond, s)
+		changed = changed || ch
+		inner := s.clone()
+		if pr.block(x.Body, inner) {
+			changed = true
+		}
+		if x.Post != nil {
+			x.Post.RHS, ch = pr.substitute(x.Post.RHS, inner)
+			changed = changed || ch
+		}
+
+	case *ir.WhileStmt:
+		s.killWritten(x.Body.Stmts)
+		x.Cond, changed = pr.substitute(x.Cond, s)
+		if pr.block(x.Body, s.clone()) {
+			changed = true
+		}
+
+	case *ir.ReturnStmt:
+		if x.Val != nil {
+			x.Val, changed = pr.substitute(x.Val, s)
+		}
+
+	case *ir.ExprStmt:
+		changed = pr.substituteArgs(x.Call, s)
+		s.clobberGlobals()
+
+	case *ir.Block:
+		changed = pr.block(x, s)
+	}
+	return changed, false, nil
+}
