@@ -474,7 +474,11 @@ dispatch:
 // invalidate points already evaluated under it: the in-memory point
 // cache keys on the name, so a daemon must derive names from program
 // content (a fingerprint) rather than reusing one name for different
-// programs.
+// programs. The service queue calls it once per distinct inline text:
+// its bounded parse memo maps a repeated text to the fingerprint already
+// registered here, and only a text that fell out of the memo registers
+// an equal program again. Sources is never pruned; it holds one program
+// per distinct fingerprint.
 func (e *Engine) AddSource(name string, prog *ir.Program) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

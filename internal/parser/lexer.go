@@ -310,7 +310,8 @@ func (lx *Lexer) number() (Token, error) {
 	return tok, nil
 }
 
-// LexAll tokenizes the entire input (testing helper).
+// LexAll tokenizes the entire input. Parse calls it once per program,
+// so it runs on every source the service parses.
 func LexAll(src string) ([]Token, error) {
 	lx := NewLexer(src)
 	var toks []Token

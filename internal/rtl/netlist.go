@@ -338,15 +338,23 @@ func (m *Module) Not(a *Signal) *Signal {
 	return m.Un(ir.OpLNot, ir.Bool, a)
 }
 
+// opNames holds each binary operator's gate-name stem. One shared table:
+// opName runs for every binary gate a build creates.
+var opNames = [...]string{
+	ir.OpAdd: "add", ir.OpSub: "sub", ir.OpMul: "mul", ir.OpDiv: "div",
+	ir.OpRem: "rem", ir.OpAnd: "and", ir.OpOr: "or", ir.OpXor: "xor",
+	ir.OpShl: "shl", ir.OpShr: "shr", ir.OpEq: "eq", ir.OpNe: "ne",
+	ir.OpLt: "lt", ir.OpLe: "le", ir.OpGt: "gt", ir.OpGe: "ge",
+	ir.OpLAnd: "land", ir.OpLOr: "lor",
+}
+
+// opName returns op's gate-name stem, "" for an operator outside the
+// table.
 func opName(op ir.BinOp) string {
-	names := map[ir.BinOp]string{
-		ir.OpAdd: "add", ir.OpSub: "sub", ir.OpMul: "mul", ir.OpDiv: "div",
-		ir.OpRem: "rem", ir.OpAnd: "and", ir.OpOr: "or", ir.OpXor: "xor",
-		ir.OpShl: "shl", ir.OpShr: "shr", ir.OpEq: "eq", ir.OpNe: "ne",
-		ir.OpLt: "lt", ir.OpLe: "le", ir.OpGt: "gt", ir.OpGe: "ge",
-		ir.OpLAnd: "land", ir.OpLOr: "lor",
+	if op < 0 || int(op) >= len(opNames) {
+		return ""
 	}
-	return names[op]
+	return opNames[op]
 }
 
 // Stats summarizes the module under a delay model.

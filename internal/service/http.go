@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -258,12 +259,37 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 // metrics handles GET /metrics: the engine bus's folded metrics in
-// Prometheus text exposition format. A daemon whose engine runs without
-// a bus serves an empty (but valid) exposition rather than 404, so
-// scrape configs need not care how the daemon was wired.
+// Prometheus text exposition format, followed by the Go runtime's heap
+// readings. A daemon whose engine runs without a bus serves only the
+// runtime series rather than 404, so scrape configs need not care how
+// the daemon was wired.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.queue.Engine().Obs.Registry().WritePrometheus(w)
+	if s.queue.Engine().Obs.Registry().WritePrometheus(w) != nil {
+		return
+	}
+	writeRuntimeMetrics(w)
+}
+
+// runtimeSeries are the runtime/metrics samples /metrics reads at
+// scrape time, so an operator sees the heap a live daemon holds.
+var runtimeSeries = []struct{ name, typ, help, sample string }{
+	{"go_heap_objects_bytes", "gauge", "Bytes in heap objects, live and not yet swept.", "/memory/classes/heap/objects:bytes"},
+	{"go_memory_total_bytes", "gauge", "All memory mapped by the Go runtime.", "/memory/classes/total:bytes"},
+	{"go_gc_cycles_total", "counter", "Completed GC cycles.", "/gc/cycles/total:gc-cycles"},
+}
+
+// writeRuntimeMetrics renders runtimeSeries in text exposition format.
+func writeRuntimeMetrics(w io.Writer) {
+	samples := make([]metrics.Sample, len(runtimeSeries))
+	for i, rs := range runtimeSeries {
+		samples[i].Name = rs.sample
+	}
+	metrics.Read(samples)
+	for i, rs := range runtimeSeries {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
+			rs.name, rs.help, rs.name, rs.typ, rs.name, samples[i].Value.Uint64())
+	}
 }
 
 // healthView is the /healthz payload.

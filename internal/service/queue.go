@@ -90,6 +90,10 @@ type Queue struct {
 
 	// streams accounts SSE subscriptions across all job streams.
 	streams streamCounters
+
+	// parsed memoizes inline source text → program fingerprint, so each
+	// distinct text is parsed once (see resolveSource).
+	parsed sourceMemo
 }
 
 // NewQueue starts a queue with the given worker-pool size (<=0: 1) over
@@ -126,8 +130,8 @@ func (q *Queue) Submit(req Request) (job *Job, deduped bool, err error) {
 	}
 	// Parse/register the source before taking the queue lock: the key
 	// must hash the content fingerprint, and parse errors are submit
-	// errors, not job failures.
-	sourceFP, err := resolveSource(q.eng, &req)
+	// errors, not job failures. A text seen before is not parsed again.
+	sourceFP, err := q.resolveSource(&req)
 	if err != nil {
 		return nil, false, err
 	}

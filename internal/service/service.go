@@ -12,6 +12,9 @@
 // than queueing duplicate work. Identical requests submitted after the
 // first completes run again, but hit the engine's point and frontend
 // caches, which is exactly the amortization a shared daemon exists for.
+// An inline source is parsed once per distinct text: the queue remembers
+// each text's fingerprint in a bounded memo, so a repeated submit costs
+// a hash of the text, not a parse.
 //
 // cmd/sparkd serves this package over HTTP:
 //
@@ -45,6 +48,7 @@ package service
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"sparkgo/internal/core"
@@ -247,21 +251,63 @@ func (r *Request) key(sourceFP string) string {
 	return ir.HashText(b.String())
 }
 
-// resolveSource parses an inline source (registering it under its
-// content fingerprint) or checks a fingerprint reference, returning the
-// engine source name ("" for the generator).
-func resolveSource(eng *explore.Engine, r *Request) (string, error) {
+// maxSourceMemo bounds the queue's parse memo: the number of distinct
+// inline source texts whose program fingerprint it remembers. A full
+// memo is cleared; a text that fell out costs one re-parse.
+const maxSourceMemo = 1024
+
+// sourceMemo maps the hash of an inline source text (ir.HashText) to
+// the content fingerprint of the program it parsed to, so a repeated
+// submit of the same text skips the lexer, the parser and the
+// fingerprint walk. Only successful parses are stored.
+type sourceMemo struct {
+	mu  sync.Mutex
+	fps map[string]string
+}
+
+func (m *sourceMemo) get(textHash string) (string, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fp, ok := m.fps[textHash]
+	return fp, ok
+}
+
+func (m *sourceMemo) put(textHash, fp string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.fps == nil || len(m.fps) >= maxSourceMemo {
+		m.fps = make(map[string]string)
+	}
+	m.fps[textHash] = fp
+}
+
+// resolveSource returns the engine source name of a request ("" for the
+// generator). An inline source is parsed once per distinct text: the
+// first submit parses it, registers the program under its content
+// fingerprint (Engine.AddSource) and records text → fingerprint in the
+// queue's bounded memo; a later submit of the same text whose
+// fingerprint the engine still holds returns it without parsing. Two
+// concurrent first submits of one text may both parse, which is
+// harmless: both register an equal program under one fingerprint, and
+// the engine pins whichever it resolves first. A source_ref is checked
+// against the engine's sources.
+func (q *Queue) resolveSource(r *Request) (string, error) {
 	if r.Source != "" {
+		h := ir.HashText(r.Source)
+		if fp, ok := q.parsed.get(h); ok && q.eng.HasSource(fp) {
+			return fp, nil
+		}
 		prog, err := parser.Parse("inline", r.Source)
 		if err != nil {
 			return "", fmt.Errorf("service: parse source: %w", err)
 		}
 		fp := ir.Fingerprint(prog)
-		eng.AddSource(fp, prog)
+		q.eng.AddSource(fp, prog)
+		q.parsed.put(h, fp)
 		return fp, nil
 	}
 	if r.SourceRef != "" {
-		if !eng.HasSource(r.SourceRef) {
+		if !q.eng.HasSource(r.SourceRef) {
 			return "", fmt.Errorf("service: unknown source_ref %q (submit the source inline first)", r.SourceRef)
 		}
 		return r.SourceRef, nil

@@ -40,18 +40,19 @@ type streamSub struct {
 
 // jobStream is one job's event log: a bounded ring of everything
 // published so far (the backlog a late subscriber replays) plus the
-// live subscriber set. Publishing never blocks: a subscriber whose
-// buffer is full is dropped on the spot. The stream closes when the
-// job reaches a terminal status, ending every subscriber's stream
-// after the final event.
+// live subscriber set. The ring grows by append until it holds
+// streamRingSize events and only then wraps, so a job that publishes a
+// handful of events (a cached synth) keeps a handful, not a full ring.
+// Publishing never blocks: a subscriber whose buffer is full is dropped
+// on the spot. The stream closes when the job reaches a terminal
+// status, ending every subscriber's stream after the final event.
 type jobStream struct {
 	counters *streamCounters
 
 	mu     sync.Mutex
 	seq    uint64
-	ring   []obs.Event // circular, capacity streamRingSize
-	start  int
-	count  int
+	ring   []obs.Event // circular once full, at most streamRingSize long
+	start  int         // index of the oldest event once the ring wraps
 	subs   map[*streamSub]struct{}
 	closed bool
 }
@@ -74,13 +75,10 @@ func (s *jobStream) publish(ev obs.Event) {
 	}
 	s.seq++
 	ev.Seq = s.seq
-	if s.ring == nil {
-		s.ring = make([]obs.Event, streamRingSize)
-	}
-	s.ring[(s.start+s.count)%streamRingSize] = ev
-	if s.count < streamRingSize {
-		s.count++
+	if len(s.ring) < streamRingSize {
+		s.ring = append(s.ring, ev)
 	} else {
+		s.ring[s.start] = ev
 		s.start = (s.start + 1) % streamRingSize
 	}
 	for sub := range s.subs {
@@ -125,9 +123,9 @@ func (s *jobStream) subscribe() (backlog []obs.Event, sub *streamSub, closed boo
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	backlog = make([]obs.Event, s.count)
-	for i := 0; i < s.count; i++ {
-		backlog[i] = s.ring[(s.start+i)%streamRingSize]
+	backlog = make([]obs.Event, len(s.ring))
+	for i := range backlog {
+		backlog[i] = s.ring[(s.start+i)%len(s.ring)]
 	}
 	s.counters.opened.Add(1)
 	if s.closed {

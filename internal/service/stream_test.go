@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +168,40 @@ func TestSSECloseOnCancel(t *testing.T) {
 	}
 
 	waitTerminal(t, base, blocker.ID, 60*time.Second)
+}
+
+// TestJobStreamRing: the ring grows with the events a job publishes and
+// wraps only at streamRingSize, so a short stream keeps a short ring and
+// a long one replays exactly its last streamRingSize events in order.
+func TestJobStreamRing(t *testing.T) {
+	var c streamCounters
+	short := newJobStream(&c)
+	for i := 0; i < 3; i++ {
+		short.publish(obs.Event{Type: obs.TypeProgress, Done: i + 1})
+	}
+	if n := cap(short.ring); n > 4 {
+		t.Errorf("3-event stream: ring capacity %d, want <= 4", n)
+	}
+
+	long := newJobStream(&c)
+	const published = 300
+	for i := 0; i < published; i++ {
+		long.publish(obs.Event{Type: obs.TypeProgress, Done: i + 1})
+	}
+	long.close()
+	backlog, sub, closed := long.subscribe()
+	if sub != nil || !closed {
+		t.Fatal("closed stream registered a subscriber")
+	}
+	if len(backlog) != streamRingSize {
+		t.Fatalf("backlog holds %d events, want %d", len(backlog), streamRingSize)
+	}
+	for i, ev := range backlog {
+		want := uint64(published - streamRingSize + 1 + i)
+		if ev.Seq != want || uint64(ev.Done) != want {
+			t.Fatalf("backlog[%d] = seq %d done %d, want %d", i, ev.Seq, ev.Done, want)
+		}
+	}
 }
 
 // TestSSEAfterTerminalReplaysBacklog: a subscriber connecting after the
@@ -335,6 +370,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, event := range []string{"submitted", "done"} {
 		if series := obs.MetricJobs + `{event="` + event + `"}`; samples[series] != "3" {
 			t.Errorf("metrics %s = %q, want 3", series, samples[series])
+		}
+	}
+	// The runtime's heap readings, taken at scrape time. The GC may not
+	// have completed a cycle yet, so its counter need only be present.
+	for _, rt := range []struct {
+		name, typ string
+		nonzero   bool
+	}{
+		{"go_heap_objects_bytes", "gauge", true},
+		{"go_memory_total_bytes", "gauge", true},
+		{"go_gc_cycles_total", "counter", false},
+	} {
+		if want := "# TYPE " + rt.name + " " + rt.typ; !slices.Contains(types, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+		v, ok := samples[rt.name]
+		if n, err := strconv.ParseUint(v, 10, 64); !ok || err != nil || (rt.nonzero && n == 0) {
+			t.Errorf("metrics %s = %q, want a count", rt.name, v)
 		}
 	}
 }
