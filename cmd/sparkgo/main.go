@@ -104,7 +104,7 @@ func main() {
 	t.Add("functional units", res.Stats.FUs)
 	t.Add("muxes", res.Stats.Muxes)
 	t.Add("registers", res.Stats.Registers)
-	br := bind.Summarize(res.Schedule)
+	br := bind.Summarize(res.Schedule.Plan)
 	t.Add("wire-variables", br.WireVars)
 	t.Add("register variables", br.RegisterVars)
 	t.Add("shared registers (left-edge)", br.SharedRegs)

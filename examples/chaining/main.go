@@ -99,7 +99,7 @@ func main() {
 		if err := core.Verify(res, 60, 4); err != nil {
 			log.Fatalf("%s: %v", cfg.name, err)
 		}
-		br := bind.Summarize(res.Schedule)
+		br := bind.Summarize(res.Schedule.Plan)
 		t.Add(cfg.name, res.Cycles, res.Stats.CriticalPath, res.Stats.Muxes, br.WireVars)
 	}
 	fmt.Println(t)

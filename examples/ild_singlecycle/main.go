@@ -44,7 +44,7 @@ func main() {
 	}
 	fmt.Println(t)
 
-	br := bind.Summarize(res.Schedule)
+	br := bind.Summarize(res.Schedule.Plan)
 	t2 := report.New("final architecture (paper Fig 15b)", "metric", "value")
 	t2.Add("FSM states (cycles)", res.Cycles)
 	t2.Add("critical path (gate units)", res.Stats.CriticalPath)

@@ -41,7 +41,7 @@ type Analysis struct {
 // Analyze computes register lifetimes from a schedule. Globals are
 // excluded: they are architectural state with whole-design lifetime and
 // never share.
-func Analyze(res *sched.Result) *Analysis {
+func Analyze(res *sched.Plan) *Analysis {
 	defState := map[*ir.Var]int{}
 	lastState := map[*ir.Var]int{}
 	seen := map[*ir.Var]bool{}
@@ -182,7 +182,7 @@ type Report struct {
 }
 
 // Summarize runs the full binding analysis on a schedule.
-func Summarize(res *sched.Result) Report {
+func Summarize(res *sched.Plan) Report {
 	an := Analyze(res)
 	sh := LeftEdge(an)
 	r := Report{

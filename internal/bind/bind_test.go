@@ -9,14 +9,14 @@ import (
 	"sparkgo/internal/sched"
 )
 
-func schedule(t *testing.T, src string, opt core.Options) *sched.Result {
+func schedule(t *testing.T, src string, opt core.Options) *sched.Plan {
 	t.Helper()
 	p := parser.MustParse("d", src)
 	res, err := core.Synthesize(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Schedule
+	return res.Schedule.Plan
 }
 
 func TestSingleCycleAllWires(t *testing.T) {

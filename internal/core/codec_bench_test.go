@@ -59,8 +59,8 @@ func benchKinds(b *testing.B) []benchKind {
 		},
 		{
 			name:    "schedule",
-			wireEnc: func() ([]byte, error) { return sched.EncodeResult(ma.Schedule) },
-			wireDec: func(d []byte) error { _, err := sched.DecodeResult(d); return err },
+			wireEnc: func() ([]byte, error) { return sched.EncodePlan(ma.Schedule) },
+			wireDec: func(d []byte) error { _, err := sched.DecodePlan(d); return err },
 		},
 		{
 			name:    "module",

@@ -91,8 +91,9 @@ func stages(t *testing.T, d codecDesign) (*core.FrontendArtifact, *core.MidendAr
 // TestArtifactCodecRoundTrip is the codec contract over every
 // differential-harness design: encode → decode → encode must be
 // byte-identical for midend and backend artifacts (the property
-// fingerprint verification of revived artifacts rests on), the revived
-// netlist must emit byte-identical HDL, behave identically under the
+// fingerprint verification of revived artifacts rests on), the backend
+// over a revived midend must encode byte-identically to the original,
+// the revived netlist must emit byte-identical HDL, behave identically under the
 // interp≡rtlsim differential harness, and report the same technology
 // numbers. Fingerprints are additionally pinned by a golden file so an
 // accidental codec change fails loudly instead of silently retiring (or
@@ -122,14 +123,15 @@ func TestArtifactCodecRoundTrip(t *testing.T) {
 				t.Fatalf("revived schedule: %d cycles, want %d", ma2.Cycles, ma.Cycles)
 			}
 
-			// The revived schedule must drive the backend to the same
-			// design as the original.
+			// The revived plan must drive the backend to the same
+			// design as the original: the same backend encoding, byte
+			// for byte.
 			ba2, err := core.Backend(ma2, d.opt.BackendOptions())
 			if err != nil {
 				t.Fatalf("backend over revived midend: %v", err)
 			}
-			if rtl.EmitVHDL(ba2.Module) != rtl.EmitVHDL(ba.Module) {
-				t.Error("backend over revived midend emits different VHDL")
+			if !bytes.Equal(ba2.Materialize(), baEnc) {
+				t.Error("backend over revived midend encodes differently")
 			}
 
 			// Backend: byte-stable round trip.

@@ -147,7 +147,7 @@ type Result struct {
 	Input     *ir.Program // untouched original
 	Program   *ir.Program // transformed program (the copy the graph references)
 	Graph     *htg.Graph
-	Schedule  *sched.Result
+	Schedule  *sched.Result // the fresh schedule: plan and report
 	Module    *rtl.Module
 	Stages    []StageMetrics
 	PassStats []pass.Stat // per-pass runs/changes/wall time
@@ -168,7 +168,7 @@ func Synthesize(input *ir.Program, opt Options) (*Result, error) {
 	}
 	// The artifact is private to this call, so the midend may consume
 	// its program without the defensive clone shared artifacts need.
-	ma, err := midend(fa.Program, fa, opt.MidendOptions())
+	ma, schedule, err := midend(fa.Program, fa, opt.MidendOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func Synthesize(input *ir.Program, opt Options) (*Result, error) {
 		Input:     input,
 		Program:   ma.Program,
 		Graph:     ma.Graph,
-		Schedule:  ma.Schedule,
+		Schedule:  schedule,
 		Module:    ba.Module,
 		Stages:    fa.Stages,
 		PassStats: fa.PassStats,

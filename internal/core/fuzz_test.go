@@ -91,7 +91,7 @@ func TestTruncatedArtifactsReportWireErrors(t *testing.T) {
 	}{
 		{"program", progEnc, func(b []byte) error { _, err := ir.DecodeProgram(b); return err }},
 		{"graph", graphEnc, func(b []byte) error { _, err := htg.DecodeGraph(b); return err }},
-		{"schedule", schedEnc, func(b []byte) error { _, err := sched.DecodeResult(b); return err }},
+		{"schedule", schedEnc, func(b []byte) error { _, err := sched.DecodePlan(b); return err }},
 		{"module", modEnc, func(b []byte) error { _, err := rtl.DecodeModule(b); return err }},
 	}
 	for _, dc := range decoders {
@@ -147,11 +147,13 @@ func FuzzDecodeGraph(f *testing.F) {
 	})
 }
 
+// FuzzDecodeResult fuzzes the schedule plan layout (sched.DecodePlan);
+// it keeps the name the CI fuzz loop selects it by.
 func FuzzDecodeResult(f *testing.F) {
 	_, _, schedEnc, _, _ := fuzzArtifacts(f)
 	addSeeds(f, schedEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fixedPoint(t, data, sched.DecodeResult, sched.EncodeResult)
+		fixedPoint(t, data, sched.DecodePlan, sched.EncodePlan)
 	})
 }
 

@@ -32,7 +32,10 @@ const (
 	// and carry a content fingerprint; v1 artifacts were in-memory only.
 	// v3: schedules are persisted in the deterministic binary wire
 	// format (internal/wire) instead of gob.
-	MidendVersion = 3
+	// v4: only the schedule plan is persisted (sched.EncodePlan): no
+	// delay model, per-op arrival/finish tables, per-state critical
+	// paths or dependence graph.
+	MidendVersion = 4
 	// BackendVersion keys netlist/stats artifacts.
 	//
 	// v2: backend artifacts are persisted losslessly (rtl.EncodeModule +
@@ -230,22 +233,24 @@ func MidendKey(fa *FrontendArtifact, o MidendOptions) string {
 }
 
 // MidendArtifact is the output of the midend stage: the hierarchical
-// task graph and its schedule, plus the private program clone they
-// reference.
+// task graph and its schedule plan — what the backend builds from —
+// plus the private program clone they reference. What the scheduler
+// only reports (arrival times, critical paths) is not part of the
+// artifact; a fresh Synthesize result carries it.
 type MidendArtifact struct {
 	Program  *ir.Program // midend's own clone; Graph/Schedule reference its vars
 	Graph    *htg.Graph
-	Schedule *sched.Result
+	Schedule *sched.Plan
 	Cycles   int
 	// Fingerprint is the artifact's content identity: the SHA-256 of its
-	// lossless encoding (sched.EncodeResult, which embeds the graph and
+	// lossless encoding (sched.EncodePlan, which embeds the graph and
 	// program). Empty until Materialize runs; the one-shot Synthesize
 	// path never pays for it.
 	Fingerprint string
 	Key         string
 
-	// schedEnc holds the schedule's lossless encoding on artifacts
-	// revived from disk; Sched decodes it on first use.
+	// schedEnc holds the plan's lossless encoding on artifacts revived
+	// from disk; Sched decodes it on first use.
 	schedEnc   []byte
 	decodeOnce sync.Once
 	decodeErr  error
@@ -255,17 +260,16 @@ type MidendArtifact struct {
 // persisted schedule encoding without decoding it: disk revival is
 // hash-verified by the cache layer, and cycles travels as metadata
 // alongside the payload, so downstream stage keys and sweep metrics
-// never force a decode. Sched materializes the full schedule on first
-// use.
+// never force a decode. Sched materializes the plan on first use.
 func ReviveMidendArtifact(schedEnc []byte, cycles int) *MidendArtifact {
 	return &MidendArtifact{schedEnc: schedEnc, Cycles: cycles}
 }
 
-// Sched returns the artifact's schedule, decoding the persisted
+// Sched returns the artifact's schedule plan, decoding the persisted
 // encoding on first call for revived artifacts (program and graph
 // fields are filled from the embedded encoding too). Computed artifacts
-// return their in-memory schedule unconditionally.
-func (ma *MidendArtifact) Sched() (*sched.Result, error) {
+// return their in-memory plan unconditionally.
+func (ma *MidendArtifact) Sched() (*sched.Plan, error) {
 	if ma.Schedule != nil {
 		return ma.Schedule, nil
 	}
@@ -274,13 +278,13 @@ func (ma *MidendArtifact) Sched() (*sched.Result, error) {
 			ma.decodeErr = fmt.Errorf("core: midend artifact has no schedule encoding")
 			return
 		}
-		res, err := sched.DecodeResult(ma.schedEnc)
+		p, err := sched.DecodePlan(ma.schedEnc)
 		if err != nil {
 			ma.decodeErr = fmt.Errorf("core: revive midend: %w", err)
 			return
 		}
-		ma.Program, ma.Graph, ma.Schedule = res.G.Prog, res.G, res
-		ma.Cycles = res.NumStates
+		ma.Program, ma.Graph, ma.Schedule = p.G.Prog, p.G, p
+		ma.Cycles = p.NumStates
 	})
 	return ma.Schedule, ma.decodeErr
 }
@@ -292,7 +296,7 @@ func (ma *MidendArtifact) Sched() (*sched.Result, error) {
 // carries. Call it from the goroutine that created the artifact, before
 // sharing it.
 func (ma *MidendArtifact) Materialize() []byte {
-	enc, err := sched.EncodeResult(ma.Schedule)
+	enc, err := sched.EncodePlan(ma.Schedule)
 	if err != nil {
 		// Mirror the frontend's fallback for unencodable artifacts: a
 		// stable (if uninformative) fingerprint, no reusable encoding.
@@ -312,32 +316,34 @@ func Midend(fa *FrontendArtifact, o MidendOptions) (*MidendArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return midend(ir.CloneProgram(prog), fa, o)
+	ma, _, err := midend(ir.CloneProgram(prog), fa, o)
+	return ma, err
 }
 
-// midend is Midend on a program the caller owns outright. Synthesize
-// uses it to skip the defensive clone: its artifact is private to the
-// call, so lowering may consume it in place.
-func midend(work *ir.Program, fa *FrontendArtifact, o MidendOptions) (*MidendArtifact, error) {
+// midend is Midend on a program the caller owns outright, also
+// returning the fresh schedule with its report. Synthesize uses it to
+// skip the defensive clone (its artifact is private to the call, so
+// lowering may consume it in place) and to keep the report.
+func midend(work *ir.Program, fa *FrontendArtifact, o MidendOptions) (*MidendArtifact, *sched.Result, error) {
 	main := work.Main()
 	if main == nil {
-		return nil, fmt.Errorf("core: program has no main function")
+		return nil, nil, fmt.Errorf("core: program has no main function")
 	}
 	if ir.CountCalls(main) > 0 {
-		return nil, fmt.Errorf("core: calls survive transformation (recursive or non-inlinable)")
+		return nil, nil, fmt.Errorf("core: calls survive transformation (recursive or non-inlinable)")
 	}
 	g, err := htg.Lower(work, main)
 	if err != nil {
-		return nil, fmt.Errorf("core: lower: %w", err)
+		return nil, nil, fmt.Errorf("core: lower: %w", err)
 	}
 	s, err := sched.Schedule(g, o.schedConfig(g))
 	if err != nil {
-		return nil, fmt.Errorf("core: schedule: %w", err)
+		return nil, nil, fmt.Errorf("core: schedule: %w", err)
 	}
 	return &MidendArtifact{
-		Program: work, Graph: g, Schedule: s,
+		Program: work, Graph: g, Schedule: s.Plan,
 		Cycles: s.NumStates, Key: MidendKey(fa, o),
-	}, nil
+	}, s, nil
 }
 
 func (o MidendOptions) schedConfig(g *htg.Graph) sched.Config {

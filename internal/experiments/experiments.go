@@ -13,6 +13,7 @@ import (
 	"sparkgo/internal/bind"
 	"sparkgo/internal/core"
 	"sparkgo/internal/delay"
+	"sparkgo/internal/dfa"
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ild"
 	"sparkgo/internal/interp"
@@ -86,7 +87,7 @@ func E2Fig03ConstPropParallel() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		depth := spark.Schedule.Deps.CriticalPathLength()
+		depth := dfa.Build(spark.Graph.AllOps(), dfa.DefaultOptions()).CriticalPathLength()
 		idxGone := spark.Program.Main().Lookup("i") == nil
 		t.Add(n, baseCycles, spark.Cycles, depth, idxGone)
 		if spark.Cycles != 1 || !idxGone {
@@ -280,7 +281,7 @@ func E5E6WireVariables() (*report.Table, error) {
 		if err := core.Verify(res, 40, 6); err != nil {
 			return t, fmt.Errorf("%s: %w", name, err)
 		}
-		br := bind.Summarize(res.Schedule)
+		br := bind.Summarize(res.Schedule.Plan)
 		t.Add(name, res.Cycles, br.WireVars, br.RegisterVars, res.Stats.Muxes, true)
 		if res.Cycles != 1 {
 			return t, fmt.Errorf("E5/E6 %s: %d cycles, want 1", name, res.Cycles)

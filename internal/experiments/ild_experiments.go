@@ -41,7 +41,7 @@ func E12Fig15SingleCycle(sizes []int, trials int) (*report.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		br := bind.Summarize(res.Schedule)
+		br := bind.Summarize(res.Schedule.Plan)
 		t.Add(n, res.Cycles, res.Stats.CriticalPath, dataDepth, rippleDepth,
 			res.Stats.Area, res.Stats.Muxes, res.Stats.FUs, br.WireVars, verified)
 		if !verified {

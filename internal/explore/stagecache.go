@@ -454,8 +454,8 @@ type frontendBlob struct {
 // lowering and scheduling at most once per stage key (see lookup). The
 // artifact is shared read-only across configurations; the backend never
 // mutates it. Revival is a header parse: the blob carries the
-// fingerprint and cycle count, and the schedule materializes lazily
-// (Sched) only when the backend stage misses its own caches.
+// fingerprint and cycle count, and the schedule plan materializes
+// lazily (Sched) only when the backend stage misses its own caches.
 func (e *Engine) midend(ctx context.Context, fa *core.FrontendArtifact, o core.MidendOptions) (*core.MidendArtifact, error) {
 	key := core.MidendKey(fa, o)
 	return lookup(ctx, e, stageMidend, key, func() (*core.MidendArtifact, []byte, error) {
@@ -482,14 +482,14 @@ func (e *Engine) midend(ctx context.Context, fa *core.FrontendArtifact, o core.M
 	})
 }
 
-// midendBlob is the stored form of a midend artifact: the schedule in
-// its lossless encoding (sched.EncodeResult embeds the graph and
+// midendBlob is the stored form of a midend artifact: the schedule
+// plan in its lossless encoding (sched.EncodePlan embeds the graph and
 // program), the content fingerprint downstream stage keys chain on,
 // and the cycle count — the one schedule metric sweep points read — so
 // a revived artifact answers every cache-warm question without
-// decoding the schedule.
+// decoding the plan.
 type midendBlob struct {
-	Schedule    []byte // sched.EncodeResult of the artifact's schedule
+	Schedule    []byte // sched.EncodePlan of the artifact's schedule plan
 	Fingerprint string
 	Cycles      int
 }

@@ -32,7 +32,7 @@ func TestDiskWarmSweepNeverDecodesStagePayloads(t *testing.T) {
 	// trial count partitions point keys) while all three stage
 	// artifacts revive from disk.
 	progBefore := ir.ProgramDecodeCount()
-	schedBefore := sched.ResultDecodeCount()
+	schedBefore := sched.PlanDecodeCount()
 	modBefore := rtl.ModuleDecodeCount()
 
 	warm := &explore.Engine{SimTrials: 1, CacheDir: dir}
@@ -56,7 +56,7 @@ func TestDiskWarmSweepNeverDecodesStagePayloads(t *testing.T) {
 	if n := ir.ProgramDecodeCount() - progBefore; n != 0 {
 		t.Errorf("disk-warm sweep decoded %d programs, want 0", n)
 	}
-	if n := sched.ResultDecodeCount() - schedBefore; n != 0 {
+	if n := sched.PlanDecodeCount() - schedBefore; n != 0 {
 		t.Errorf("disk-warm sweep decoded %d schedules, want 0", n)
 	}
 	if n := rtl.ModuleDecodeCount() - modBefore; n == 0 {
@@ -67,7 +67,7 @@ func TestDiskWarmSweepNeverDecodesStagePayloads(t *testing.T) {
 	// point hits the point cache written by the cold sweep, so not even
 	// the netlist decodes.
 	progBefore = ir.ProgramDecodeCount()
-	schedBefore = sched.ResultDecodeCount()
+	schedBefore = sched.PlanDecodeCount()
 	modBefore = rtl.ModuleDecodeCount()
 	again := &explore.Engine{CacheDir: dir}
 	for _, p := range again.Sweep(space) {
@@ -82,7 +82,7 @@ func TestDiskWarmSweepNeverDecodesStagePayloads(t *testing.T) {
 	if n := ir.ProgramDecodeCount() - progBefore; n != 0 {
 		t.Errorf("point-warm sweep decoded %d programs, want 0", n)
 	}
-	if n := sched.ResultDecodeCount() - schedBefore; n != 0 {
+	if n := sched.PlanDecodeCount() - schedBefore; n != 0 {
 		t.Errorf("point-warm sweep decoded %d schedules, want 0", n)
 	}
 	if n := rtl.ModuleDecodeCount() - modBefore; n != 0 {

@@ -34,7 +34,7 @@ func sortedVars[T any](m map[*ir.Var]T) []*ir.Var {
 // multiplexer controlled by the block's guard network (the hardware of
 // paper Figs 4, 6, 7); values that cross state boundaries become register
 // writes. Wire-variables (§3.1.2) never touch a register.
-func Build(res *sched.Result) (*Module, error) {
+func Build(res *sched.Plan) (*Module, error) {
 	g := res.G
 	m := NewModule(g.Prog.Name)
 	m.NumStates = res.NumStates
@@ -155,7 +155,7 @@ type stateCond struct {
 
 type builder struct {
 	m   *Module
-	res *sched.Result
+	res *sched.Plan
 
 	homes    map[*ir.Var]*Signal   // scalar home (reg or input) signal
 	arrays   map[*ir.Var][]*Signal // array element home signals

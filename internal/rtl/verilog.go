@@ -87,7 +87,6 @@ func EmitVerilog(m *Module) string {
 			}
 		}
 		first := true
-		closed := false
 		for _, tr := range m.Trans {
 			if tr.From != st {
 				continue
@@ -101,7 +100,6 @@ func EmitVerilog(m *Module) string {
 					w("          %s\n", target)
 				} else {
 					w("          else %s\n", target)
-					closed = true
 				}
 				break
 			}
@@ -116,7 +114,6 @@ func EmitVerilog(m *Module) string {
 				w("          else if (%s == %s) %s\n", verilogRef(tr.Cond), val, target)
 			}
 		}
-		_ = closed
 		w("        end\n")
 	}
 	w("        default: state <= S_IDLE;\n")

@@ -24,13 +24,7 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 	deps := dfa.Build(ops, cfg.DepOpts)
 	m := cfg.Model
 
-	res := &Result{
-		G: g, Mode: ModeChain, Model: m,
-		OpState: map[*htg.Op]int{}, VarClass: map[*ir.Var]VarClass{},
-		Arrival: map[*htg.Op]float64{}, Finish: map[*htg.Op]float64{},
-		ReentrantStates: map[int]bool{},
-		Deps:            deps,
-	}
+	res := newResult(g, ModeChain)
 
 	// Priority: delay-weighted longest path to any sink (computed over
 	// the reversed program order — program order is topological).
@@ -152,11 +146,6 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 		return walk(g.Root)
 	}
 
-	nPreds := map[*htg.Op]int{}
-	for _, op := range ops {
-		nPreds[op] = len(deps.Preds[op])
-	}
-
 	remaining := len(ops)
 	for cycle := 0; remaining > 0; cycle++ {
 		if cycle > 100000 {
@@ -164,6 +153,9 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 		}
 		res.StateCritPath = append(res.StateCritPath, 0)
 		// Candidates whose predecessors are all scheduled (<= cycle).
+		// Anti and output edges are held to the same rule as flow
+		// edges, so an ordering predecessor may share the cycle:
+		// netlist construction orders the value network correctly.
 		progress := true
 		for progress {
 			progress = false
@@ -175,12 +167,6 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 						ok = false
 						break
 					}
-					// Ordering edges must strictly precede unless
-					// the writer chains first in the same cycle —
-					// we keep it simple and allow same-cycle
-					// anti/output: netlist construction orders the
-					// value network correctly.
-					_ = e
 				}
 				if ok {
 					ready = append(ready, op)
@@ -251,7 +237,7 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 		res.Transitions = append(res.Transitions, Transition{From: res.NumStates - 1, To: -1})
 	}
 
-	classifyVars(res)
+	classifyVars(res.Plan)
 	return res, nil
 }
 
@@ -261,7 +247,7 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 // first write in that state, and — for re-entrant states — its first write
 // is unguarded. Everything else is a register. Globals and the return
 // variable are always registers (architectural state).
-func classifyVars(res *Result) {
+func classifyVars(res *Plan) {
 	type varInfo struct {
 		defStates map[int]bool
 		useStates map[int]bool

@@ -147,21 +147,31 @@ const (
 	Wire
 )
 
-// Result is a complete schedule.
-type Result struct {
-	G     *htg.Graph
-	Mode  Mode
-	Model *delay.Model
+// Plan is what scheduling decides: each state's ops, the FSM and the
+// register/wire split — everything binding and netlist construction
+// read, and all the midend artifact persists.
+type Plan struct {
+	G    *htg.Graph
+	Mode Mode
 
 	NumStates int
-	OpState   map[*htg.Op]int
 	// OpOrder lists each state's ops in dependence-topological order
 	// (program order restricted to the state), ready for netlist
 	// construction.
 	OpOrder     [][]*htg.Op
 	Transitions []Transition
 	VarClass    map[*ir.Var]VarClass
+	// ReentrantStates marks states inside loop regions (visited more
+	// than once per activation).
+	ReentrantStates map[int]bool
+}
 
+// Result is a fresh schedule: the plan plus what the scheduler reports
+// about it on the way. Only the plan outlives the scheduling run.
+type Result struct {
+	*Plan
+
+	OpState map[*htg.Op]int
 	// Arrival is each op's within-cycle arrival time (gu); Finish adds
 	// the op's own delay.
 	Arrival map[*htg.Op]float64
@@ -172,22 +182,16 @@ type Result struct {
 	// ClockViolations counts ops that could not fit the clock period
 	// even alone in a cycle.
 	ClockViolations int
-	// ReentrantStates marks states inside loop regions (visited more
-	// than once per activation).
-	ReentrantStates map[int]bool
-
-	Deps *dfa.Graph
 }
 
-// CritPath returns the overall critical path (max over states).
-func (r *Result) CritPath() float64 {
-	max := 0.0
-	for _, c := range r.StateCritPath {
-		if c > max {
-			max = c
-		}
+// newResult returns an empty schedule of g under mode.
+func newResult(g *htg.Graph, mode Mode) *Result {
+	return &Result{
+		Plan: &Plan{G: g, Mode: mode,
+			VarClass: map[*ir.Var]VarClass{}, ReentrantStates: map[int]bool{}},
+		OpState: map[*htg.Op]int{},
+		Arrival: map[*htg.Op]float64{}, Finish: map[*htg.Op]float64{},
 	}
-	return max
 }
 
 // Config bundles scheduling parameters.

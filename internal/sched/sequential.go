@@ -17,23 +17,15 @@ import (
 // paper argues is inadequate for single-cycle microprocessor blocks.
 func scheduleSequential(g *htg.Graph, cfg Config) (*Result, error) {
 	m := cfg.Model
-	res := &Result{
-		G: g, Mode: ModeSequential, Model: m,
-		OpState: map[*htg.Op]int{}, VarClass: map[*ir.Var]VarClass{},
-		Arrival: map[*htg.Op]float64{}, Finish: map[*htg.Op]float64{},
-		ReentrantStates: map[int]bool{},
-	}
-	s := &seqScheduler{cfg: cfg, res: res}
+	res := newResult(g, ModeSequential)
 	// Build the full dependence graph once for priorities (intra-BB
 	// slices are consistent with it).
-	s.deps = dfa.Build(g.AllOps(), cfg.DepOpts)
-	res.Deps = s.deps
+	s := &seqScheduler{cfg: cfg, res: res, deps: dfa.Build(g.AllOps(), cfg.DepOpts)}
 
-	entry, exits, err := s.region(g.Root, false)
+	_, exits, err := s.region(g.Root, false)
 	if err != nil {
 		return nil, err
 	}
-	_ = entry
 	// All dangling exits flow to "done" (-1).
 	for _, e := range exits {
 		s.patch(e, -1)
@@ -49,7 +41,7 @@ func scheduleSequential(g *htg.Graph, cfg Config) (*Result, error) {
 		}
 		res.StateCritPath[st] += m.RegisterSetup()
 	}
-	classifyVars(res)
+	classifyVars(res.Plan)
 	return res, nil
 }
 
