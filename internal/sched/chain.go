@@ -184,20 +184,21 @@ func scheduleChain(g *htg.Graph, cfg Config) (*Result, error) {
 				if cfg.DisableChaining && arr > 0 {
 					continue // must wait for the next cycle
 				}
-				if m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod {
-					if arr == 0 {
-						// Cannot fit even at cycle start: schedule
-						// anyway and record the violation.
-						res.ClockViolations++
-					} else {
-						continue // retry next cycle
-					}
+				// An op that cannot fit the clock even at cycle start is
+				// scheduled anyway; the violation is counted once it is
+				// placed.
+				violates := m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod
+				if violates && arr > 0 {
+					continue // retry next cycle
 				}
 				if !cfg.Resources.Unlimited {
 					cl := ClassOf(op)
 					if cl != ClassFree && usage(cl, cycle, op) > cfg.Resources.available(cl) {
 						continue
 					}
+				}
+				if violates {
+					res.ClockViolations++
 				}
 				res.OpState[op] = cycle
 				res.Arrival[op] = arr

@@ -171,3 +171,35 @@ func TestScheduleGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestClockViolationsCountPlacedOps pins what ClockViolations counts:
+// the placed ops that miss the clock period even at state start, each
+// once — not once per retry a resource limit forces.
+func TestClockViolationsCountPlacedOps(t *testing.T) {
+	names, graphs := goldenDesigns(t)
+	for i, g := range graphs {
+		for _, mode := range []sched.Mode{sched.ModeChain, sched.ModeSequential} {
+			for _, r := range []sched.Resources{sched.Unlimited(), sched.Classical(), oneALU()} {
+				for _, clock := range []float64{10, 30} {
+					cfg := sched.DefaultConfig()
+					cfg.Mode, cfg.Resources = mode, r
+					cfg.Model = delay.Default().WithClock(clock)
+					res, err := sched.Schedule(g, cfg)
+					if err != nil {
+						continue // chain mode rejects the looped designs
+					}
+					want := 0
+					for _, op := range g.AllOps() {
+						if res.Arrival[op] == 0 && res.Finish[op]+cfg.Model.RegisterSetup() > clock {
+							want++
+						}
+					}
+					if res.ClockViolations != want {
+						t.Errorf("%s %s clock=%g: %d clock violations, want %d (placed ops over the period)",
+							names[i], mode, clock, res.ClockViolations, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -281,12 +281,9 @@ func (s *seqScheduler) scheduleBB(bb *htg.BasicBlock, reentrant bool) (int, []pe
 				if s.cfg.DisableChaining && arr > 0 {
 					continue
 				}
-				if m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod {
-					if arr == 0 {
-						s.res.ClockViolations++
-					} else {
-						continue
-					}
+				violates := m.ClockPeriod > 0 && fin+m.RegisterSetup() > m.ClockPeriod
+				if violates && arr > 0 {
+					continue
 				}
 				if !s.cfg.Resources.Unlimited {
 					cl := ClassOf(op)
@@ -301,6 +298,9 @@ func (s *seqScheduler) scheduleBB(bb *htg.BasicBlock, reentrant bool) (int, []pe
 							continue
 						}
 					}
+				}
+				if violates {
+					s.res.ClockViolations++
 				}
 				s.res.OpState[op] = cur
 				s.res.Arrival[op] = arr
