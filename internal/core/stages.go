@@ -35,7 +35,9 @@ const (
 	// v4: only the schedule plan is persisted (sched.EncodePlan): no
 	// delay model, per-op arrival/finish tables, per-state critical
 	// paths or dependence graph.
-	MidendVersion = 4
+	// v5: sequential-mode FSMs carry no tombstone edges (From = -3), and
+	// decoding rejects an edge outside the plan's states.
+	MidendVersion = 5
 	// BackendVersion keys netlist/stats artifacts.
 	//
 	// v2: backend artifacts are persisted losslessly (rtl.EncodeModule +

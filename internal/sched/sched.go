@@ -14,6 +14,13 @@
 //     code motion across conditional boundaries. This is the architecture
 //     the paper argues is inadequate for microprocessor blocks.
 //
+// Both regimes are list scheduling over one dependence graph and share
+// one loop (list.go): ops become ready as their last predecessor is
+// placed, and each state is filled in passes in (priority desc, ID asc)
+// order under the same chaining, clock and resource checks. The regimes
+// differ only in the region each run fills — the whole graph, or one
+// basic block — and in what a conditional commit costs.
+//
 // The scheduler also classifies every variable as a register (value
 // crosses a cycle boundary or is architectural state) or a wire-variable
 // (produced and consumed within one cycle, §3.1.2) — the classification
@@ -220,13 +227,29 @@ func Schedule(g *htg.Graph, cfg Config) (*Result, error) {
 	if cfg.Model == nil {
 		cfg.Model = delay.Default()
 	}
-	switch cfg.Mode {
-	case ModeChain:
-		return scheduleChain(g, cfg)
-	case ModeSequential:
-		return scheduleSequential(g, cfg)
+	if cfg.Mode != ModeChain && cfg.Mode != ModeSequential {
+		return nil, fmt.Errorf("sched: unknown mode %d", cfg.Mode)
 	}
-	return nil, fmt.Errorf("sched: unknown mode %d", cfg.Mode)
+	if cfg.Mode == ModeChain && g.HasLoops() {
+		return nil, fmt.Errorf("sched: chain mode requires a loop-free graph " +
+			"(unroll loops first, or use sequential mode)")
+	}
+	s := &scheduler{cfg: cfg, res: newResult(g, cfg.Mode), deps: dfa.Build(g.AllOps(), cfg.DepOpts),
+		guarded: map[varState]int{}, used: map[blockClass]int{}}
+	run := s.chain
+	if cfg.Mode == ModeSequential {
+		run = s.sequential
+	}
+	if err := run(); err != nil {
+		return nil, err
+	}
+	res := s.res
+	res.NumStates = len(res.OpOrder)
+	for i := range res.StateCritPath {
+		res.StateCritPath[i] += cfg.Model.RegisterSetup()
+	}
+	classifyVars(res.Plan)
+	return res, nil
 }
 
 // opDelay returns the propagation delay of one op.

@@ -13,7 +13,7 @@ import (
 	"sparkgo/internal/transform"
 )
 
-func prepare(t *testing.T, src string) *htg.Graph {
+func prepare(t testing.TB, src string) *htg.Graph {
 	t.Helper()
 	p := parser.MustParse("t", src)
 	pl := &pass.Pipeline{Passes: []transform.Pass{
@@ -303,5 +303,20 @@ func TestClassOfCoverage(t *testing.T) {
 	}
 	if sched.ClassOf(&htg.Op{Kind: htg.OpLoad}) != sched.ClassMem {
 		t.Error("loads use memory ports")
+	}
+}
+
+func TestClassWithoutUnitsFails(t *testing.T) {
+	// The diamond's multiply has no unit when only an ALU is allocated:
+	// neither regime can ever place it, and both must say so instead of
+	// opening states forever.
+	g := prepare(t, diamondSrc)
+	for _, mode := range []sched.Mode{sched.ModeChain, sched.ModeSequential} {
+		cfg := sched.DefaultConfig()
+		cfg.Mode = mode
+		cfg.Resources = sched.Resources{Counts: map[sched.Class]int{sched.ClassALU: 1}}
+		if _, err := sched.Schedule(g, cfg); err == nil {
+			t.Errorf("%s: scheduled a multiply with no multiplier", mode)
+		}
 	}
 }
