@@ -72,7 +72,7 @@ func Analyze(res *sched.Plan) *Analysis {
 		}
 	}
 	for _, tr := range res.Transitions {
-		if tr.Cond != nil && tr.From >= 0 {
+		if tr.Cond != nil {
 			touch(tr.Cond, tr.From, false)
 		}
 	}

@@ -148,10 +148,21 @@ func FuzzDecodeGraph(f *testing.F) {
 }
 
 // FuzzDecodeResult fuzzes the schedule plan layout (sched.DecodePlan);
-// it keeps the name the CI fuzz loop selects it by.
+// it keeps the name the CI fuzz loop selects it by. The ILD 8 classical
+// plan seeds conditional and back edges beside the single-state one.
 func FuzzDecodeResult(f *testing.F) {
 	_, _, schedEnc, _, _ := fuzzArtifacts(f)
 	addSeeds(f, schedEnc)
+	opt := core.Options{Preset: core.ClassicalASIC}
+	fa, err := core.Frontend(ild.Program(8), opt.FrontendOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ma, err := core.Midend(fa, opt.MidendOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, ma.Materialize())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fixedPoint(t, data, sched.DecodePlan, sched.EncodePlan)
 	})

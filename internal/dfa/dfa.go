@@ -225,16 +225,6 @@ func dedupOps(ops []*htg.Op) []*htg.Op {
 	return out
 }
 
-// Topological returns the ops sorted topologically by dependence, breaking
-// ties by program order (op ID). The input graph must be acyclic, which
-// holds by construction (edges always point forward in program order).
-func (g *Graph) Topological() []*htg.Op {
-	out := append([]*htg.Op{}, g.Ops...)
-	// Edges already point forward in program order, so program order IS
-	// a topological order.
-	return out
-}
-
 // CriticalPathLength returns the maximum number of flow edges on any path
 // (the dataflow depth: paper Fig 3b's "two levels").
 func (g *Graph) CriticalPathLength() int {

@@ -125,11 +125,8 @@ func Build(res *sched.Plan) (*Module, error) {
 		}
 	}
 
-	// FSM edges (skip tombstones).
+	// FSM edges.
 	for _, tr := range res.Transitions {
-		if tr.From < 0 {
-			continue
-		}
 		var cond *Signal
 		if tr.Cond != nil {
 			cond = b.condAtEnd[stateCond{tr.From, tr.Cond}]

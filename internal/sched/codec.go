@@ -125,8 +125,9 @@ func EncodePlan(p *Plan) ([]byte, error) {
 
 // DecodePlan reconstructs a plan serialized by EncodePlan, graph and
 // program included. The plan shares nothing with any other; op and
-// variable identity is rebuilt from the embedded graph's tables, and
-// every reference is range-checked.
+// variable identity is rebuilt from the embedded graph's tables, every
+// reference is range-checked, and the FSM must fit the plan's states:
+// one op list per state, every edge from a state to a state or done.
 func DecodePlan(data []byte) (*Plan, error) {
 	planDecodes.Add(1)
 	p, err := decodePlan(wire.NewDecoder(data))
@@ -188,6 +189,9 @@ func decodePlan(d *wire.Decoder) (*Plan, error) {
 			}
 		}
 	}
+	if p.NumStates != len(p.OpOrder) {
+		return nil, fail("%d states, but op lists for %d", p.NumStates, len(p.OpOrder))
+	}
 	if n := d.Len(4); n > 0 { // a transition is >= 4 bytes
 		p.Transitions = make([]Transition, n)
 		for i := range p.Transitions {
@@ -197,6 +201,9 @@ func decodePlan(d *wire.Decoder) (*Plan, error) {
 				return nil, err
 			}
 			tr.CondValue, tr.To = d.Bool(), d.Int()
+			if tr.From < 0 || tr.From >= p.NumStates || tr.To < -1 || tr.To >= p.NumStates {
+				return nil, fail("transition %d -> %d outside %d states", tr.From, tr.To, p.NumStates)
+			}
 		}
 	}
 	n := d.Len(2) // a var-class entry is >= 2 bytes
