@@ -31,7 +31,7 @@ func BenchmarkSchedule(b *testing.B) {
 		for _, r := range regimes {
 			b.Run(fmt.Sprintf("%s/n=%d", r.name, n), func(b *testing.B) {
 				cfg := r.cfg()
-				for range b.N {
+				for b.Loop() {
 					if _, err := sched.Schedule(g, cfg); err != nil {
 						b.Fatal(err)
 					}

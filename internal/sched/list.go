@@ -39,6 +39,9 @@ type blockClass struct {
 // (an index into Transitions).
 type pendingExit int
 
+// done is the FSM target that ends the activation.
+const done = -1
+
 // open appends a fresh, empty state and returns its index.
 func (s *scheduler) open(reentrant bool) int {
 	st := len(s.res.OpOrder)

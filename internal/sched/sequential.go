@@ -17,12 +17,8 @@ func (s *scheduler) sequential() error {
 	return err // dangling exits already lead to done
 }
 
-// done is the FSM target that ends the activation; transparent is the
-// entry region returns for a node without states.
-const (
-	done        = -1
-	transparent = -2
-)
+// transparent is the entry region returns for a node without states.
+const transparent = -2
 
 // region schedules an HTG node into a chain of states. It returns the
 // entry state and the exits to patch to whatever follows; exits left
