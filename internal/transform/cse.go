@@ -94,9 +94,7 @@ func (c *cse) block(b *ir.Block, avail availMap) bool {
 		case *ir.AssignStmt:
 			if _, isCall := x.RHS.(*ir.CallExpr); isCall {
 				killGlobals()
-				if lv, ok := x.LHS.(*ir.VarExpr); ok {
-					killAll(lv.V)
-				}
+				killAll(ir.StmtWrites(x))
 				continue
 			}
 			worthCSE := isNontrivial(x.RHS) && IsPure(x.RHS)

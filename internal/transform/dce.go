@@ -96,8 +96,11 @@ func (d *dce) liveInStmt(s ir.Stmt, live liveSet) liveSet {
 	case *ir.AssignStmt:
 		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
 			live = live.clone()
-			if lv, ok := x.LHS.(*ir.VarExpr); ok {
-				delete(live, lv.V)
+			switch lhs := x.LHS.(type) {
+			case *ir.VarExpr:
+				delete(live, lhs.V)
+			case *ir.IndexExpr:
+				addReads(lhs.Index, live)
 			}
 			for _, a := range call.Args {
 				addReads(a, live)

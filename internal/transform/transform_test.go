@@ -492,6 +492,61 @@ void main() {
 	}
 }
 
+// TestCallStoreIntoArray runs CSE and DCE alone, without inlining, on
+// programs that store a call's result into a local array. CSE must forget
+// what the array held before the store, and DCE must keep the store's
+// index computation alive.
+func TestCallStoreIntoArray(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pass transform.Pass
+		src  string
+	}{
+		{"cse-stale-element", transform.CSE(), `
+uint8 x;
+uint8 out;
+uint8 f(uint8 v) {
+  return v + 8;
+}
+void main() {
+  uint8 buf[4];
+  uint8 t1;
+  uint8 t2;
+  buf[0] = x;
+  t1 = buf[0] + 1;
+  buf[0] = f(x);
+  t2 = buf[0] + 1;
+  out = t1 ^ t2;
+}
+`},
+		{"dce-store-index", transform.DCE(), `
+uint8 x;
+uint8 out;
+uint8 f(uint8 v) {
+  return v + 88;
+}
+void main() {
+  uint8 buf[4];
+  uint8 i;
+  i = x & 3;
+  buf[i] = f(x);
+  out = buf[x & 3];
+}
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := parser.MustParse(tc.name, tc.src)
+			work := ir.CloneProgram(orig)
+			if _, err := tc.pass.Run(work); err != nil {
+				t.Fatal(err)
+			}
+			if err := testutil.Equivalent(orig, work, equivTrials, 3); err != nil {
+				t.Fatalf("%s changed semantics: %v\n%s", tc.pass.Name(), err, ir.Print(work))
+			}
+		})
+	}
+}
+
 func TestConstPropFoldsAlwaysTakenBranch(t *testing.T) {
 	// The unrolled-ILD pattern: the first "if (1 == NextStartByte)" is
 	// statically true and must fold away.
