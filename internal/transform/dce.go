@@ -1,6 +1,8 @@
 package transform
 
 import (
+	"maps"
+
 	"sparkgo/internal/ir"
 )
 
@@ -18,17 +20,9 @@ func DCE() Pass {
 	return PassFunc{PassName: "dce", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			d := &dce{prog: p, fn: f}
-			exit := d.exitLive()
-			newStmts, _ := d.apply(f.Body.Stmts, exit)
-			if len(newStmts) != len(f.Body.Stmts) {
-				changed = true
-			}
-			f.Body.Stmts = newStmts
-			if d.changed {
-				changed = true
-			}
-			if d.pruneLocals() {
+			d := &dce{globals: p.Globals}
+			f.Body.Stmts = d.block(f.Body.Stmts, d.exitLive(), true)
+			if pruneLocals(f) || d.changed {
 				changed = true
 			}
 		}
@@ -38,14 +32,7 @@ func DCE() Pass {
 
 type liveSet map[*ir.Var]bool
 
-func (l liveSet) clone() liveSet {
-	n := make(liveSet, len(l))
-	for k := range l {
-		n[k] = true
-	}
-	return n
-}
-
+// addAll adds o to l and reports whether l grew.
 func (l liveSet) addAll(o liveSet) bool {
 	grew := false
 	for k := range o {
@@ -57,9 +44,10 @@ func (l liveSet) addAll(o liveSet) bool {
 	return grew
 }
 
+// dce is one backward liveness walk over a function. Without sweep it
+// only computes liveness; with sweep it also removes what is dead.
 type dce struct {
-	prog    *ir.Program
-	fn      *ir.Func
+	globals []*ir.Var
 	changed bool
 }
 
@@ -67,244 +55,161 @@ type dce struct {
 // world observes them).
 func (d *dce) exitLive() liveSet {
 	l := liveSet{}
-	for _, g := range d.prog.Globals {
-		l[g] = true
-	}
+	d.addGlobals(l)
 	return l
 }
 
-func addReads(e ir.Expr, l liveSet) {
-	m := map[*ir.Var]bool{}
-	ir.VarsRead(e, m)
-	for v := range m {
-		l[v] = true
+func (d *dce) addGlobals(l liveSet) {
+	for _, g := range d.globals {
+		l[g] = true
 	}
 }
 
-// liveIn computes liveness before the statement list given liveness after,
-// without mutating anything (used for loop fixed points).
-func (d *dce) liveIn(stmts []ir.Stmt, liveOut liveSet) liveSet {
-	live := liveOut.clone()
+// block turns live from the liveness after stmts into the liveness
+// before them. With sweep it also drops the dead statements and returns
+// the kept ones, compacted into the tail of the slice; without, it
+// returns stmts as they were.
+func (d *dce) block(stmts []ir.Stmt, live liveSet, sweep bool) []ir.Stmt {
+	kept := len(stmts)
 	for i := len(stmts) - 1; i >= 0; i-- {
-		live = d.liveInStmt(stmts[i], live)
-	}
-	return live
-}
-
-func (d *dce) liveInStmt(s ir.Stmt, live liveSet) liveSet {
-	switch x := s.(type) {
-	case *ir.AssignStmt:
-		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
-			live = live.clone()
-			switch lhs := x.LHS.(type) {
-			case *ir.VarExpr:
-				delete(live, lhs.V)
-			case *ir.IndexExpr:
-				addReads(lhs.Index, live)
-			}
-			for _, a := range call.Args {
-				addReads(a, live)
-			}
-			for _, g := range d.prog.Globals {
-				live[g] = true
-			}
-			return live
-		}
-		switch lhs := x.LHS.(type) {
-		case *ir.VarExpr:
-			if !live[lhs.V] && !lhs.V.IsGlobal {
-				return live // dead; contributes nothing
-			}
-			live = live.clone()
-			delete(live, lhs.V)
-			addReads(x.RHS, live)
-			return live
-		case *ir.IndexExpr:
-			if !live[lhs.Arr] && !lhs.Arr.IsGlobal {
-				return live
-			}
-			live = live.clone()
-			addReads(lhs.Index, live)
-			addReads(x.RHS, live)
-			live[lhs.Arr] = true // stores don't kill (partial writes)
-			return live
-		}
-		return live
-	case *ir.IfStmt:
-		t := d.liveIn(x.Then.Stmts, live)
-		e := live
-		if x.Else != nil {
-			e = d.liveIn(x.Else.Stmts, live)
-		}
-		out := t.clone()
-		out.addAll(e)
-		addReads(x.Cond, out)
-		return out
-	case *ir.ForStmt:
-		x2 := live.clone()
-		addReads(x.Cond, x2)
-		for {
-			body := append([]ir.Stmt{}, x.Body.Stmts...)
-			if x.Post != nil {
-				body = append(body, x.Post)
-			}
-			in := d.liveIn(body, x2)
-			addReads(x.Cond, in)
-			if !x2.addAll(in) {
-				break
-			}
-		}
-		if x.Init != nil {
-			return d.liveInStmt(x.Init, x2)
-		}
-		return x2
-	case *ir.WhileStmt:
-		x2 := live.clone()
-		addReads(x.Cond, x2)
-		for {
-			in := d.liveIn(x.Body.Stmts, x2)
-			addReads(x.Cond, in)
-			if !x2.addAll(in) {
-				break
-			}
-		}
-		return x2
-	case *ir.ReturnStmt:
-		// Function exits: only globals (and the value) matter.
-		l := d.exitLive()
-		if x.Val != nil {
-			addReads(x.Val, l)
-		}
-		return l
-	case *ir.ExprStmt:
-		live = live.clone()
-		for _, a := range x.Call.Args {
-			addReads(a, live)
-		}
-		for _, g := range d.prog.Globals {
-			live[g] = true
-		}
-		return live
-	case *ir.Block:
-		return d.liveIn(x.Stmts, live)
-	}
-	return live
-}
-
-// apply removes dead statements, returning the new list and its live-in.
-func (d *dce) apply(stmts []ir.Stmt, liveOut liveSet) ([]ir.Stmt, liveSet) {
-	live := liveOut.clone()
-	var out []ir.Stmt // built in reverse
-	for i := len(stmts) - 1; i >= 0; i-- {
-		s := stmts[i]
-		keep := true
-		switch x := s.(type) {
-		case *ir.AssignStmt:
-			if _, isCall := x.RHS.(*ir.CallExpr); !isCall {
-				switch lhs := x.LHS.(type) {
-				case *ir.VarExpr:
-					if !live[lhs.V] && !lhs.V.IsGlobal {
-						keep = false
-					}
-				case *ir.IndexExpr:
-					if !live[lhs.Arr] && !lhs.Arr.IsGlobal {
-						keep = false
-					}
-				}
-			}
-		case *ir.IfStmt:
-			newThen, _ := d.apply(x.Then.Stmts, live)
-			x.Then.Stmts = newThen
-			if x.Else != nil {
-				newElse, _ := d.apply(x.Else.Stmts, live)
-				x.Else.Stmts = newElse
-				if len(newElse) == 0 {
-					x.Else = nil
-				}
-			}
-			if len(x.Then.Stmts) == 0 && x.Else == nil {
-				keep = false
-			} else if len(x.Then.Stmts) == 0 && x.Else != nil {
-				// Normalize: if (c) {} else {B}  →  if (!c) {B}
-				x.Cond = FoldExpr(ir.Un(ir.OpLNot, x.Cond))
-				x.Then = x.Else
-				x.Else = nil
-				d.changed = true
-			}
-		case *ir.ForStmt:
-			// Stabilize liveness across the back edge first.
-			x2 := live.clone()
-			addReads(x.Cond, x2)
-			for {
-				body := append([]ir.Stmt{}, x.Body.Stmts...)
-				if x.Post != nil {
-					body = append(body, x.Post)
-				}
-				in := d.liveIn(body, x2)
-				addReads(x.Cond, in)
-				if !x2.addAll(in) {
-					break
-				}
-			}
-			newBody, _ := d.apply(x.Body.Stmts, x2)
-			x.Body.Stmts = newBody
-			if len(newBody) == 0 {
-				deadInit := x.Init == nil || isDeadWrite(x.Init, live)
-				deadPost := x.Post == nil || isDeadWrite(x.Post, live)
-				if deadInit && deadPost {
-					keep = false
-				}
-			}
-		case *ir.WhileStmt:
-			x2 := live.clone()
-			addReads(x.Cond, x2)
-			for {
-				in := d.liveIn(x.Body.Stmts, x2)
-				addReads(x.Cond, in)
-				if !x2.addAll(in) {
-					break
-				}
-			}
-			newBody, _ := d.apply(x.Body.Stmts, x2)
-			x.Body.Stmts = newBody
-			if len(newBody) == 0 {
-				keep = false
-			}
-		case *ir.Block:
-			newStmts, _ := d.apply(x.Stmts, live)
-			x.Stmts = newStmts
-			if len(newStmts) == 0 {
-				keep = false
-			}
-		}
-		if keep {
-			live = d.liveInStmt(s, live)
-			out = append(out, s)
+		if d.stmt(stmts[i], live, sweep) || !sweep {
+			kept--
+			stmts[kept] = stmts[i]
 		} else {
 			d.changed = true
 		}
 	}
-	// Reverse.
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
-	}
-	return out, live
+	return stmts[kept:]
 }
 
-// isDeadWrite reports whether the assignment writes only a variable that is
-// dead in live (so dropping it is unobservable).
-func isDeadWrite(a *ir.AssignStmt, live liveSet) bool {
+// stmt turns live from the liveness after s into the liveness before it
+// and reports whether s stays. A statement that does not stay leaves live
+// as it was.
+func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
+	switch x := s.(type) {
+	case *ir.AssignStmt:
+		if dead(x, live) {
+			return false
+		}
+		call, isCall := x.RHS.(*ir.CallExpr)
+		switch lhs := x.LHS.(type) {
+		case *ir.VarExpr:
+			delete(live, lhs.V)
+		case *ir.IndexExpr:
+			ir.VarsRead(lhs.Index, live)
+			if !isCall {
+				live[lhs.Arr] = true // stores don't kill (partial writes)
+			}
+		}
+		if isCall {
+			d.callReads(call.Args, live)
+		} else {
+			ir.VarsRead(x.RHS, live)
+		}
+	case *ir.IfStmt:
+		then := maps.Clone(live)
+		x.Then.Stmts = d.block(x.Then.Stmts, then, sweep)
+		if x.Else != nil {
+			x.Else.Stmts = d.block(x.Else.Stmts, live, sweep)
+			if sweep && len(x.Else.Stmts) == 0 {
+				x.Else = nil
+			}
+		}
+		if sweep && len(x.Then.Stmts) == 0 {
+			if x.Else == nil {
+				return false
+			}
+			// Normalize: if (c) {} else {B}  →  if (!c) {B}
+			x.Cond = FoldExpr(ir.Un(ir.OpLNot, x.Cond))
+			x.Then, x.Else = x.Else, nil
+			d.changed = true
+		}
+		live.addAll(then)
+		ir.VarsRead(x.Cond, live)
+	case *ir.ForStmt:
+		if sweep && !d.sweepLoop(x.Cond, x.Body, x.Post, live) && dead(x.Init, live) && dead(x.Post, live) {
+			return false
+		}
+		d.loop(x.Cond, x.Body.Stmts, x.Post, live)
+		if x.Init != nil {
+			d.stmt(x.Init, live, false)
+		}
+	case *ir.WhileStmt:
+		if sweep && !d.sweepLoop(x.Cond, x.Body, nil, live) {
+			return false
+		}
+		d.loop(x.Cond, x.Body.Stmts, nil, live)
+	case *ir.ReturnStmt:
+		// Function exits: only globals (and the value) matter.
+		clear(live)
+		d.addGlobals(live)
+		if x.Val != nil {
+			ir.VarsRead(x.Val, live)
+		}
+	case *ir.ExprStmt:
+		d.callReads(x.Call.Args, live)
+	case *ir.Block:
+		x.Stmts = d.block(x.Stmts, live, sweep)
+		return !sweep || len(x.Stmts) > 0
+	}
+	return true
+}
+
+// callReads adds what a call reads: its arguments and, since the callee
+// may read any global, every global.
+func (d *dce) callReads(args []ir.Expr, live liveSet) {
+	for _, a := range args {
+		ir.VarsRead(a, live)
+	}
+	d.addGlobals(live)
+}
+
+// loop turns live from the liveness after a loop into the liveness at its
+// head: the fixed point over the back edge of body then post, with the
+// condition read on every entry.
+func (d *dce) loop(cond ir.Expr, body []ir.Stmt, post *ir.AssignStmt, live liveSet) {
+	ir.VarsRead(cond, live)
+	for {
+		in := maps.Clone(live)
+		if post != nil {
+			d.stmt(post, in, false)
+		}
+		d.block(body, in, false)
+		ir.VarsRead(cond, in)
+		if !live.addAll(in) {
+			return
+		}
+	}
+}
+
+// sweepLoop removes the dead statements of a loop body against the
+// liveness at the loop's head, given the liveness after the loop, and
+// reports whether the body kept any.
+func (d *dce) sweepLoop(cond ir.Expr, body *ir.Block, post *ir.AssignStmt, after liveSet) bool {
+	head := maps.Clone(after)
+	d.loop(cond, body.Stmts, post, head)
+	body.Stmts = d.block(body.Stmts, head, true)
+	return len(body.Stmts) > 0
+}
+
+// dead reports whether dropping the assignment is unobservable: it is
+// absent, or it writes a local no later statement reads and calls nothing.
+func dead(a *ir.AssignStmt, live liveSet) bool {
+	if a == nil {
+		return true
+	}
 	if _, isCall := a.RHS.(*ir.CallExpr); isCall {
 		return false
 	}
-	lv, ok := a.LHS.(*ir.VarExpr)
-	return ok && !live[lv.V] && !lv.V.IsGlobal
+	v := ir.StmtWrites(a)
+	return !live[v] && !v.IsGlobal
 }
 
-// pruneLocals removes locals that no longer appear anywhere in the body.
-func (d *dce) pruneLocals() bool {
+// pruneLocals removes the locals of f that no longer appear anywhere in
+// its body.
+func pruneLocals(f *ir.Func) bool {
 	used := map[*ir.Var]bool{}
-	ir.WalkStmts(d.fn.Body, func(s ir.Stmt) bool {
+	ir.WalkStmts(f.Body, func(s ir.Stmt) bool {
 		ir.WalkStmtExprs(s, func(e ir.Expr) {
 			ir.WalkExpr(e, func(x ir.Expr) bool {
 				switch n := x.(type) {
@@ -319,12 +224,12 @@ func (d *dce) pruneLocals() bool {
 		return true
 	})
 	var kept []*ir.Var
-	for _, v := range d.fn.Locals {
+	for _, v := range f.Locals {
 		if v.IsParam || used[v] {
 			kept = append(kept, v)
 		}
 	}
-	changed := len(kept) != len(d.fn.Locals)
-	d.fn.Locals = kept
+	changed := len(kept) != len(f.Locals)
+	f.Locals = kept
 	return changed
 }
