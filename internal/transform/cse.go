@@ -1,6 +1,8 @@
 package transform
 
 import (
+	"maps"
+
 	"sparkgo/internal/ir"
 )
 
@@ -19,8 +21,7 @@ func CSE() Pass {
 	return PassFunc{PassName: "cse", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			c := &cse{fn: f}
-			if c.block(f.Body, availMap{}) {
+			if cseBlock(f.Body, availMap{}) {
 				changed = true
 			}
 		}
@@ -28,23 +29,43 @@ func CSE() Pass {
 	}}
 }
 
-// availMap maps a canonical expression rendering to the variable holding
-// its value.
-type availMap map[string]*ir.Var
-
-func (a availMap) clone() availMap {
-	n := make(availMap, len(a))
-	for k, v := range a {
-		n[k] = v
-	}
-	return n
+// available is an expression whose value a variable holds.
+type available struct {
+	holder *ir.Var
+	reads  map[*ir.Var]bool // what the expression reads
 }
 
-type cse struct {
-	fn *ir.Func
-	// reads[key] = set of vars the keyed expression reads. Identical keys
-	// always denote identical expressions, so the map is function-wide.
-	reads map[string]map[*ir.Var]bool
+// availMap maps a canonical expression rendering to where its value is
+// available.
+type availMap map[string]available
+
+// kill drops the expressions a write to v invalidates: those v holds and
+// those that read v.
+func (a availMap) kill(v *ir.Var) {
+	for k, e := range a {
+		if e.holder == v || e.reads[v] {
+			delete(a, k)
+		}
+	}
+}
+
+// clobberGlobals drops the expressions a call invalidates: those a global
+// holds and those that read one.
+func (a availMap) clobberGlobals() {
+	for k, e := range a {
+		if e.holder.IsGlobal || readsGlobal(e.reads) {
+			delete(a, k)
+		}
+	}
+}
+
+func readsGlobal(reads map[*ir.Var]bool) bool {
+	for v := range reads {
+		if v.IsGlobal {
+			return true
+		}
+	}
+	return false
 }
 
 // keyOf renders an expression canonically (PrintExpr is deterministic and
@@ -52,130 +73,86 @@ type cse struct {
 // are unique within a function, so collisions cannot occur).
 func keyOf(e ir.Expr) string { return e.Type().String() + "|" + ir.PrintExpr(e) }
 
-func (c *cse) block(b *ir.Block, avail availMap) bool {
+// cseBlock eliminates common subexpressions in b given the expressions
+// available on entry, updating avail in place, and reports whether
+// anything changed.
+func cseBlock(b *ir.Block, avail availMap) bool {
 	changed := false
-	if c.reads == nil {
-		c.reads = map[string]map[*ir.Var]bool{}
-	}
-	reads := c.reads
-	killAll := func(v *ir.Var) {
-		for k := range avail {
-			if reads[k] == nil || reads[k][v] {
-				delete(avail, k)
-			}
-		}
-		for k, holder := range avail {
-			if holder == v {
-				delete(avail, k)
-			}
-		}
-	}
-	killGlobals := func() {
-		for k := range avail {
-			anyGlobal := reads[k] == nil
-			for v := range reads[k] {
-				if v.IsGlobal {
-					anyGlobal = true
-				}
-			}
-			if anyGlobal {
-				delete(avail, k)
-			}
-		}
-		for k, holder := range avail {
-			if holder.IsGlobal {
-				delete(avail, k)
-			}
-		}
-	}
-
 	for _, s := range b.Stmts {
 		switch x := s.(type) {
 		case *ir.AssignStmt:
-			if _, isCall := x.RHS.(*ir.CallExpr); isCall {
-				killGlobals()
-				killAll(ir.StmtWrites(x))
-				continue
-			}
-			worthCSE := isNontrivial(x.RHS) && IsPure(x.RHS)
-			key := keyOf(x.RHS)
-			// The read set of the ORIGINAL expression — the semantic
-			// reads of the canonical key. It must drive both the
-			// self-read guard and the recorded fact; using the
-			// substituted copy's reads would let a later write to an
-			// original input slip past killAll.
-			origReads := map[*ir.Var]bool{}
-			ir.VarsRead(x.RHS, origReads)
-			origType := x.RHS.Type()
-			if worthCSE {
-				if holder, ok := avail[key]; ok {
-					x.RHS = ir.Cast(ir.V(holder), x.LHS.Type())
-					changed = true
-				}
-			}
-			switch lhs := x.LHS.(type) {
-			case *ir.VarExpr:
-				killAll(lhs.V)
-				if worthCSE && origType.Equal(lhs.V.Type) && !origReads[lhs.V] {
-					if _, stillHas := avail[key]; !stillHas {
-						avail[key] = lhs.V
-						reads[key] = origReads
-					}
-				}
-			case *ir.IndexExpr:
-				killAll(lhs.Arr)
-			}
-		case *ir.IfStmt:
-			thenAvail := avail.clone()
-			if c.block(x.Then, thenAvail) {
+			if cseAssign(x, avail) {
 				changed = true
 			}
-			if x.Else != nil {
-				elseAvail := avail.clone()
-				if c.block(x.Else, elseAvail) {
-					changed = true
-				}
+		case *ir.IfStmt:
+			if cseBlock(x.Then, maps.Clone(avail)) {
+				changed = true
+			}
+			if x.Else != nil && cseBlock(x.Else, maps.Clone(avail)) {
+				changed = true
 			}
 			// Conservative join: drop facts about anything written in
 			// either branch.
-			w := map[*ir.Var]bool{}
-			writtenVars([]ir.Stmt{x}, w)
-			if w[anyGlobalMarker] {
-				killGlobals()
-			}
-			for v := range w {
-				killAll(v)
-			}
-		case *ir.ForStmt, *ir.WhileStmt:
-			// Invalidate everything the loop writes, then process the
-			// body with the surviving facts.
-			w := map[*ir.Var]bool{}
-			writtenVars([]ir.Stmt{s}, w)
-			if w[anyGlobalMarker] {
-				killGlobals()
-			}
-			for v := range w {
-				killAll(v)
-			}
-			switch l := s.(type) {
-			case *ir.ForStmt:
-				if c.block(l.Body, avail.clone()) {
-					changed = true
-				}
-			case *ir.WhileStmt:
-				if c.block(l.Body, avail.clone()) {
-					changed = true
-				}
-			}
-		case *ir.ExprStmt:
-			killGlobals()
-		case *ir.Block:
-			if c.block(x, avail) {
+			killWritten(avail, []ir.Stmt{x})
+		case *ir.ForStmt:
+			if cseLoop(x, x.Body, avail) {
 				changed = true
 			}
-		case *ir.ReturnStmt:
-			// no effect on availability
+		case *ir.WhileStmt:
+			if cseLoop(x, x.Body, avail) {
+				changed = true
+			}
+		case *ir.ExprStmt:
+			avail.clobberGlobals()
+		case *ir.Block:
+			if cseBlock(x, avail) {
+				changed = true
+			}
 		}
+	}
+	return changed
+}
+
+// cseLoop invalidates everything loop writes, then eliminates common
+// subexpressions in its body with the surviving facts.
+func cseLoop(loop ir.Stmt, body *ir.Block, avail availMap) bool {
+	killWritten(avail, []ir.Stmt{loop})
+	return cseBlock(body, maps.Clone(avail))
+}
+
+// cseAssign replaces the right-hand side of x with a copy when an equal
+// expression is available, then records what x makes available.
+func cseAssign(x *ir.AssignStmt, avail availMap) bool {
+	if _, isCall := x.RHS.(*ir.CallExpr); isCall {
+		avail.clobberGlobals()
+		avail.kill(ir.StmtWrites(x))
+		return false
+	}
+	if !isNontrivial(x.RHS) || !IsPure(x.RHS) {
+		avail.kill(ir.StmtWrites(x))
+		return false
+	}
+	changed := false
+	rhs, key := x.RHS, keyOf(x.RHS)
+	if e, ok := avail[key]; ok {
+		x.RHS = ir.Cast(ir.V(e.holder), x.LHS.Type())
+		changed = true
+	}
+	lv, ok := x.LHS.(*ir.VarExpr)
+	if !ok {
+		avail.kill(ir.StmtWrites(x))
+		return changed
+	}
+	avail.kill(lv.V)
+	if _, has := avail[key]; has || !rhs.Type().Equal(lv.V.Type) {
+		return changed
+	}
+	// The read set is that of the original expression, the one the key
+	// names: a later write to any of its inputs must kill the fact.
+	reads := map[*ir.Var]bool{}
+	ir.VarsRead(rhs, reads)
+	if !reads[lv.V] {
+		avail[key] = available{lv.V, reads}
 	}
 	return changed
 }

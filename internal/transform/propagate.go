@@ -134,19 +134,6 @@ func (s facts) clobberGlobals() {
 	}
 }
 
-// killWritten drops the facts invalidated by everything the statements may
-// write, so they hold on every iteration of a loop over them.
-func (s facts) killWritten(stmts []ir.Stmt) {
-	w := map[*ir.Var]bool{}
-	writtenVars(stmts, w)
-	if w[anyGlobalMarker] {
-		s.clobberGlobals()
-	}
-	for v := range w {
-		s.kill(v)
-	}
-}
-
 // join keeps in s only the facts equal on both paths.
 func (s facts) join(then, els facts) {
 	clear(s.known)
@@ -285,7 +272,7 @@ func (pr propagation) stmt(st ir.Stmt, s facts) (changed, folded bool, taken []i
 		if x.Post != nil {
 			body = append(body, x.Post)
 		}
-		s.killWritten(body)
+		killWritten(s, body)
 		var ch bool
 		x.Cond, ch = pr.substitute(x.Cond, s)
 		changed = changed || ch
@@ -299,7 +286,7 @@ func (pr propagation) stmt(st ir.Stmt, s facts) (changed, folded bool, taken []i
 		}
 
 	case *ir.WhileStmt:
-		s.killWritten(x.Body.Stmts)
+		killWritten(s, x.Body.Stmts)
 		x.Cond, changed = pr.substitute(x.Cond, s)
 		if pr.block(x.Body, s.clone()) {
 			changed = true

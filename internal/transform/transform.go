@@ -98,6 +98,29 @@ func writtenVars(stmts []ir.Stmt, into map[*ir.Var]bool) {
 	}
 }
 
+// factSet is what a forward pass knows about the program state at a
+// point, which writes invalidate.
+type factSet interface {
+	// kill drops the facts a write to v invalidates.
+	kill(v *ir.Var)
+	// clobberGlobals drops the facts a call invalidates.
+	clobberGlobals()
+}
+
+// killWritten drops the facts invalidated by everything the statements may
+// write, so the rest hold after them on any path and on every iteration
+// of a loop over them.
+func killWritten(s factSet, stmts []ir.Stmt) {
+	w := map[*ir.Var]bool{}
+	writtenVars(stmts, w)
+	if w[anyGlobalMarker] {
+		s.clobberGlobals()
+	}
+	for v := range w {
+		s.kill(v)
+	}
+}
+
 // anyGlobalMarker is a sentinel: its presence in a written-set means "some
 // call may have written any global".
 var anyGlobalMarker = &ir.Var{Name: "<any-global>"}
