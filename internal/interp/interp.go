@@ -425,6 +425,17 @@ func UnsignedOperands(lt, rt *ir.Type) bool {
 // Shared with the RTL simulator so datapath functional units compute
 // identically to the interpreter.
 func EvalBinOp(op ir.BinOp, l, r int64, t *ir.Type, unsignedOps bool) (int64, error) {
+	v, err := EvalBinOpRaw(op, l, r, unsignedOps)
+	if err != nil {
+		return 0, err
+	}
+	return t.Canon(v), nil
+}
+
+// EvalBinOpRaw is EvalBinOp without the final canonicalization: the raw
+// 64-bit result, for callers that canonicalize on their own (division by
+// zero yields zero; shifts saturate past the word width).
+func EvalBinOpRaw(op ir.BinOp, l, r int64, unsignedOps bool) (int64, error) {
 	var v int64
 	ul, ur := uint64(l), uint64(r)
 	switch op {
@@ -513,7 +524,7 @@ func EvalBinOp(op ir.BinOp, l, r int64, t *ir.Type, unsignedOps bool) (int64, er
 	default:
 		return 0, fmt.Errorf("interp: unknown binary op %v", op)
 	}
-	return t.Canon(v), nil
+	return v, nil
 }
 
 // EvalUnOp applies a unary operator, returning the canonical result.

@@ -772,7 +772,7 @@ func (b *Batch) evalLane(ins *insn) {
 		var v int64
 		switch ins.kind {
 		case rtl.GateBin:
-			v = scalarBin(ins.bin, ins.uns, b.laneRead(ins.a, ln), b.laneRead(ins.b, ln))
+			v, _ = interp.EvalBinOpRaw(ins.bin, b.laneRead(ins.a, ln), b.laneRead(ins.b, ln), ins.uns)
 		case rtl.GateUn:
 			a := b.laneRead(ins.a, ln)
 			switch ins.un {
@@ -799,88 +799,6 @@ func (b *Batch) evalLane(ins *insn) {
 		}
 		b.laneWrite(ins.out, ln, v, ins.cn)
 	}
-}
-
-// scalarBin evaluates one binary op on one lane's values, bit-identical
-// to interp.EvalBinOp before canonicalization (division by zero yields
-// zero; shifts saturate past the word width).
-func scalarBin(op ir.BinOp, uns bool, a, bv int64) int64 {
-	switch op {
-	case ir.OpAdd:
-		return a + bv
-	case ir.OpSub:
-		return a - bv
-	case ir.OpMul:
-		return a * bv
-	case ir.OpDiv:
-		switch {
-		case bv == 0:
-			return 0
-		case uns:
-			return int64(uint64(a) / uint64(bv))
-		}
-		return a / bv
-	case ir.OpRem:
-		switch {
-		case bv == 0:
-			return 0
-		case uns:
-			return int64(uint64(a) % uint64(bv))
-		}
-		return a % bv
-	case ir.OpAnd:
-		return a & bv
-	case ir.OpOr:
-		return a | bv
-	case ir.OpXor:
-		return a ^ bv
-	case ir.OpShl:
-		if s := uint64(bv); s < 64 {
-			return int64(uint64(a) << s)
-		}
-		return 0
-	case ir.OpShr:
-		s := uint64(bv)
-		switch {
-		case s >= 64:
-			if !uns && a < 0 {
-				return -1
-			}
-			return 0
-		case uns:
-			return int64(uint64(a) >> s)
-		}
-		return a >> s
-	case ir.OpEq:
-		return b2i(a == bv)
-	case ir.OpNe:
-		return b2i(a != bv)
-	case ir.OpLt:
-		if uns {
-			return b2i(uint64(a) < uint64(bv))
-		}
-		return b2i(a < bv)
-	case ir.OpLe:
-		if uns {
-			return b2i(uint64(a) <= uint64(bv))
-		}
-		return b2i(a <= bv)
-	case ir.OpGt:
-		if uns {
-			return b2i(uint64(a) > uint64(bv))
-		}
-		return b2i(a > bv)
-	case ir.OpGe:
-		if uns {
-			return b2i(uint64(a) >= uint64(bv))
-		}
-		return b2i(a >= bv)
-	case ir.OpLAnd:
-		return b2i(a != 0 && bv != 0)
-	case ir.OpLOr:
-		return b2i(a != 0 || bv != 0)
-	}
-	return 0
 }
 
 // condWord packs "this lane's condition net is nonzero" for the lanes
