@@ -6,7 +6,6 @@ import (
 
 	"sparkgo/internal/interp"
 	"sparkgo/internal/rtlsim"
-	"sparkgo/internal/testutil"
 )
 
 // Verify co-simulates the synthesized RTL against behavioral
@@ -30,7 +29,7 @@ func Verify(res *Result, trials int, seed int64) error {
 		refs := make([]*interp.Env, lanes)
 		for ln := 0; ln < lanes; ln++ {
 			trial := start + ln
-			env := testutil.RandomEnv(res.Input, rng)
+			env := interp.RandomEnv(res.Input, rng)
 			ref := env.Clone()
 			if _, err := interp.New(res.Input).RunMain(ref); err != nil {
 				return fmt.Errorf("verify trial %d: behavioral: %w", trial, err)

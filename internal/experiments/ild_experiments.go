@@ -185,7 +185,7 @@ func simulatedCycles(res *core.Result, trials int) (int, error) {
 	rng := rand.New(rand.NewSource(23))
 	envs := make([]*interp.Env, trials)
 	for i := range envs {
-		envs[i] = testutil.RandomEnv(res.Input, rng)
+		envs[i] = interp.RandomEnv(res.Input, rng)
 	}
 	prog := rtlsim.Compile(res.Module)
 	max := 0

@@ -12,7 +12,6 @@ import (
 	"sparkgo/internal/ir"
 	"sparkgo/internal/rtl"
 	"sparkgo/internal/rtlsim"
-	"sparkgo/internal/testutil"
 )
 
 // differentialDesigns enumerates the DifferentialILD design matrix: every
@@ -74,7 +73,7 @@ func TestCompiledDifferentialSuite(t *testing.T) {
 			refs := make([]*interp.Env, trials)
 			scalarCycles := make([]int, trials)
 			for i := range envs {
-				envs[i] = testutil.RandomEnv(input, rng)
+				envs[i] = interp.RandomEnv(input, rng)
 				refs[i] = envs[i].Clone()
 				if _, err := interp.New(input).RunMain(refs[i]); err != nil {
 					t.Fatalf("trial %d: interp: %v", i, err)
@@ -176,7 +175,7 @@ func TestLaneIndependencePermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	base := make([]*interp.Env, trials)
 	for i := range base {
-		base[i] = testutil.RandomEnv(input, rng)
+		base[i] = interp.RandomEnv(input, rng)
 	}
 	run := func(order []int) ([]int, []*interp.Env) {
 		envs := make([]*interp.Env, trials)
@@ -364,7 +363,7 @@ func TestBatchZeroAllocPerCycle(t *testing.T) {
 	batch := prog.NewBatch(rtlsim.MaxLanes)
 	rng := rand.New(rand.NewSource(5))
 	for ln := 0; ln < rtlsim.MaxLanes; ln++ {
-		if err := batch.LoadEnv(ln, res.Input, testutil.RandomEnv(res.Input, rng)); err != nil {
+		if err := batch.LoadEnv(ln, res.Input, interp.RandomEnv(res.Input, rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +395,7 @@ func TestStaggeredWatchdogRetirement(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	envs := make([]*interp.Env, trials)
 	for i := range envs {
-		envs[i] = testutil.RandomEnv(input, rng)
+		envs[i] = interp.RandomEnv(input, rng)
 	}
 
 	for _, mode := range compileModes {
@@ -504,7 +503,7 @@ func TestBatchComposition(t *testing.T) {
 	refCycles := make([]int, trials)
 	refEnvs := make([]*interp.Env, trials)
 	for i := range base {
-		base[i] = testutil.RandomEnv(input, rng)
+		base[i] = interp.RandomEnv(input, rng)
 		refEnvs[i] = base[i].Clone()
 		lr := prog.RunBatch(input, []*interp.Env{refEnvs[i]}, maxCycles)[0]
 		if lr.Err != nil {
@@ -550,7 +549,7 @@ func TestRunBatchChunksBeyondMaxLanes(t *testing.T) {
 	envs := make([]*interp.Env, trials)
 	refs := make([]*interp.Env, trials)
 	for i := range envs {
-		envs[i] = testutil.RandomEnv(input, rng)
+		envs[i] = interp.RandomEnv(input, rng)
 		refs[i] = envs[i].Clone()
 		if _, err := interp.New(input).RunMain(refs[i]); err != nil {
 			t.Fatal(err)

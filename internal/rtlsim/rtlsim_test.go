@@ -8,7 +8,6 @@ import (
 	"sparkgo/internal/interp"
 	"sparkgo/internal/parser"
 	"sparkgo/internal/rtlsim"
-	"sparkgo/internal/testutil"
 )
 
 func synth(t *testing.T, src string, opt core.Options) *core.Result {
@@ -197,7 +196,7 @@ void main() {
 		p := res.Input
 		rng := rand.New(rand.NewSource(123))
 		for trial := 0; trial < 100; trial++ {
-			env := testutil.RandomEnv(p, rng)
+			env := interp.RandomEnv(p, rng)
 			ref := env.Clone()
 			if _, err := interp.New(p).RunMain(ref); err != nil {
 				t.Fatal(err)

@@ -12,19 +12,6 @@ import (
 	"sparkgo/internal/ir"
 )
 
-// RandomEnv builds an interpreter environment for p with every global
-// initialized from rng: scalars uniform over their type's range, arrays
-// element-wise uniform. (Thin wrapper over interp.RandomEnv, kept for the
-// existing test-suite call sites.)
-func RandomEnv(p *ir.Program, rng *rand.Rand) *interp.Env {
-	return interp.RandomEnv(p, rng)
-}
-
-// RunMain interprets p's main function in env and returns the result.
-func RunMain(p *ir.Program, env *interp.Env) (int64, error) {
-	return interp.New(p).RunMain(env)
-}
-
 // Mismatch describes a divergence found by Equivalent.
 type Mismatch struct {
 	Trial  int
@@ -43,7 +30,7 @@ func (m *Mismatch) Error() string {
 func Equivalent(a, b *ir.Program, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
-		envA := RandomEnv(a, rng)
+		envA := interp.RandomEnv(a, rng)
 		envB := interp.NewEnv(b)
 		// Mirror envA into envB by global name.
 		for _, ga := range a.Globals {
@@ -57,8 +44,8 @@ func Equivalent(a, b *ir.Program, trials int, seed int64) error {
 				envB.SetScalar(gb, envA.Scalar(ga))
 			}
 		}
-		ra, errA := RunMain(a, envA)
-		rb, errB := RunMain(b, envB)
+		ra, errA := interp.New(a).RunMain(envA)
+		rb, errB := interp.New(b).RunMain(envB)
 		if (errA == nil) != (errB == nil) {
 			return &Mismatch{trial, fmt.Sprintf("error mismatch: a=%v b=%v", errA, errB)}
 		}

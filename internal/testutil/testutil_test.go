@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sparkgo/internal/interp"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/parser"
 	"sparkgo/internal/testutil"
@@ -21,7 +22,7 @@ void main() { }
 	sawNegative := false
 	sawBigSmall := false
 	for i := 0; i < 200; i++ {
-		env := testutil.RandomEnv(p, rng)
+		env := interp.RandomEnv(p, rng)
 		s := env.Scalar(p.Global("small"))
 		if s < 0 || s > 15 {
 			t.Fatalf("uint4 out of range: %d", s)
