@@ -36,8 +36,16 @@ type available struct {
 }
 
 // availMap maps a canonical expression rendering to where its value is
-// available.
-type availMap map[string]available
+// available. Entries are never mutated, so clones share them.
+type availMap map[string]*available
+
+// clone copies a sized to what it holds: kills leave a map's table
+// larger than its contents, and maps.Clone would copy the whole table.
+func (a availMap) clone() availMap {
+	n := make(availMap, len(a))
+	maps.Copy(n, a)
+	return n
+}
 
 // kill drops the expressions a write to v invalidates: those v holds and
 // those that read v.
@@ -85,10 +93,10 @@ func cseBlock(b *ir.Block, avail availMap) bool {
 				changed = true
 			}
 		case *ir.IfStmt:
-			if cseBlock(x.Then, maps.Clone(avail)) {
+			if cseBlock(x.Then, avail.clone()) {
 				changed = true
 			}
-			if x.Else != nil && cseBlock(x.Else, maps.Clone(avail)) {
+			if x.Else != nil && cseBlock(x.Else, avail.clone()) {
 				changed = true
 			}
 			// Conservative join: drop facts about anything written in
@@ -117,7 +125,7 @@ func cseBlock(b *ir.Block, avail availMap) bool {
 // subexpressions in its body with the surviving facts.
 func cseLoop(loop ir.Stmt, body *ir.Block, avail availMap) bool {
 	killWritten(avail, []ir.Stmt{loop})
-	return cseBlock(body, maps.Clone(avail))
+	return cseBlock(body, avail.clone())
 }
 
 // cseAssign replaces the right-hand side of x with a copy when an equal
@@ -152,7 +160,7 @@ func cseAssign(x *ir.AssignStmt, avail availMap) bool {
 	reads := map[*ir.Var]bool{}
 	ir.VarsRead(rhs, reads)
 	if !reads[lv.V] {
-		avail[key] = available{lv.V, reads}
+		avail[key] = &available{lv.V, reads}
 	}
 	return changed
 }
