@@ -79,6 +79,7 @@ func (d *dce) block(stmts []ir.Stmt, live liveSet, sweep bool) []ir.Stmt {
 			d.changed = true
 		}
 	}
+	clear(stmts[:kept]) // let the removed statements be collected
 	return stmts[kept:]
 }
 
@@ -91,17 +92,14 @@ func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
 		if dead(x, live) {
 			return false
 		}
-		call, isCall := x.RHS.(*ir.CallExpr)
 		switch lhs := x.LHS.(type) {
 		case *ir.VarExpr:
 			delete(live, lhs.V)
 		case *ir.IndexExpr:
+			// A store writes one element, so it does not kill the array.
 			ir.VarsRead(lhs.Index, live)
-			if !isCall {
-				live[lhs.Arr] = true // stores don't kill (partial writes)
-			}
 		}
-		if isCall {
+		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
 			d.callReads(call.Args, live)
 		} else {
 			ir.VarsRead(x.RHS, live)
