@@ -14,6 +14,8 @@
 package dfa
 
 import (
+	"slices"
+
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ir"
 )
@@ -81,20 +83,23 @@ func DefaultOptions() Options {
 // Build constructs the dependence graph for ops (which must be in program
 // order, as produced by Graph.AllOps or BasicBlock.Ops).
 func Build(ops []*htg.Op, opt Options) *Graph {
-	g := &Graph{Ops: ops, Succs: map[*htg.Op][]Edge{}, Preds: map[*htg.Op][]Edge{}}
+	g := &Graph{Ops: ops, Preds: map[*htg.Op][]Edge{}}
 
+	// Every edge ends at the op being scanned, so in collects that op's
+	// predecessors, which are stored exact-size once its scan ends. Large
+	// graphs are the midend's peak memory, and lists grown by append
+	// would leave up to half of it unused.
+	var in []Edge
 	addEdge := func(from, to *htg.Op, kind EdgeKind, v *ir.Var) {
 		if from == to {
 			return
 		}
-		for _, e := range g.Succs[from] {
-			if e.To == to && e.Kind == kind {
+		for _, e := range in {
+			if e.From == from && e.Kind == kind {
 				return
 			}
 		}
-		e := Edge{From: from, To: to, Kind: kind, Var: v}
-		g.Succs[from] = append(g.Succs[from], e)
-		g.Preds[to] = append(g.Preds[to], e)
+		in = append(in, Edge{From: from, To: to, Kind: kind, Var: v})
 	}
 
 	// Per-variable def/use bookkeeping, scanning in program order.
@@ -190,6 +195,27 @@ func Build(ops []*htg.Op, opt Options) *Graph {
 			} else {
 				lastDefs[w] = append(dedupOps(kept), op)
 			}
+		}
+		if len(in) > 0 {
+			g.Preds[op] = slices.Clone(in)
+			in = in[:0]
+		}
+	}
+	// Fill each successor list, sized first, in the order the edges were
+	// found.
+	succs := map[*htg.Op]int{}
+	for _, op := range ops {
+		for _, e := range g.Preds[op] {
+			succs[e.From]++
+		}
+	}
+	g.Succs = make(map[*htg.Op][]Edge, len(succs))
+	for from, n := range succs {
+		g.Succs[from] = make([]Edge, 0, n)
+	}
+	for _, op := range ops {
+		for _, e := range g.Preds[op] {
+			g.Succs[e.From] = append(g.Succs[e.From], e)
 		}
 	}
 	return g
