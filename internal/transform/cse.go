@@ -39,8 +39,8 @@ type available struct {
 // available. Entries are never mutated, so clones share them.
 type availMap map[string]*available
 
-// clone copies a sized to what it holds: kills leave a map's table
-// larger than its contents, and maps.Clone would copy the whole table.
+// clone copies the map at its current size: kills leave the table
+// larger than its contents, and maps.Clone would copy every slot.
 func (a availMap) clone() availMap {
 	n := make(availMap, len(a))
 	maps.Copy(n, a)
@@ -131,28 +131,24 @@ func cseLoop(loop ir.Stmt, body *ir.Block, avail availMap) bool {
 // cseAssign replaces the right-hand side of x with a copy when an equal
 // expression is available, then records what x makes available.
 func cseAssign(x *ir.AssignStmt, avail availMap) bool {
-	if _, isCall := x.RHS.(*ir.CallExpr); isCall {
+	rhs, changed := x.RHS, false
+	reuse := isNontrivial(rhs) && IsPure(rhs)
+	var key string
+	if reuse {
+		key = keyOf(rhs)
+		if e, ok := avail[key]; ok {
+			x.RHS = ir.Cast(ir.V(e.holder), x.LHS.Type())
+			changed = true
+		}
+	} else if _, isCall := rhs.(*ir.CallExpr); isCall {
 		avail.clobberGlobals()
-		avail.kill(ir.StmtWrites(x))
-		return false
 	}
-	if !isNontrivial(x.RHS) || !IsPure(x.RHS) {
-		avail.kill(ir.StmtWrites(x))
-		return false
-	}
-	changed := false
-	rhs, key := x.RHS, keyOf(x.RHS)
-	if e, ok := avail[key]; ok {
-		x.RHS = ir.Cast(ir.V(e.holder), x.LHS.Type())
-		changed = true
-	}
+	avail.kill(ir.StmtWrites(x))
 	lv, ok := x.LHS.(*ir.VarExpr)
-	if !ok {
-		avail.kill(ir.StmtWrites(x))
+	if !reuse || !ok || !rhs.Type().Equal(lv.V.Type) {
 		return changed
 	}
-	avail.kill(lv.V)
-	if _, has := avail[key]; has || !rhs.Type().Equal(lv.V.Type) {
+	if _, has := avail[key]; has {
 		return changed
 	}
 	// The read set is that of the original expression, the one the key
