@@ -25,7 +25,11 @@ const (
 	//
 	// v2: programs are persisted in the deterministic binary wire format
 	// (internal/wire) instead of gob, so content fingerprints changed.
-	FrontendVersion = 2
+	// v3: CSE compares right-hand sides by structure, not printed text.
+	// The printed text drops constant and inner-node types, so CSE merged
+	// expressions that print alike but compute at different widths, and
+	// artifacts cached for such inputs are wrong.
+	FrontendVersion = 3
 	// MidendVersion keys HTG/schedule artifacts.
 	//
 	// v2: midend artifacts are persisted losslessly (sched.EncodeResult)

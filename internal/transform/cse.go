@@ -1,7 +1,7 @@
 package transform
 
 import (
-	"maps"
+	"hash/maphash"
 
 	"sparkgo/internal/ir"
 )
@@ -21,7 +21,8 @@ func CSE() Pass {
 	return PassFunc{PassName: "cse", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			if cseBlock(f.Body, availMap{}) {
+			c := cse{avail: newScoped[uint64, *available](), stamps: newScoped[*ir.Var, int]()}
+			if c.block(f.Body) {
 				changed = true
 			}
 		}
@@ -29,91 +30,135 @@ func CSE() Pass {
 	}}
 }
 
-// available is an expression whose value a variable holds.
+// cse is one function walk. Writes are not applied to the available
+// expressions; each bumps the written variable's stamp instead, and a
+// lookup accepts an entry only if nothing it depends on has been written
+// since it was made. A call bumps the stamp of anyGlobalMarker. Branches
+// and loop bodies are scopes of both tables, so what they make available
+// and the stamps they bump are rolled back on exit.
+type cse struct {
+	avail  scoped[uint64, *available] // structural hash -> entries, newest first
+	stamps scoped[*ir.Var, int]       // when each variable was last written
+	now    int
+	// written holds the variables the branches of the ifs being walked
+	// wrote, to be killed after each if.
+	written []*ir.Var
+}
+
+// available is an expression whose value holder got at time at.
 type available struct {
+	expr   ir.Expr
 	holder *ir.Var
-	reads  map[*ir.Var]bool // what the expression reads
+	at     int
+	next   *available // an older entry under the same hash
 }
 
-// availMap maps a canonical expression rendering to where its value is
-// available. Entries are never mutated, so clones share them.
-type availMap map[string]*available
-
-// clone copies the map at its current size: kills leave the table
-// larger than its contents, and maps.Clone would copy every slot.
-func (a availMap) clone() availMap {
-	n := make(availMap, len(a))
-	maps.Copy(n, a)
-	return n
+// kill records a write to v.
+func (c *cse) kill(v *ir.Var) {
+	c.now++
+	c.stamps.set(v, c.now)
 }
 
-// kill drops the expressions a write to v invalidates: those v holds and
-// those that read v.
-func (a availMap) kill(v *ir.Var) {
-	for k, e := range a {
-		if e.holder == v || e.reads[v] {
-			delete(a, k)
+// clobberGlobals records a call, which may write any global.
+func (c *cse) clobberGlobals() { c.kill(anyGlobalMarker) }
+
+func (c *cse) stamp(v *ir.Var) int {
+	t, _ := c.stamps.get(v)
+	return t
+}
+
+// find returns the entry holding e's value, or nil. Only the newest
+// entry for e is checked: an older one was already stale when the newer
+// was made, and a stale entry stays stale within its scope.
+func (c *cse) find(h uint64, e ir.Expr) *available {
+	for a, _ := c.avail.get(h); a != nil; a = a.next {
+		if sameExpr(a.expr, e) {
+			if c.stamp(a.holder) > a.at {
+				return nil
+			}
+			if fresh, global := c.fresh(a.expr, a.at); !fresh ||
+				(global || a.holder.IsGlobal) && c.stamp(anyGlobalMarker) > a.at {
+				return nil
+			}
+			return a
 		}
 	}
+	return nil
 }
 
-// clobberGlobals drops the expressions a call invalidates: those a global
-// holds and those that read one.
-func (a availMap) clobberGlobals() {
-	for k, e := range a {
-		if e.holder.IsGlobal || readsGlobal(e.reads) {
-			delete(a, k)
+// fresh reports whether no variable e reads was written after time at,
+// and whether e reads a global.
+func (c *cse) fresh(e ir.Expr, at int) (ok, global bool) {
+	switch x := e.(type) {
+	case *ir.VarExpr:
+		return c.stamp(x.V) <= at, x.V.IsGlobal
+	case *ir.IndexExpr:
+		if c.stamp(x.Arr) > at {
+			return false, false
 		}
-	}
-}
-
-func readsGlobal(reads map[*ir.Var]bool) bool {
-	for v := range reads {
-		if v.IsGlobal {
-			return true
+		ok, global = c.fresh(x.Index, at)
+		return ok, global || x.Arr.IsGlobal
+	case *ir.BinExpr:
+		ok, global = c.fresh(x.L, at)
+		if ok {
+			var g bool
+			ok, g = c.fresh(x.R, at)
+			global = global || g
 		}
+		return ok, global
+	case *ir.UnExpr:
+		return c.fresh(x.X, at)
+	case *ir.CastExpr:
+		return c.fresh(x.X, at)
+	case *ir.SelExpr:
+		for _, y := range [...]ir.Expr{x.Cond, x.Then, x.Else} {
+			o, g := c.fresh(y, at)
+			if !o {
+				return false, false
+			}
+			global = global || g
+		}
+		return true, global
 	}
-	return false
+	return true, false
 }
 
-// keyOf renders an expression canonically (PrintExpr is deterministic and
-// includes variable names, operators, and constant values; variable names
-// are unique within a function, so collisions cannot occur).
-func keyOf(e ir.Expr) string { return e.Type().String() + "|" + ir.PrintExpr(e) }
+// add makes e available in holder, dropping a stale entry for e at the
+// head of its list.
+func (c *cse) add(h uint64, e ir.Expr, holder *ir.Var) {
+	next, _ := c.avail.get(h)
+	if next != nil && sameExpr(next.expr, e) {
+		next = next.next
+	}
+	c.avail.set(h, &available{expr: e, holder: holder, at: c.now, next: next})
+}
 
-// cseBlock eliminates common subexpressions in b given the expressions
-// available on entry, updating avail in place, and reports whether
-// anything changed.
-func cseBlock(b *ir.Block, avail availMap) bool {
+// block eliminates common subexpressions in b, given what is available
+// on entry, and reports whether anything changed.
+func (c *cse) block(b *ir.Block) bool {
 	changed := false
 	for _, s := range b.Stmts {
 		switch x := s.(type) {
 		case *ir.AssignStmt:
-			if cseAssign(x, avail) {
+			if c.assign(x) {
 				changed = true
 			}
 		case *ir.IfStmt:
-			if cseBlock(x.Then, avail.clone()) {
+			if c.branches(x) {
 				changed = true
 			}
-			if x.Else != nil && cseBlock(x.Else, avail.clone()) {
-				changed = true
-			}
-			// Conservative join: drop facts about anything written in
-			// either branch.
-			killWritten(avail, []ir.Stmt{x})
 		case *ir.ForStmt:
-			if cseLoop(x, x.Body, avail) {
+			if c.loop(x, x.Body) {
 				changed = true
 			}
 		case *ir.WhileStmt:
-			if cseLoop(x, x.Body, avail) {
+			if c.loop(x, x.Body) {
 				changed = true
 			}
 		case *ir.ExprStmt:
-			avail.clobberGlobals()
+			c.clobberGlobals()
 		case *ir.Block:
-			if cseBlock(x, avail) {
+			if c.block(x) {
 				changed = true
 			}
 		}
@@ -121,42 +166,70 @@ func cseBlock(b *ir.Block, avail availMap) bool {
 	return changed
 }
 
-// cseLoop invalidates everything loop writes, then eliminates common
-// subexpressions in its body with the surviving facts.
-func cseLoop(loop ir.Stmt, body *ir.Block, avail availMap) bool {
-	killWritten(avail, []ir.Stmt{loop})
-	return cseBlock(body, avail.clone())
+// branches walks each branch of x in its own scope. Afterwards, what
+// either branch wrote is killed: the conservative join.
+func (c *cse) branches(x *ir.IfStmt) bool {
+	changed := false
+	base := len(c.written)
+	for _, br := range [...]*ir.Block{x.Then, x.Else} {
+		if br == nil {
+			continue
+		}
+		c.avail.push()
+		c.stamps.push()
+		if c.block(br) {
+			changed = true
+		}
+		for _, ch := range c.stamps.touched() {
+			c.written = append(c.written, ch.k)
+		}
+		c.stamps.pop()
+		c.avail.pop()
+	}
+	for _, v := range c.written[base:] {
+		c.kill(v)
+	}
+	clear(c.written[base:])
+	c.written = c.written[:base]
+	return changed
 }
 
-// cseAssign replaces the right-hand side of x with a copy when an equal
+// loop invalidates everything loop writes, then eliminates common
+// subexpressions in its body, in a scope, with what survives.
+func (c *cse) loop(loop ir.Stmt, body *ir.Block) bool {
+	killWritten(c, []ir.Stmt{loop})
+	c.avail.push()
+	c.stamps.push()
+	changed := c.block(body)
+	c.stamps.pop()
+	c.avail.pop()
+	return changed
+}
+
+// assign replaces the right-hand side of x with a copy when an equal
 // expression is available, then records what x makes available.
-func cseAssign(x *ir.AssignStmt, avail availMap) bool {
+func (c *cse) assign(x *ir.AssignStmt) bool {
 	rhs, changed := x.RHS, false
 	reuse := isNontrivial(rhs) && IsPure(rhs)
-	var key string
+	var h uint64
 	if reuse {
-		key = keyOf(rhs)
-		if e, ok := avail[key]; ok {
-			x.RHS = ir.Cast(ir.V(e.holder), x.LHS.Type())
+		h = hashExpr(rhs)
+		if a := c.find(h, rhs); a != nil {
+			x.RHS = ir.Cast(ir.V(a.holder), x.LHS.Type())
 			changed = true
 		}
 	} else if _, isCall := rhs.(*ir.CallExpr); isCall {
-		avail.clobberGlobals()
+		c.clobberGlobals()
 	}
-	avail.kill(ir.StmtWrites(x))
+	c.kill(ir.StmtWrites(x))
 	lv, ok := x.LHS.(*ir.VarExpr)
-	if !reuse || !ok || !rhs.Type().Equal(lv.V.Type) {
+	if !reuse || !ok || !rhs.Type().Equal(lv.V.Type) || c.find(h, rhs) != nil {
 		return changed
 	}
-	if _, has := avail[key]; has {
-		return changed
-	}
-	// The read set is that of the original expression, the one the key
-	// names: a later write to any of its inputs must kill the fact.
-	reads := map[*ir.Var]bool{}
-	ir.VarsRead(rhs, reads)
-	if !reads[lv.V] {
-		avail[key] = &available{lv.V, reads}
+	// The entry is the original expression, the one the hash names: a
+	// later write to any of its inputs must invalidate it.
+	if !readsVar(rhs, lv.V) {
+		c.add(h, rhs, lv.V)
 	}
 	return changed
 }
@@ -172,4 +245,95 @@ func isNontrivial(e ir.Expr) bool {
 		return isNontrivial(x.X)
 	}
 	return true
+}
+
+// readsVar reports whether e reads v.
+func readsVar(e ir.Expr, v *ir.Var) bool {
+	switch x := e.(type) {
+	case *ir.VarExpr:
+		return x.V == v
+	case *ir.IndexExpr:
+		return x.Arr == v || readsVar(x.Index, v)
+	case *ir.BinExpr:
+		return readsVar(x.L, v) || readsVar(x.R, v)
+	case *ir.UnExpr:
+		return readsVar(x.X, v)
+	case *ir.CastExpr:
+		return readsVar(x.X, v)
+	case *ir.SelExpr:
+		return readsVar(x.Cond, v) || readsVar(x.Then, v) || readsVar(x.Else, v)
+	}
+	return false
+}
+
+// varSeed hashes variables by identity.
+var varSeed = maphash.MakeSeed()
+
+// hashExpr is a structural hash of a pure expression: operators, types,
+// constant values and variable identities. Expressions sameExpr accepts
+// hash alike.
+func hashExpr(e ir.Expr) uint64 {
+	switch x := e.(type) {
+	case *ir.ConstExpr:
+		return mix(mix(1, hashType(x.Typ)), uint64(x.Val))
+	case *ir.VarExpr:
+		return mix(2, maphash.Comparable(varSeed, x.V))
+	case *ir.IndexExpr:
+		return mix(mix(3, maphash.Comparable(varSeed, x.Arr)), hashExpr(x.Index))
+	case *ir.BinExpr:
+		h := mix(mix(4, uint64(x.Op)), hashType(x.Typ))
+		return mix(mix(h, hashExpr(x.L)), hashExpr(x.R))
+	case *ir.UnExpr:
+		return mix(mix(mix(5, uint64(x.Op)), hashType(x.Typ)), hashExpr(x.X))
+	case *ir.CastExpr:
+		return mix(mix(6, hashType(x.Typ)), hashExpr(x.X))
+	case *ir.SelExpr:
+		h := mix(7, hashType(x.Typ))
+		return mix(mix(mix(h, hashExpr(x.Cond)), hashExpr(x.Then)), hashExpr(x.Else))
+	}
+	return 0
+}
+
+func hashType(t *ir.Type) uint64 {
+	h := uint64(t.Kind)<<8 | uint64(t.Bits)<<1
+	if t.Signed {
+		h |= 1
+	}
+	return h
+}
+
+// mix folds v into h.
+func mix(h, v uint64) uint64 {
+	h ^= v + 0x9e3779b97f4a7c15 + h<<6 + h>>2
+	return h * 0xff51afd7ed558ccd
+}
+
+// sameExpr reports whether a and b are the same pure expression: the same
+// operators, types and constant values over the same variables.
+func sameExpr(a, b ir.Expr) bool {
+	switch x := a.(type) {
+	case *ir.ConstExpr:
+		y, ok := b.(*ir.ConstExpr)
+		return ok && x.Val == y.Val && x.Typ.Equal(y.Typ)
+	case *ir.VarExpr:
+		y, ok := b.(*ir.VarExpr)
+		return ok && x.V == y.V
+	case *ir.IndexExpr:
+		y, ok := b.(*ir.IndexExpr)
+		return ok && x.Arr == y.Arr && sameExpr(x.Index, y.Index)
+	case *ir.BinExpr:
+		y, ok := b.(*ir.BinExpr)
+		return ok && x.Op == y.Op && x.Typ.Equal(y.Typ) && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+	case *ir.UnExpr:
+		y, ok := b.(*ir.UnExpr)
+		return ok && x.Op == y.Op && x.Typ.Equal(y.Typ) && sameExpr(x.X, y.X)
+	case *ir.CastExpr:
+		y, ok := b.(*ir.CastExpr)
+		return ok && x.Typ.Equal(y.Typ) && sameExpr(x.X, y.X)
+	case *ir.SelExpr:
+		y, ok := b.(*ir.SelExpr)
+		return ok && x.Typ.Equal(y.Typ) && sameExpr(x.Cond, y.Cond) &&
+			sameExpr(x.Then, y.Then) && sameExpr(x.Else, y.Else)
+	}
+	return false
 }

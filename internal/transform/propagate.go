@@ -1,8 +1,6 @@
 package transform
 
 import (
-	"maps"
-
 	"sparkgo/internal/ir"
 )
 
@@ -20,14 +18,12 @@ import (
 func ConstProp() Pass {
 	return propagation{
 		name: "const-prop",
-		init: func(f *ir.Func) facts {
-			s := newFacts()
+		init: func(f *ir.Func, s *facts) {
 			for _, v := range f.Locals {
 				if !v.IsParam && !v.IsGlobal && v.Type.IsScalar() {
-					s.known[v] = fact{}
+					s.set(v, fact{})
 				}
 			}
-			return s
 		},
 		gen: func(lhs *ir.Var, rhs ir.Expr) (fact, bool) {
 			c, ok := rhs.(*ir.ConstExpr)
@@ -51,7 +47,7 @@ func ConstProp() Pass {
 func CopyProp() Pass {
 	return propagation{
 		name: "copy-prop",
-		init: func(*ir.Func) facts { return newFacts() },
+		init: func(*ir.Func, *facts) {},
 		gen: func(lhs *ir.Var, rhs ir.Expr) (fact, bool) {
 			src, ok := rhs.(*ir.VarExpr)
 			if !ok || src.V == lhs || !src.V.Type.Equal(lhs.Type) {
@@ -68,7 +64,7 @@ func CopyProp() Pass {
 // substituted expressions and constant branches fold.
 type propagation struct {
 	name string
-	init func(f *ir.Func) facts
+	init func(f *ir.Func, s *facts)
 	gen  func(lhs *ir.Var, rhs ir.Expr) (fact, bool)
 	fold bool
 }
@@ -88,23 +84,32 @@ func (f fact) expr(v *ir.Var) ir.Expr {
 	return ir.C(f.val, v.Type)
 }
 
-// facts maps each variable to what is known about it. Every clone made
-// during one function's walk shares read, the variables any fact has
-// held as its source, so kill looks for readers only where there can be
-// some.
+// facts maps each variable to what is known about it during one
+// function's walk. Branches and loop bodies are scopes of known, so what
+// they learn is rolled back on exit. read holds the variables any fact
+// has held as its source, so kill looks for readers only where there
+// can be some.
 type facts struct {
-	known map[*ir.Var]fact
+	known scoped[*ir.Var, fact]
 	read  map[*ir.Var]bool
+	// joins holds, for the ifs being walked, the facts a branch ended
+	// with for each variable it touched.
+	joins []joined
 }
 
-func newFacts() facts {
-	return facts{known: map[*ir.Var]fact{}, read: map[*ir.Var]bool{}}
+// joined is what a branch ended with for v: fact f, or nothing if !ok.
+type joined struct {
+	v  *ir.Var
+	f  fact
+	ok bool
 }
 
-func (s facts) clone() facts { return facts{known: maps.Clone(s.known), read: s.read} }
+func newFacts() *facts {
+	return &facts{known: newScoped[*ir.Var, fact](), read: map[*ir.Var]bool{}}
+}
 
-func (s facts) set(v *ir.Var, f fact) {
-	s.known[v] = f
+func (s *facts) set(v *ir.Var, f fact) {
+	s.known.set(v, f)
 	if f.src != nil {
 		s.read[f.src] = true
 	}
@@ -112,43 +117,86 @@ func (s facts) set(v *ir.Var, f fact) {
 
 // kill drops the facts a write to v invalidates: v's own and every fact
 // that reads v.
-func (s facts) kill(v *ir.Var) {
-	delete(s.known, v)
+func (s *facts) kill(v *ir.Var) {
+	s.known.del(v)
 	if !s.read[v] {
 		return
 	}
-	for k, f := range s.known {
+	for k, f := range s.known.m {
 		if f.src == v {
-			delete(s.known, k)
+			s.known.del(k)
 		}
 	}
 }
 
 // clobberGlobals drops the facts a call invalidates: those about a global
 // and those reading one.
-func (s facts) clobberGlobals() {
-	for k, f := range s.known {
+func (s *facts) clobberGlobals() {
+	for k, f := range s.known.m {
 		if k.IsGlobal || f.src != nil && f.src.IsGlobal {
-			delete(s.known, k)
+			s.known.del(k)
 		}
 	}
 }
 
-// join keeps in s only the facts equal on both paths.
-func (s facts) join(then, els facts) {
-	clear(s.known)
-	for k, f := range then.known {
-		if g, ok := els.known[k]; ok && g == f {
-			s.known[k] = f
+// ends appends what the open scope ended with for each variable it
+// touched.
+func (s *facts) ends() {
+	for _, c := range s.known.touched() {
+		f, ok := s.known.get(c.k)
+		s.joins = append(s.joins, joined{c.k, f, ok})
+	}
+}
+
+// branches walks each branch of x in its own scope, then keeps the facts
+// equal on both paths. Only a variable either branch touched can differ,
+// since a fact is dropped as soon as it stops holding.
+func (pr propagation) branches(x *ir.IfStmt, s *facts) bool {
+	base := len(s.joins)
+	s.known.push()
+	changed := pr.block(x.Then, s)
+	s.ends()
+	s.known.pop()
+	s.known.push()
+	if x.Else != nil && pr.block(x.Else, s) {
+		changed = true
+	}
+	// What the then branch touched holds after the if only if the else
+	// branch ends with it too.
+	thenEnd := len(s.joins)
+	for i := base; i < thenEnd; i++ {
+		j := &s.joins[i]
+		f, ok := s.known.get(j.v)
+		j.ok = j.ok && ok && f == j.f
+	}
+	s.ends()
+	s.known.pop()
+	// What only the else branch touched holds after the if only if it is
+	// what the then branch left, the fact on entry. A variable both
+	// touched is settled by the then entries, applied last.
+	for _, j := range s.joins[thenEnd:] {
+		if f, ok := s.known.get(j.v); !j.ok || !ok || f != j.f {
+			s.known.del(j.v)
 		}
 	}
+	for _, j := range s.joins[base:thenEnd] {
+		if !j.ok {
+			s.known.del(j.v)
+		} else if f, ok := s.known.get(j.v); !ok || f != j.f {
+			s.known.set(j.v, j.f)
+		}
+	}
+	s.joins = s.joins[:base]
+	return changed
 }
 
 func (pr propagation) pass() Pass {
 	return PassFunc{PassName: pr.name, Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			if pr.block(f.Body, pr.init(f)) {
+			s := newFacts()
+			pr.init(f, s)
+			if pr.block(f.Body, s) {
 				changed = true
 			}
 		}
@@ -158,11 +206,11 @@ func (pr propagation) pass() Pass {
 
 // substitute rewrites e, replacing reads of variables with known facts
 // and, when the pass folds, folding, and returns the new expression.
-func (pr propagation) substitute(e ir.Expr, s facts) (ir.Expr, bool) {
+func (pr propagation) substitute(e ir.Expr, s *facts) (ir.Expr, bool) {
 	changed := false
 	out := ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
 		if v, ok := x.(*ir.VarExpr); ok {
-			if f, ok := s.known[v.V]; ok {
+			if f, ok := s.known.get(v.V); ok {
 				changed = true
 				return f.expr(v.V)
 			}
@@ -180,7 +228,7 @@ func (pr propagation) substitute(e ir.Expr, s facts) (ir.Expr, bool) {
 	return out, changed
 }
 
-func (pr propagation) substituteArgs(call *ir.CallExpr, s facts) bool {
+func (pr propagation) substituteArgs(call *ir.CallExpr, s *facts) bool {
 	changed := false
 	for i, a := range call.Args {
 		na, ch := pr.substitute(a, s)
@@ -193,7 +241,7 @@ func (pr propagation) substituteArgs(call *ir.CallExpr, s facts) bool {
 // block propagates through a statement list, mutating statements in place
 // and updating s. It returns whether anything changed. The slice is
 // rebuilt only once a branch is spliced.
-func (pr propagation) block(b *ir.Block, s facts) bool {
+func (pr propagation) block(b *ir.Block, s *facts) bool {
 	changed := false
 	var out []ir.Stmt
 	for i, st := range b.Stmts {
@@ -218,7 +266,7 @@ func (pr propagation) block(b *ir.Block, s facts) bool {
 // stmt processes one statement in place and reports whether anything
 // changed. An if whose condition folds to a constant reports folded and
 // the statements of its taken branch, which replace it.
-func (pr propagation) stmt(st ir.Stmt, s facts) (changed, folded bool, taken []ir.Stmt) {
+func (pr propagation) stmt(st ir.Stmt, s *facts) (changed, folded bool, taken []ir.Stmt) {
 	switch x := st.(type) {
 	case *ir.AssignStmt:
 		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
@@ -253,14 +301,9 @@ func (pr propagation) stmt(st ir.Stmt, s facts) (changed, folded bool, taken []i
 			pr.block(branch, s)
 			return true, true, branch.Stmts
 		}
-		thenState, elseState := s.clone(), s.clone()
-		if pr.block(x.Then, thenState) {
+		if pr.branches(x, s) {
 			changed = true
 		}
-		if x.Else != nil && pr.block(x.Else, elseState) {
-			changed = true
-		}
-		s.join(thenState, elseState)
 
 	case *ir.ForStmt:
 		if x.Init != nil {
@@ -276,21 +319,24 @@ func (pr propagation) stmt(st ir.Stmt, s facts) (changed, folded bool, taken []i
 		var ch bool
 		x.Cond, ch = pr.substitute(x.Cond, s)
 		changed = changed || ch
-		inner := s.clone()
-		if pr.block(x.Body, inner) {
+		s.known.push()
+		if pr.block(x.Body, s) {
 			changed = true
 		}
 		if x.Post != nil {
-			x.Post.RHS, ch = pr.substitute(x.Post.RHS, inner)
+			x.Post.RHS, ch = pr.substitute(x.Post.RHS, s)
 			changed = changed || ch
 		}
+		s.known.pop()
 
 	case *ir.WhileStmt:
 		killWritten(s, x.Body.Stmts)
 		x.Cond, changed = pr.substitute(x.Cond, s)
-		if pr.block(x.Body, s.clone()) {
+		s.known.push()
+		if pr.block(x.Body, s) {
 			changed = true
 		}
+		s.known.pop()
 
 	case *ir.ReturnStmt:
 		if x.Val != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sparkgo/internal/interp"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/parser"
 	"sparkgo/internal/pass"
@@ -742,5 +743,52 @@ void main() {
 	}
 	if changed {
 		t.Error("normalization fired without a positivity proof")
+	}
+}
+
+// TestCSEKeepsTypesApart pins CSE against merging right-hand sides that
+// print alike but compute at different widths. After const-prop both
+// comparisons print as "x + 1 == 0", but one adds in 8 bits and the other
+// in 32, so at x = 255 they disagree. The microprocessor plan must keep
+// them apart; every value of x is checked.
+func TestCSEKeepsTypesApart(t *testing.T) {
+	orig := parser.MustParse("cse-types", `
+uint8 x;
+bool o1;
+bool o2;
+void main() {
+  uint8 k;
+  int32 j;
+  bool t1;
+  bool t2;
+  k = 1;
+  j = 1;
+  t1 = x + k == 0;
+  t2 = x + j == 0;
+  o1 = t1;
+  o2 = t2;
+}
+`)
+	passes, err := pass.BuildAll(pass.MicroprocessorPlan(pass.Toggles{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := ir.CloneProgram(orig)
+	if err := (&pass.Pipeline{Passes: passes}).Run(work); err != nil {
+		t.Fatal(err)
+	}
+	for x := int64(0); x < 256; x++ {
+		var got [2][2]int64
+		for i, p := range []*ir.Program{orig, work} {
+			env := interp.NewEnv(p)
+			env.SetScalar(p.Global("x"), x)
+			if _, err := interp.New(p).RunMain(env); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = [2]int64{env.Scalar(p.Global("o1")), env.Scalar(p.Global("o2"))}
+		}
+		if got[0] != got[1] {
+			t.Fatalf("x=%d: (o1, o2) = %v after the plan, %v before\n%s", x, got[1], got[0], ir.Print(work))
+		}
 	}
 }
