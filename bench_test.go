@@ -18,6 +18,7 @@
 //	BenchmarkAblation_*                A1-A4 coordination ablations
 //	BenchmarkExploration               E15  full design-space sweep
 //	BenchmarkSynthesizeILD/n=*         end-to-end synthesis timing sweep
+//	BenchmarkFrontendDepth/*           frontend scaling with program depth
 //	BenchmarkRTLSimILD                 simulated decode throughput
 //	BenchmarkInterpILD                 behavioral decode throughput
 package sparkgo_test
@@ -25,6 +26,7 @@ package sparkgo_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,6 +34,7 @@ import (
 	"sparkgo/internal/experiments"
 	"sparkgo/internal/ild"
 	"sparkgo/internal/interp"
+	"sparkgo/internal/parser"
 	"sparkgo/internal/report"
 	"sparkgo/internal/rtl"
 	"sparkgo/internal/rtlsim"
@@ -161,6 +164,44 @@ func BenchmarkSynthesizeILD(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFrontendDepth times the frontend on a chain of n distinct
+// temporaries, tI = tI-1 ^ b, with a guarded accumulation
+// if (tI > c) { u = u + tI; } every 8 statements, under both presets.
+// The frontend's fact tables are scoped, not copied per branch, so the
+// time should about double with n.
+func BenchmarkFrontendDepth(b *testing.B) {
+	for _, preset := range []core.Preset{core.MicroprocessorBlock, core.ClassicalASIC} {
+		fo := core.Options{Preset: preset}.FrontendOptions()
+		for _, n := range []int{1000, 2000, 4000} {
+			p := parser.MustParse("depth", depthSource(n))
+			b.Run(fmt.Sprintf("%s/n=%d", preset, n), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := core.Frontend(p, fo); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// depthSource renders BenchmarkFrontendDepth's program for n temporaries.
+func depthSource(n int) string {
+	var s strings.Builder
+	s.WriteString("uint8 b;\nuint8 c;\nuint8 u;\nvoid main() {\n")
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&s, "  uint8 t%d;\n", i)
+	}
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&s, "  t%d = t%d ^ b;\n", i, i-1)
+		if i%8 == 0 {
+			fmt.Fprintf(&s, "  if (t%d > c) {\n    u = u + t%d;\n  }\n", i, i)
+		}
+	}
+	s.WriteString("}\n")
+	return s.String()
 }
 
 // BenchmarkMidendAllocs pins the allocation count of the midend builders

@@ -165,6 +165,16 @@ func (fa *FrontendArtifact) Materialize() []byte {
 	return enc
 }
 
+// stageRow measures p's main function after an application of pass.
+func stageRow(pass string, changed bool, p *ir.Program) StageMetrics {
+	c := ir.Shape(p.Main())
+	return StageMetrics{
+		Pass: pass, Changed: changed,
+		Stmts: c.Stmts, Ops: c.Ops, Ifs: c.Ifs, Loops: c.Loops, Calls: c.Calls,
+		Funcs: len(p.Funcs),
+	}
+}
+
 // Frontend runs the transformation stage: clone the input, drive the
 // pass pipeline to a fixed point, validate, and fingerprint the result.
 func Frontend(input *ir.Program, o FrontendOptions) (*FrontendArtifact, error) {
@@ -175,17 +185,20 @@ func Frontend(input *ir.Program, o FrontendOptions) (*FrontendArtifact, error) {
 	work := ir.CloneProgram(input)
 	fa := &FrontendArtifact{Program: work}
 
+	// An application that changed nothing leaves main as the previous
+	// row measured it, so only the function count is taken again.
 	observer := func(pass string, changed bool, p *ir.Program) {
 		m := p.Main()
 		if m == nil {
 			return
 		}
-		fa.Stages = append(fa.Stages, StageMetrics{
-			Pass: pass, Changed: changed,
-			Stmts: ir.CountStmts(m), Ops: ir.CountOps(m),
-			Ifs: ir.CountIfs(m), Loops: ir.CountLoops(m),
-			Calls: ir.CountCalls(m), Funcs: len(p.Funcs),
-		})
+		if n := len(fa.Stages); !changed && n > 0 {
+			row := fa.Stages[n-1]
+			row.Pass, row.Changed, row.Funcs = pass, false, len(p.Funcs)
+			fa.Stages = append(fa.Stages, row)
+			return
+		}
+		fa.Stages = append(fa.Stages, stageRow(pass, changed, p))
 	}
 	pl := &pass.Pipeline{Passes: passes, MaxRounds: o.Rounds, Observer: observer}
 	if err := pl.Run(work); err != nil {
@@ -335,7 +348,7 @@ func midend(work *ir.Program, fa *FrontendArtifact, o MidendOptions) (*MidendArt
 	if main == nil {
 		return nil, nil, fmt.Errorf("core: program has no main function")
 	}
-	if ir.CountCalls(main) > 0 {
+	if ir.Shape(main).Calls > 0 {
 		return nil, nil, fmt.Errorf("core: calls survive transformation (recursive or non-inlinable)")
 	}
 	g, err := htg.Lower(work, main)

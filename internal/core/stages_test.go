@@ -1,13 +1,60 @@
 package core_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sparkgo/internal/core"
 	"sparkgo/internal/ild"
 	"sparkgo/internal/ir"
+	"sparkgo/internal/pass"
 	"sparkgo/internal/rtl"
 )
+
+// TestFrontendStagesMatchRecount pins the frontend's stage metrics, which
+// copy the previous row when an application changes nothing, against a
+// full recount after every application.
+func TestFrontendStagesMatchRecount(t *testing.T) {
+	plans := map[string][]string{
+		"micro":                 pass.MicroprocessorPlan(pass.Toggles{}),
+		"micro+normalize-while": pass.MicroprocessorPlan(pass.Toggles{NormalizeWhile: true}),
+		"classical":             pass.ClassicalPlan(pass.Toggles{}),
+		"no-speculation":        pass.MicroprocessorPlan(pass.Toggles{NoSpeculation: true}),
+		"no-unroll":             pass.MicroprocessorPlan(pass.Toggles{NoUnroll: true}),
+	}
+	for _, n := range []int{4, 8, 16} {
+		for form, prog := range map[string]*ir.Program{"ild": ild.Program(n), "natural": ild.NaturalProgram(n)} {
+			for name, specs := range plans {
+				t.Run(fmt.Sprintf("%s%d/%s", form, n, name), func(t *testing.T) {
+					fa, err := core.Frontend(prog, core.FrontendOptions{Passes: specs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					passes, err := pass.BuildAll(specs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []core.StageMetrics
+					pl := &pass.Pipeline{Passes: passes, Observer: func(name string, changed bool, p *ir.Program) {
+						c := ir.Shape(p.Main())
+						want = append(want, core.StageMetrics{
+							Pass: name, Changed: changed,
+							Stmts: c.Stmts, Ops: c.Ops, Ifs: c.Ifs, Loops: c.Loops, Calls: c.Calls,
+							Funcs: len(p.Funcs),
+						})
+					}}
+					if err := pl.Run(ir.CloneProgram(prog)); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(fa.Stages, want) {
+						t.Errorf("stages differ from a full recount\ngot:  %v\nwant: %v", fa.Stages, want)
+					}
+				})
+			}
+		}
+	}
+}
 
 // TestStagedMatchesSynthesize checks that driving the three stages by
 // hand produces exactly the design Synthesize produces — same schedule

@@ -52,8 +52,8 @@ func E1Fig02Unroll() (*report.Table, error) {
 		if _, err := transform.UnrollFull(nil, 0).Run(p); err != nil {
 			return nil, err
 		}
-		lb, la := ir.CountLoops(before.Main()), ir.CountLoops(p.Main())
-		ob, oa := ir.CountOps(before.Main()), ir.CountOps(p.Main())
+		sb, sa := ir.Shape(before.Main()), ir.Shape(p.Main())
+		lb, la, ob, oa := sb.Loops, sa.Loops, sb.Ops, sa.Ops
 		ok := la == 0 && oa >= n*2
 		t.Add(n, lb, ob, la, oa, ok)
 		if !ok {
@@ -337,9 +337,8 @@ func E8toE11Stages(n int) (*report.Table, error) {
 	p := ild.Program(n)
 	orig := ir.CloneProgram(p)
 	snap := func(stage, claim string) {
-		m := p.Main()
-		t.Add(stage, ir.CountStmts(m), ir.CountOps(m), ir.CountIfs(m),
-			ir.CountLoops(m), ir.CountCalls(m), claim)
+		c := ir.Shape(p.Main())
+		t.Add(stage, c.Stmts, c.Ops, c.Ifs, c.Loops, c.Calls, claim)
 	}
 	snap("input (Fig 10)", "guarded loop, calls")
 
@@ -350,7 +349,7 @@ func E8toE11Stages(n int) (*report.Table, error) {
 		return nil, err
 	}
 	snap("inline (Fig 12)", "0 calls")
-	if c := ir.CountCalls(p.Main()); c != 0 {
+	if c := ir.Shape(p.Main()).Calls; c != 0 {
 		return t, fmt.Errorf("E9/Fig12: %d calls remain", c)
 	}
 
@@ -366,7 +365,7 @@ func E8toE11Stages(n int) (*report.Table, error) {
 		return nil, err
 	}
 	snap("unroll (Fig 13)", "0 loops")
-	if l := ir.CountLoops(p.Main()); l != 0 {
+	if l := ir.Shape(p.Main()).Loops; l != 0 {
 		return t, fmt.Errorf("E10/Fig13: %d loops remain", l)
 	}
 

@@ -277,15 +277,15 @@ func TestWalkAndRewrite(t *testing.T) {
 
 func TestCountMetrics(t *testing.T) {
 	p := buildSampleProgram(t)
-	f := p.Funcs[0]
-	if got := CountIfs(f); got != 1 {
-		t.Errorf("CountIfs = %d, want 1", got)
+	c := Shape(p.Funcs[0])
+	if c.Ifs != 1 {
+		t.Errorf("Ifs = %d, want 1", c.Ifs)
 	}
-	if got := CountLoops(f); got != 0 {
-		t.Errorf("CountLoops = %d, want 0", got)
+	if c.Loops != 0 {
+		t.Errorf("Loops = %d, want 0", c.Loops)
 	}
-	if got := CountOps(f); got < 3 {
-		t.Errorf("CountOps = %d, want >= 3", got)
+	if c.Ops < 3 {
+		t.Errorf("Ops = %d, want >= 3", c.Ops)
 	}
 }
 

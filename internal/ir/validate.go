@@ -184,71 +184,39 @@ func checkNoRecursion(p *Program) error {
 	return nil
 }
 
-// CountStmts returns the number of statements in a function body (all
-// nesting levels), a coarse program-size metric used in stage reports.
-func CountStmts(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(Stmt) bool { n++; return true })
-	return n
+// Counts is a function's size in the metrics stage reports use.
+type Counts struct {
+	Stmts int // statements at all nesting levels, loop init/post included
+	Ops   int // operator nodes (binary, unary, select, index): the paper's "operations"
+	Ifs   int // conditional statements
+	Loops int // for and while statements
+	Calls int // call expressions
 }
 
-// CountOps returns the number of operator nodes (binary, unary, select,
-// index) in the function: the paper's "operations" metric.
-func CountOps(f *Func) int {
-	n := 0
+// Shape counts f's statements, operators, conditionals, loops and calls
+// in one walk.
+func Shape(f *Func) Counts {
+	var c Counts
 	WalkStmts(f.Body, func(s Stmt) bool {
+		c.Stmts++
+		switch s.(type) {
+		case *IfStmt:
+			c.Ifs++
+		case *ForStmt, *WhileStmt:
+			c.Loops++
+		}
 		WalkStmtExprs(s, func(e Expr) {
 			WalkExpr(e, func(x Expr) bool {
 				switch x.(type) {
 				case *BinExpr, *UnExpr, *SelExpr, *IndexExpr:
-					n++
+					c.Ops++
+				case *CallExpr:
+					c.Calls++
 				}
 				return true
 			})
 		})
 		return true
 	})
-	return n
-}
-
-// CountLoops returns the number of loop statements in the function.
-func CountLoops(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		switch s.(type) {
-		case *ForStmt, *WhileStmt:
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// CountCalls returns the number of call expressions in the function.
-func CountCalls(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		WalkStmtExprs(s, func(e Expr) {
-			WalkExpr(e, func(x Expr) bool {
-				if _, ok := x.(*CallExpr); ok {
-					n++
-				}
-				return true
-			})
-		})
-		return true
-	})
-	return n
-}
-
-// CountIfs returns the number of conditional statements in the function.
-func CountIfs(f *Func) int {
-	n := 0
-	WalkStmts(f.Body, func(s Stmt) bool {
-		if _, ok := s.(*IfStmt); ok {
-			n++
-		}
-		return true
-	})
-	return n
+	return c
 }

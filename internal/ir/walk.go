@@ -200,32 +200,6 @@ func VarsRead(e Expr, into map[*Var]bool) {
 	})
 }
 
-// StmtReads collects every variable read by statement s (shallow: does not
-// descend into nested statements).
-func StmtReads(s Stmt) map[*Var]bool {
-	m := map[*Var]bool{}
-	switch x := s.(type) {
-	case *AssignStmt:
-		VarsRead(x.RHS, m)
-		if ix, ok := x.LHS.(*IndexExpr); ok {
-			VarsRead(ix.Index, m)
-		}
-	case *IfStmt:
-		VarsRead(x.Cond, m)
-	case *ForStmt:
-		VarsRead(x.Cond, m)
-	case *WhileStmt:
-		VarsRead(x.Cond, m)
-	case *ReturnStmt:
-		if x.Val != nil {
-			VarsRead(x.Val, m)
-		}
-	case *ExprStmt:
-		VarsRead(x.Call, m)
-	}
-	return m
-}
-
 // StmtWrites returns the variable written by statement s (nil if none).
 // Array-element stores report the array variable.
 func StmtWrites(s Stmt) *Var {

@@ -96,8 +96,8 @@ func TestParseMini(t *testing.T) {
 	if m == nil {
 		t.Fatal("main missing")
 	}
-	if ir.CountIfs(m) != 1 {
-		t.Errorf("ifs = %d, want 1", ir.CountIfs(m))
+	if ir.Shape(m).Ifs != 1 {
+		t.Errorf("ifs = %d, want 1", ir.Shape(m).Ifs)
 	}
 }
 

@@ -85,7 +85,6 @@ func writtenVars(stmts []ir.Stmt, into map[*ir.Var]bool) {
 			writtenVars(x.Stmts, into)
 		case *ir.ExprStmt:
 			// A call may write any global.
-			_ = x
 			into[anyGlobalMarker] = true
 		case *ir.ReturnStmt:
 		}

@@ -255,11 +255,11 @@ void main() {
 	if _, err := transform.UnrollFull(nil, 0).Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := ir.CountLoops(p.Main()); n != 0 {
+	if n := ir.Shape(p.Main()).Loops; n != 0 {
 		t.Errorf("loops remaining = %d, want 0", n)
 	}
 	// 8 iterations of "sum += data[i]" plus inits.
-	if n := ir.CountStmts(p.Main()); n < 8 {
+	if n := ir.Shape(p.Main()).Stmts; n < 8 {
 		t.Errorf("statements = %d, want >= 8 replicas", n)
 	}
 }
@@ -378,7 +378,7 @@ func TestInlineRemovesCalls(t *testing.T) {
 	if _, err := transform.Inline(nil).Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := ir.CountCalls(p.Main()); n != 0 {
+	if n := ir.Shape(p.Main()).Calls; n != 0 {
 		t.Errorf("calls remaining in main = %d, want 0", n)
 	}
 }
@@ -569,7 +569,7 @@ void main() {
 	if err := pl.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := ir.CountIfs(p.Main()); n != 0 {
+	if n := ir.Shape(p.Main()).Ifs; n != 0 {
 		t.Errorf("statically-true branch not folded:\n%s", ir.Print(p))
 	}
 }
@@ -580,7 +580,7 @@ func TestUnrollBoundedWhile(t *testing.T) {
 	if _, err := transform.UnrollFull(nil, 0).Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := ir.CountLoops(p.Main()); n != 0 {
+	if n := ir.Shape(p.Main()).Loops; n != 0 {
 		t.Errorf("bounded while not unrolled: %d loops remain", n)
 	}
 	if err := testutil.Equivalent(orig, p, equivTrials, 31); err != nil {
@@ -600,7 +600,7 @@ void main() {
 	if _, err := transform.UnrollFull(nil, 0).Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := ir.CountLoops(p.Main()); n != 1 {
+	if n := ir.Shape(p.Main()).Loops; n != 1 {
 		t.Errorf("unbounded while should be left alone, %d loops remain", n)
 	}
 }
@@ -622,7 +622,7 @@ void main() {
 	if _, err := transform.UnrollBy(label, 4).Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := ir.CountLoops(p.Main()); n != 1 {
+	if n := ir.Shape(p.Main()).Loops; n != 1 {
 		t.Errorf("partial unroll must keep the loop, got %d", n)
 	}
 	if err := testutil.Equivalent(orig, p, equivTrials, 77); err != nil {
