@@ -73,11 +73,7 @@ func (c *cse) stamp(v *ir.Var) int {
 func (c *cse) find(h uint64, e ir.Expr) *available {
 	for a, _ := c.avail.get(h); a != nil; a = a.next {
 		if sameExpr(a.expr, e) {
-			if c.stamp(a.holder) > a.at {
-				return nil
-			}
-			if fresh, global := c.fresh(a.expr, a.at); !fresh ||
-				(global || a.holder.IsGlobal) && c.stamp(anyGlobalMarker) > a.at {
+			if !c.fresh(a) {
 				return nil
 			}
 			return a
@@ -86,41 +82,24 @@ func (c *cse) find(h uint64, e ir.Expr) *available {
 	return nil
 }
 
-// fresh reports whether no variable e reads was written after time at,
-// and whether e reads a global.
-func (c *cse) fresh(e ir.Expr, at int) (ok, global bool) {
-	switch x := e.(type) {
-	case *ir.VarExpr:
-		return c.stamp(x.V) <= at, x.V.IsGlobal
-	case *ir.IndexExpr:
-		if c.stamp(x.Arr) > at {
-			return false, false
-		}
-		ok, global = c.fresh(x.Index, at)
-		return ok, global || x.Arr.IsGlobal
-	case *ir.BinExpr:
-		ok, global = c.fresh(x.L, at)
-		if ok {
-			var g bool
-			ok, g = c.fresh(x.R, at)
-			global = global || g
-		}
-		return ok, global
-	case *ir.UnExpr:
-		return c.fresh(x.X, at)
-	case *ir.CastExpr:
-		return c.fresh(x.X, at)
-	case *ir.SelExpr:
-		for _, y := range [...]ir.Expr{x.Cond, x.Then, x.Else} {
-			o, g := c.fresh(y, at)
-			if !o {
-				return false, false
-			}
-			global = global || g
-		}
-		return true, global
+// fresh reports whether nothing a depends on was written after it was
+// made: its holder, what its expression reads, and, if either is a
+// global, anything a call may write.
+func (c *cse) fresh(a *available) bool {
+	written := func(v *ir.Var) bool {
+		return c.stamp(v) > a.at || v.IsGlobal && c.stamp(anyGlobalMarker) > a.at
 	}
-	return true, false
+	ok := !written(a.holder)
+	ir.WalkExpr(a.expr, func(x ir.Expr) bool {
+		switch y := x.(type) {
+		case *ir.VarExpr:
+			ok = ok && !written(y.V)
+		case *ir.IndexExpr:
+			ok = ok && !written(y.Arr)
+		}
+		return ok
+	})
+	return ok
 }
 
 // add makes e available in holder, dropping a stale entry for e at the
@@ -189,7 +168,6 @@ func (c *cse) branches(x *ir.IfStmt) bool {
 	for _, v := range c.written[base:] {
 		c.kill(v)
 	}
-	clear(c.written[base:])
 	c.written = c.written[:base]
 	return changed
 }
@@ -249,21 +227,17 @@ func isNontrivial(e ir.Expr) bool {
 
 // readsVar reports whether e reads v.
 func readsVar(e ir.Expr, v *ir.Var) bool {
-	switch x := e.(type) {
-	case *ir.VarExpr:
-		return x.V == v
-	case *ir.IndexExpr:
-		return x.Arr == v || readsVar(x.Index, v)
-	case *ir.BinExpr:
-		return readsVar(x.L, v) || readsVar(x.R, v)
-	case *ir.UnExpr:
-		return readsVar(x.X, v)
-	case *ir.CastExpr:
-		return readsVar(x.X, v)
-	case *ir.SelExpr:
-		return readsVar(x.Cond, v) || readsVar(x.Then, v) || readsVar(x.Else, v)
-	}
-	return false
+	found := false
+	ir.WalkExpr(e, func(x ir.Expr) bool {
+		switch y := x.(type) {
+		case *ir.VarExpr:
+			found = found || y.V == v
+		case *ir.IndexExpr:
+			found = found || y.Arr == v
+		}
+		return !found
+	})
+	return found
 }
 
 // varSeed hashes variables by identity.
