@@ -268,10 +268,14 @@ func hashExpr(e ir.Expr) uint64 {
 	return 0
 }
 
+// hashType hashes what ir.Type.Equal compares of a scalar type.
 func hashType(t *ir.Type) uint64 {
-	h := uint64(t.Kind)<<8 | uint64(t.Bits)<<1
+	if !t.IsInt() {
+		return uint64(t.Kind)
+	}
+	h := uint64(t.Bits) << 9
 	if t.Signed {
-		h |= 1
+		h |= 1 << 8
 	}
 	return h
 }
