@@ -72,7 +72,7 @@ func (c *cse) stamp(v *ir.Var) int {
 // was made, and a stale entry stays stale within its scope.
 func (c *cse) find(h uint64, e ir.Expr) *available {
 	for a, _ := c.avail.get(h); a != nil; a = a.next {
-		if sameExpr(a.expr, e) {
+		if exprEqual(a.expr, e) {
 			if !c.fresh(a) {
 				return nil
 			}
@@ -89,24 +89,14 @@ func (c *cse) fresh(a *available) bool {
 	written := func(v *ir.Var) bool {
 		return c.stamp(v) > a.at || v.IsGlobal && c.stamp(anyGlobalMarker) > a.at
 	}
-	ok := !written(a.holder)
-	ir.WalkExpr(a.expr, func(x ir.Expr) bool {
-		switch y := x.(type) {
-		case *ir.VarExpr:
-			ok = ok && !written(y.V)
-		case *ir.IndexExpr:
-			ok = ok && !written(y.Arr)
-		}
-		return ok
-	})
-	return ok
+	return !written(a.holder) && !anyRead(a.expr, written)
 }
 
 // add makes e available in holder, dropping a stale entry for e at the
 // head of its list.
 func (c *cse) add(h uint64, e ir.Expr, holder *ir.Var) {
 	next, _ := c.avail.get(h)
-	if next != nil && sameExpr(next.expr, e) {
+	if next != nil && exprEqual(next.expr, e) {
 		next = next.next
 	}
 	c.avail.set(h, &available{expr: e, holder: holder, at: c.now, next: next})
@@ -206,7 +196,7 @@ func (c *cse) assign(x *ir.AssignStmt) bool {
 	}
 	// The entry is the original expression, the one the hash names: a
 	// later write to any of its inputs must invalidate it.
-	if !readsVar(rhs, lv.V) {
+	if !anyRead(rhs, func(v *ir.Var) bool { return v == lv.V }) {
 		c.add(h, rhs, lv.V)
 	}
 	return changed
@@ -225,15 +215,15 @@ func isNontrivial(e ir.Expr) bool {
 	return true
 }
 
-// readsVar reports whether e reads v.
-func readsVar(e ir.Expr, v *ir.Var) bool {
+// anyRead reports whether pred holds for a variable or array e reads.
+func anyRead(e ir.Expr, pred func(*ir.Var) bool) bool {
 	found := false
 	ir.WalkExpr(e, func(x ir.Expr) bool {
 		switch y := x.(type) {
 		case *ir.VarExpr:
-			found = found || y.V == v
+			found = found || pred(y.V)
 		case *ir.IndexExpr:
-			found = found || y.Arr == v
+			found = found || pred(y.Arr)
 		}
 		return !found
 	})
@@ -244,7 +234,7 @@ func readsVar(e ir.Expr, v *ir.Var) bool {
 var varSeed = maphash.MakeSeed()
 
 // hashExpr is a structural hash of a pure expression: operators, types,
-// constant values and variable identities. Expressions sameExpr accepts
+// constant values and variable identities. Expressions exprEqual accepts
 // hash alike.
 func hashExpr(e ir.Expr) uint64 {
 	switch x := e.(type) {
@@ -284,34 +274,4 @@ func hashType(t *ir.Type) uint64 {
 func mix(h, v uint64) uint64 {
 	h ^= v + 0x9e3779b97f4a7c15 + h<<6 + h>>2
 	return h * 0xff51afd7ed558ccd
-}
-
-// sameExpr reports whether a and b are the same pure expression: the same
-// operators, types and constant values over the same variables.
-func sameExpr(a, b ir.Expr) bool {
-	switch x := a.(type) {
-	case *ir.ConstExpr:
-		y, ok := b.(*ir.ConstExpr)
-		return ok && x.Val == y.Val && x.Typ.Equal(y.Typ)
-	case *ir.VarExpr:
-		y, ok := b.(*ir.VarExpr)
-		return ok && x.V == y.V
-	case *ir.IndexExpr:
-		y, ok := b.(*ir.IndexExpr)
-		return ok && x.Arr == y.Arr && sameExpr(x.Index, y.Index)
-	case *ir.BinExpr:
-		y, ok := b.(*ir.BinExpr)
-		return ok && x.Op == y.Op && x.Typ.Equal(y.Typ) && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
-	case *ir.UnExpr:
-		y, ok := b.(*ir.UnExpr)
-		return ok && x.Op == y.Op && x.Typ.Equal(y.Typ) && sameExpr(x.X, y.X)
-	case *ir.CastExpr:
-		y, ok := b.(*ir.CastExpr)
-		return ok && x.Typ.Equal(y.Typ) && sameExpr(x.X, y.X)
-	case *ir.SelExpr:
-		y, ok := b.(*ir.SelExpr)
-		return ok && x.Typ.Equal(y.Typ) && sameExpr(x.Cond, y.Cond) &&
-			sameExpr(x.Then, y.Then) && sameExpr(x.Else, y.Else)
-	}
-	return false
 }
