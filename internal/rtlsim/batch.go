@@ -8,6 +8,7 @@
 package rtlsim
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -260,21 +261,31 @@ func (b *Batch) LoadEnv(lane int, p *ir.Program, env *interp.Env) error {
 
 // StoreEnv writes one lane's final architectural port values back into an
 // interpreter environment (the inverse of LoadEnv), so batched results
-// can be compared env-to-env.
+// can be compared env-to-env with CompareEnvs. An array port whose length
+// differs from the program's array type fails the lane with a length
+// mismatch: the environment would otherwise pad or truncate the port's
+// contents and hide the divergence.
 func (b *Batch) StoreEnv(lane int, p *ir.Program, env *interp.Env) error {
 	for _, g := range p.Globals {
+		var err error
 		if g.Type.IsArray() {
-			vals, err := b.Array(lane, g.Name)
-			if err != nil {
-				return err
+			var vals []int64
+			vals, err = b.Array(lane, g.Name)
+			if err == nil && len(vals) != g.Type.Len {
+				err = errors.New("rtlsim: " + lengthMismatch(g.Name, len(vals), g.Type.Len))
 			}
-			env.SetArray(g, vals)
+			if err == nil {
+				env.SetArray(g, vals)
+			}
 		} else {
-			v, err := b.Scalar(lane, g.Name)
-			if err != nil {
-				return err
+			var v int64
+			if v, err = b.Scalar(lane, g.Name); err == nil {
+				env.SetScalar(g, v)
 			}
-			env.SetScalar(g, v)
+		}
+		if err != nil {
+			b.fail(lane, err)
+			return err
 		}
 	}
 	return nil
@@ -312,8 +323,7 @@ func (b *Batch) CompareEnv(lane int, p *ir.Program, env *interp.Env) string {
 // reportable mismatch, not an index panic.
 func compareArray(name string, got, want []int64) string {
 	if len(got) != len(want) {
-		return fmt.Sprintf("%s: length mismatch: rtl has %d elements, behavioral has %d",
-			name, len(got), len(want))
+		return lengthMismatch(name, len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -321,6 +331,11 @@ func compareArray(name string, got, want []int64) string {
 		}
 	}
 	return ""
+}
+
+func lengthMismatch(name string, rtl, behavioral int) string {
+	return fmt.Sprintf("%s: length mismatch: rtl has %d elements, behavioral has %d",
+		name, rtl, behavioral)
 }
 
 // CompareEnvs diffs two interpreter environments over p's globals — the

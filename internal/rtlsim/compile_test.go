@@ -326,7 +326,9 @@ func TestNoTransitionLeavesStateUntouched(t *testing.T) {
 
 // TestCompareEnvLengthGuard is the differential-harness panic regression:
 // a module whose array port disagrees in length with the program's array
-// type must produce a mismatch diagnostic, not an index panic.
+// type must produce a mismatch diagnostic, not an index panic — and on
+// the batched path it must fail the lane rather than be padded away when
+// the lane's ports are stored back into the environment.
 func TestCompareEnvLengthGuard(t *testing.T) {
 	// Module with a 2-element "A" port against a program with A: uint8[4].
 	m := rtl.NewModule("short")
@@ -342,14 +344,14 @@ func TestCompareEnvLengthGuard(t *testing.T) {
 	if diff == "" {
 		t.Fatal("scalar: expected a length-mismatch diagnostic, got equality")
 	}
-	if !strings.Contains(diff, "length") {
+	if !strings.Contains(diff, "length mismatch") {
 		t.Fatalf("scalar: diagnostic %q does not report the length divergence", diff)
 	}
 
-	batch := rtlsim.Compile(m).NewBatch(1)
-	diff = batch.CompareEnv(0, prog, env)
-	if diff == "" || !strings.Contains(diff, "length") {
-		t.Fatalf("batch: diagnostic %q does not report the length divergence", diff)
+	got := env.Clone()
+	lr := rtlsim.Compile(m).RunBatch(prog, []*interp.Env{got}, 4)[0]
+	if lr.Err == nil || !strings.Contains(lr.Err.Error(), "length mismatch") {
+		t.Fatalf("batch: lane error %v does not report the length divergence", lr.Err)
 	}
 }
 
