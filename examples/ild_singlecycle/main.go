@@ -58,18 +58,18 @@ func main() {
 	// compare with the reference decoder.
 	rng := rand.New(rand.NewSource(2026))
 	buf, starts := ild.RandomInstructions(rng, *n)
-	sim := rtlsim.New(res.Module)
+	sim := rtlsim.Compile(res.Module).NewBatch(1)
 	vals := make([]int64, len(buf))
 	for i, b := range buf {
 		vals[i] = int64(b)
 	}
-	if err := sim.SetArray("B", vals); err != nil {
+	if err := sim.SetArray(0, "B", vals); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sim.Run(4); err != nil {
+	if err := sim.Run(4); err != nil {
 		log.Fatal(err)
 	}
-	marks, _ := sim.Array("Mark")
+	marks, _ := sim.Array(0, "Mark")
 	wantMarks, _ := ild.Decode(buf, *n)
 
 	fmt.Println("buffer bytes :", buf[:*n])
@@ -91,5 +91,5 @@ func main() {
 		}
 	}
 	fmt.Printf("\ndecoded the whole %d-byte buffer in %d clock cycle(s); "+
-		"marks match the reference decoder\n", *n, sim.Cycles())
+		"marks match the reference decoder\n", *n, sim.Cycles(0))
 }

@@ -55,16 +55,14 @@ func main() {
 	}
 	fmt.Println("verified: RTL == behavioral on 100 random vectors")
 
-	// Drive the generated netlist directly: |200 - 13| = 187 -> saturates
-	// to 100.
-	sim := rtlsim.New(res.Module)
-	must(sim.SetScalar("a", 200))
-	must(sim.SetScalar("b", 13))
-	if _, err := sim.Run(4); err != nil {
-		log.Fatal(err)
-	}
-	out, _ := sim.Scalar("out")
-	fmt.Printf("RTL sim: |200-13| saturated = %d (cycles: %d)\n", out, sim.Cycles())
+	// Drive the generated netlist directly, on a one-lane batch of the
+	// compiled simulator: |200 - 13| = 187 -> saturates to 100.
+	sim := rtlsim.Compile(res.Module).NewBatch(1)
+	must(sim.SetScalar(0, "a", 200))
+	must(sim.SetScalar(0, "b", 13))
+	must(sim.Run(4))
+	out, _ := sim.Scalar(0, "out")
+	fmt.Printf("RTL sim: |200-13| saturated = %d (cycles: %d)\n", out, sim.Cycles(0))
 
 	// Emit the first lines of the VHDL the paper's flow would hand to
 	// logic synthesis.

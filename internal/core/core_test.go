@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"sparkgo/internal/core"
@@ -184,6 +185,39 @@ func TestClassicalPresetSynthesizesAndVerifies(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestVerifyRejects pins the two ways Verify must fail: an RTL that
+// computes something else than the behaviour, and an array port whose
+// length differs from the program's array (which the environment would
+// otherwise pad away).
+func TestVerifyRejects(t *testing.T) {
+	synth := func(src string) *core.Result {
+		t.Helper()
+		p, err := parser.Parse("v", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Synthesize(p, core.Options{Preset: core.MicroprocessorBlock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const add = "uint8 A[4];\nuint8 out;\nvoid main() { out = A[0] + A[3]; }\n"
+	const sub = "uint8 A[4];\nuint8 out;\nvoid main() { out = A[0] - A[3]; }\n"
+
+	res := synth(add)
+	res.Input = synth(sub).Input
+	if err := core.Verify(res, 20, 1); err == nil || !strings.Contains(err.Error(), "mismatch: out") {
+		t.Errorf("wrong design: Verify = %v, want an out mismatch", err)
+	}
+
+	res = synth(add)
+	res.Module.ArrayPort["A"] = res.Module.ArrayPort["A"][:2]
+	if err := core.Verify(res, 20, 1); err == nil || !strings.Contains(err.Error(), "length mismatch") {
+		t.Errorf("short port: Verify = %v, want a length mismatch", err)
 	}
 }
 

@@ -14,40 +14,29 @@ import (
 // functionally equivalent on all trials). This is the check the paper
 // performs implicitly by construction; here it is mechanical.
 //
-// The RTL side runs on the compiled batched simulator: the netlist is
-// lowered once and the trials step through it in lanes of
-// rtlsim.MaxLanes, with the cycle watchdog derived from the schedule
-// (rtlsim.WatchdogCycles), so a non-terminating design errors after
-// thousands of cycles rather than millions.
+// The RTL side runs through rtlsim's one stimulus loop, RunBatch, with
+// the cycle watchdog derived from the schedule (rtlsim.WatchdogCycles),
+// so a non-terminating design errors after thousands of cycles rather
+// than millions; CompareEnvs diffs each trial's final ports against the
+// behavioral run.
 func Verify(res *Result, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	maxCycles := rtlsim.WatchdogCycles(res.Schedule.NumStates)
-	prog := rtlsim.Compile(res.Module)
-	for start := 0; start < trials; start += rtlsim.MaxLanes {
-		lanes := min(rtlsim.MaxLanes, trials-start)
-		batch := prog.NewBatch(lanes)
-		refs := make([]*interp.Env, lanes)
-		for ln := 0; ln < lanes; ln++ {
-			trial := start + ln
-			env := interp.RandomEnv(res.Input, rng)
-			ref := env.Clone()
-			if _, err := interp.New(res.Input).RunMain(ref); err != nil {
-				return fmt.Errorf("verify trial %d: behavioral: %w", trial, err)
-			}
-			if err := batch.LoadEnv(ln, res.Input, env); err != nil {
-				return fmt.Errorf("verify trial %d: %w", trial, err)
-			}
-			refs[ln] = ref
+	envs := make([]*interp.Env, trials)
+	refs := make([]*interp.Env, trials)
+	for trial := range envs {
+		envs[trial] = interp.RandomEnv(res.Input, rng)
+		refs[trial] = envs[trial].Clone()
+		if _, err := interp.New(res.Input).RunMain(refs[trial]); err != nil {
+			return fmt.Errorf("verify trial %d: behavioral: %w", trial, err)
 		}
-		batch.Run(maxCycles)
-		for ln := 0; ln < lanes; ln++ {
-			trial := start + ln
-			if err := batch.Err(ln); err != nil {
-				return fmt.Errorf("verify trial %d: rtl: %w", trial, err)
-			}
-			if diff := batch.CompareEnv(ln, res.Input, refs[ln]); diff != "" {
-				return fmt.Errorf("verify trial %d: mismatch: %s", trial, diff)
-			}
+	}
+	prog := rtlsim.Compile(res.Module)
+	for trial, lr := range prog.RunBatch(res.Input, envs, rtlsim.WatchdogCycles(res.Schedule.NumStates)) {
+		if lr.Err != nil {
+			return fmt.Errorf("verify trial %d: rtl: %w", trial, lr.Err)
+		}
+		if diff := rtlsim.CompareEnvs(res.Input, envs[trial], refs[trial]); diff != "" {
+			return fmt.Errorf("verify trial %d: mismatch: %s", trial, diff)
 		}
 	}
 	return nil

@@ -24,7 +24,6 @@ func E12Fig15SingleCycle(sizes []int, trials int) (*report.Table, error) {
 	t := report.New("E12 / Fig 15: single-cycle ILD architecture",
 		"n", "cycles", "crit path (gu)", "data-calc (gu)", "ripple (gu)",
 		"area", "muxes", "FUs", "wire vars", "verified")
-	rng := rand.New(rand.NewSource(15))
 	var lastRipple float64
 	var firstData float64
 	for i, n := range sizes {
@@ -37,15 +36,12 @@ func E12Fig15SingleCycle(sizes []int, trials int) (*report.Table, error) {
 			return t, fmt.Errorf("E12: n=%d got %d cycles, want 1", n, res.Cycles)
 		}
 		dataDepth, rippleDepth := ildStageDepths(res)
-		verified, err := verifyILD(res, n, trials, rng)
-		if err != nil {
-			return t, err
-		}
+		verr := testutil.DifferentialILD(res.Input, res.Module, n, trials, int64(15+n))
 		br := bind.Summarize(res.Schedule.Plan)
 		t.Add(n, res.Cycles, res.Stats.CriticalPath, dataDepth, rippleDepth,
-			res.Stats.Area, res.Stats.Muxes, res.Stats.FUs, br.WireVars, verified)
-		if !verified {
-			return t, fmt.Errorf("E12: n=%d RTL diverges from reference", n)
+			res.Stats.Area, res.Stats.Muxes, res.Stats.FUs, br.WireVars, verr == nil)
+		if verr != nil {
+			return t, fmt.Errorf("E12: n=%d RTL diverges from reference: %w", n, verr)
 		}
 		if i == 0 {
 			firstData = dataDepth
@@ -100,47 +96,6 @@ func ildStageDepths(res *core.Result) (dataCalc, ripple float64) {
 		}
 	}
 	return dataCalc, ripple
-}
-
-// verifyILD co-simulates the synthesized ILD against the reference
-// decoder.
-func verifyILD(res *core.Result, n, trials int, rng *rand.Rand) (bool, error) {
-	for trial := 0; trial < trials; trial++ {
-		buf := ild.RandomBuffer(rng, n)
-		sim := rtlsim.New(res.Module)
-		vals := make([]int64, n+ild.LookAhead)
-		for i, b := range buf {
-			vals[i] = int64(b)
-		}
-		if err := sim.SetArray("B", vals); err != nil {
-			return false, err
-		}
-		if _, err := sim.Run(res.Cycles*4 + 8); err != nil {
-			return false, err
-		}
-		wantMarks, wantLens := ild.Decode(buf, n)
-		marks, err := sim.Array("Mark")
-		if err != nil {
-			return false, err
-		}
-		lens, err := sim.Array("Len")
-		if err != nil {
-			return false, err
-		}
-		for i := range wantMarks {
-			wm := int64(0)
-			if wantMarks[i] {
-				wm = 1
-			}
-			if marks[i] != wm {
-				return false, nil
-			}
-			if wantMarks[i] && lens[i] != int64(wantLens[i]) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // E13Baseline contrasts the paper's regime against classical HLS on the

@@ -291,33 +291,6 @@ func (b *Batch) StoreEnv(lane int, p *ir.Program, env *interp.Env) error {
 	return nil
 }
 
-// CompareEnv checks one lane's architectural ports against an interpreter
-// environment, returning the first mismatch description or "" when
-// identical. Array-length divergence between the module's port and the
-// program's type is reported as a mismatch, never indexed past.
-func (b *Batch) CompareEnv(lane int, p *ir.Program, env *interp.Env) string {
-	for _, g := range p.Globals {
-		if g.Type.IsArray() {
-			got, err := b.Array(lane, g.Name)
-			if err != nil {
-				return err.Error()
-			}
-			if diff := compareArray(g.Name, got, env.Array(g)); diff != "" {
-				return diff
-			}
-		} else {
-			got, err := b.Scalar(lane, g.Name)
-			if err != nil {
-				return err.Error()
-			}
-			if want := env.Scalar(g); got != want {
-				return fmt.Sprintf("%s: rtl=%d behavioral=%d", g.Name, got, want)
-			}
-		}
-	}
-	return ""
-}
-
 // compareArray diffs one array port against its behavioral contents,
 // guarding the length first: a port-width/array-length divergence is a
 // reportable mismatch, not an index panic.
@@ -338,9 +311,11 @@ func lengthMismatch(name string, rtl, behavioral int) string {
 		name, rtl, behavioral)
 }
 
-// CompareEnvs diffs two interpreter environments over p's globals — the
-// env-to-env form of CompareEnv, for callers that StoreEnv batched
-// results and compare against a behavioral reference.
+// CompareEnvs diffs two interpreter environments over p's globals,
+// returning the first mismatch description or "" when identical. It is
+// the one RTL-vs-behaviour compare: RunBatch stores each lane's final
+// ports into its env, which is then diffed against a behavioral
+// reference.
 func CompareEnvs(p *ir.Program, got, want *interp.Env) string {
 	for _, g := range p.Globals {
 		if g.Type.IsArray() {
@@ -952,9 +927,10 @@ type LaneResult struct {
 // RunBatch simulates one lane per environment: each env's globals drive
 // one lane's ports, every lane steps to completion (bounded by
 // maxCycles), and each lane's final port values are stored back into its
-// env for comparison against a behavioral reference. Environments beyond
-// MaxLanes are chunked into successive batches, so callers simply pass
-// their whole trial set.
+// env for comparison against a behavioral reference with CompareEnvs. A
+// lane whose load, run or store-back fails reports that error instead.
+// Environments beyond MaxLanes are chunked into successive batches, so
+// callers simply pass their whole trial set.
 func (p *Program) RunBatch(prog *ir.Program, envs []*interp.Env, maxCycles int) []LaneResult {
 	out := make([]LaneResult, len(envs))
 	for start := 0; start < len(envs); start += MaxLanes {

@@ -14,91 +14,53 @@ import (
 // DifferentialILD is the differential test harness for the paper's case
 // study: it drives `trials` seeded random ILD buffers through both the
 // behavioral interpreter on the input program (the golden model) and the
-// cycle-accurate simulation of the synthesized module, and asserts the
-// decode outputs (the Mark bit vector and per-start Len values) are
-// identical — and that both agree with the reference software decoder.
-// input must be the untouched behavioral program the module was
-// synthesized from, with an n-byte decode window.
+// cycle-accurate simulation of the synthesized module, and asserts every
+// global (the B buffer, the Mark bit vector and the per-start Len
+// values) ends identical — and that the golden model's decode agrees
+// with the reference software decoder. input must be the untouched
+// behavioral program the module was synthesized from, with an n-byte
+// decode window.
 //
-// The module side runs on the compiled batched simulator: the netlist is
-// lowered once and the trials step in lanes of rtlsim.MaxLanes, with the
-// cycle watchdog derived from the FSM size (the sequential baselines
-// need roughly n cycles per state; rtlsim.WatchdogCycles is a safety
-// net, not a budget).
+// The module side runs through rtlsim's one stimulus loop, RunBatch,
+// with the cycle watchdog derived from the FSM size (the sequential
+// baselines need roughly n cycles per state; rtlsim.WatchdogCycles is a
+// safety net, not a budget).
 func DifferentialILD(input *ir.Program, m *rtl.Module, n, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
+	envs := make([]*interp.Env, trials)
+	refs := make([]*interp.Env, trials)
+	for trial := range envs {
+		buf := ild.RandomBuffer(rng, n)
+		envs[trial] = interp.NewEnv(input)
+		if err := ild.LoadBuffer(input, envs[trial], buf); err != nil {
+			return fmt.Errorf("n=%d trial %d: %w", n, trial, err)
+		}
+		ref := envs[trial].Clone()
+		refs[trial] = ref
+		if _, err := interp.New(input).RunMain(ref); err != nil {
+			return fmt.Errorf("n=%d trial %d: interp: %w", n, trial, err)
+		}
+		// Cross-check the golden model against the reference decoder.
+		goldMarks, goldLens := ild.ReadMarks(input, ref), ild.ReadLens(input, ref)
+		refMarks, refLens := ild.Decode(buf, n)
+		for i := 0; i < n; i++ {
+			if goldMarks[i] != refMarks[i] {
+				return fmt.Errorf("n=%d trial %d: interp vs reference: Mark[%d] = %v, want %v",
+					n, trial, i, goldMarks[i], refMarks[i])
+			}
+			if refMarks[i] && goldLens[i] != refLens[i] {
+				return fmt.Errorf("n=%d trial %d: interp vs reference: Len[%d] = %d, want %d",
+					n, trial, i, goldLens[i], refLens[i])
+			}
+		}
+	}
 	prog := rtlsim.Compile(m)
-	maxCycles := rtlsim.WatchdogCycles(m.NumStates)
-	for start := 0; start < trials; start += rtlsim.MaxLanes {
-		lanes := min(rtlsim.MaxLanes, trials-start)
-		batch := prog.NewBatch(lanes)
-		bufs := make([][]byte, lanes)
-		for ln := range bufs {
-			buf := ild.RandomBuffer(rng, n)
-			bufs[ln] = buf
-			vals := make([]int64, len(buf))
-			for i, b := range buf {
-				vals[i] = int64(b)
-			}
-			if err := batch.SetArray(ln, "B", vals); err != nil {
-				return fmt.Errorf("n=%d trial %d: %w", n, start+ln, err)
-			}
+	for trial, lr := range prog.RunBatch(input, envs, rtlsim.WatchdogCycles(m.NumStates)) {
+		if lr.Err != nil {
+			return fmt.Errorf("n=%d trial %d: rtlsim: %w", n, trial, lr.Err)
 		}
-		batch.Run(maxCycles)
-		for ln, buf := range bufs {
-			if err := diffOneBuffer(input, batch, ln, buf, n); err != nil {
-				return fmt.Errorf("n=%d trial %d: %w", n, start+ln, err)
-			}
-		}
-	}
-	return nil
-}
-
-func diffOneBuffer(input *ir.Program, batch *rtlsim.Batch, lane int, buf []byte, n int) error {
-	// Golden model: behavioral interpretation of the input program.
-	env := interp.NewEnv(input)
-	if err := ild.LoadBuffer(input, env, buf); err != nil {
-		return err
-	}
-	if _, err := interp.New(input).RunMain(env); err != nil {
-		return fmt.Errorf("interp: %w", err)
-	}
-	goldMarks := ild.ReadMarks(input, env)
-	goldLens := ild.ReadLens(input, env)
-
-	// Device under test: the synthesized module, cycle-accurately.
-	if err := batch.Err(lane); err != nil {
-		return fmt.Errorf("rtlsim: %w", err)
-	}
-	simMarks, err := batch.Array(lane, "Mark")
-	if err != nil {
-		return err
-	}
-	simLens, err := batch.Array(lane, "Len")
-	if err != nil {
-		return err
-	}
-
-	// Cross-check the golden model against the reference decoder, then
-	// the RTL against the golden model, position by position.
-	refMarks, refLens := ild.Decode(buf, n)
-	for i := 0; i < n; i++ {
-		if goldMarks[i] != refMarks[i] {
-			return fmt.Errorf("interp vs reference: Mark[%d] = %v, want %v",
-				i, goldMarks[i], refMarks[i])
-		}
-		if refMarks[i] && goldLens[i] != refLens[i] {
-			return fmt.Errorf("interp vs reference: Len[%d] = %d, want %d",
-				i, goldLens[i], refLens[i])
-		}
-		simMark := simMarks[i] != 0
-		if simMark != goldMarks[i] {
-			return fmt.Errorf("rtlsim vs interp: Mark[%d] = %v, want %v",
-				i, simMark, goldMarks[i])
-		}
-		if simLens[i] != int64(goldLens[i]) {
-			return fmt.Errorf("rtlsim vs interp: Len[%d] = %d, want %d",
-				i, simLens[i], goldLens[i])
+		if diff := rtlsim.CompareEnvs(input, envs[trial], refs[trial]); diff != "" {
+			return fmt.Errorf("n=%d trial %d: rtlsim vs interp: %s", n, trial, diff)
 		}
 	}
 	return nil

@@ -2,10 +2,12 @@ package testutil_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sparkgo/internal/core"
 	"sparkgo/internal/ild"
+	"sparkgo/internal/parser"
 	"sparkgo/internal/testutil"
 )
 
@@ -61,5 +63,32 @@ func TestDifferentialILDNatural(t *testing.T) {
 	}
 	if err := testutil.DifferentialILD(res.Input, res.Module, n, 10, 7); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDifferentialILDRejects pins the harness's failures: a Mark port
+// shorter than the program's Mark array, and a module synthesized from a
+// mutant that marks every byte as an instruction start.
+func TestDifferentialILDRejects(t *testing.T) {
+	synth := func(src string) *core.Result {
+		t.Helper()
+		res, err := core.Synthesize(parser.MustParse("ild4", src), core.Options{Preset: core.MicroprocessorBlock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := synth(ild.SourceFig10(4))
+	res.Module.ArrayPort["Mark"] = res.Module.ArrayPort["Mark"][:3]
+	err := testutil.DifferentialILD(res.Input, res.Module, 4, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "length mismatch") {
+		t.Errorf("short Mark port: DifferentialILD = %v, want a length mismatch", err)
+	}
+
+	mutant := strings.Replace(ild.SourceFig10(4),
+		"NextStartByte = NextStartByte + l;", "NextStartByte = NextStartByte + 1;", 1)
+	err = testutil.DifferentialILD(ild.Program(4), synth(mutant).Module, 4, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "rtlsim vs interp") {
+		t.Errorf("mutant module: DifferentialILD = %v, want an rtlsim vs interp mismatch", err)
 	}
 }
