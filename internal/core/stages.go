@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sparkgo/internal/delay"
-	"sparkgo/internal/dfa"
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/pass"
@@ -363,8 +362,7 @@ func midend(work *ir.Program, fa *FrontendArtifact, o MidendOptions) (*MidendArt
 }
 
 func (o MidendOptions) schedConfig(g *htg.Graph) sched.Config {
-	cfg := sched.Config{Model: o.model(), DepOpts: dfa.DefaultOptions(),
-		DisableChaining: o.NoChaining}
+	cfg := sched.Config{Model: o.model(), DisableChaining: o.NoChaining}
 	switch o.Preset {
 	case MicroprocessorBlock:
 		cfg.Mode = sched.ModeChain

@@ -65,24 +65,10 @@ type Graph struct {
 	Preds map[*htg.Op][]Edge
 }
 
-// Options configures graph construction.
-type Options struct {
-	// DisambiguateArrays skips dependences between array accesses with
-	// distinct constant indices. Disable for the A-series ablations.
-	DisambiguateArrays bool
-	// UseExclusivity skips anti/output ordering between mutually
-	// exclusive basic blocks.
-	UseExclusivity bool
-}
-
-// DefaultOptions enables both refinements (the paper's configuration).
-func DefaultOptions() Options {
-	return Options{DisambiguateArrays: true, UseExclusivity: true}
-}
-
 // Build constructs the dependence graph for ops (which must be in program
-// order, as produced by Graph.AllOps or BasicBlock.Ops).
-func Build(ops []*htg.Op, opt Options) *Graph {
+// order, as produced by Graph.AllOps or BasicBlock.Ops), applying both
+// refinements.
+func Build(ops []*htg.Op) *Graph {
 	g := &Graph{Ops: ops, Preds: map[*htg.Op][]Edge{}}
 
 	// Every edge ends at the op being scanned, so in collects that op's
@@ -103,18 +89,17 @@ func Build(ops []*htg.Op, opt Options) *Graph {
 	}
 
 	// Per-variable def/use bookkeeping, scanning in program order.
+	// Each lastDefs list is duplicate-free: a write keeps a subsequence
+	// of the old list and appends itself, and each op is scanned once.
 	lastDefs := map[*ir.Var][]*htg.Op{} // defs not yet killed (guarded defs accumulate)
 	lastReads := map[*ir.Var][]*htg.Op{}
 
 	exclusive := func(a, b *htg.Op) bool {
-		return opt.UseExclusivity && htg.MutuallyExclusive(a.BB, b.BB)
+		return htg.MutuallyExclusive(a.BB, b.BB)
 	}
 	// distinctConstElems reports whether two array ops provably touch
 	// different elements.
 	distinctConstElems := func(a, b *htg.Op) bool {
-		if !opt.DisambiguateArrays {
-			return false
-		}
 		ia, ib := a.Args[0], b.Args[0]
 		return ia.IsConst && ib.IsConst && ia.Const != ib.Const
 	}
@@ -188,12 +173,12 @@ func Build(ops []*htg.Op, opt Options) *Graph {
 			if w.Type.IsArray() {
 				// Element stores never kill the whole array:
 				// readers at other indices still need older stores.
-				lastDefs[w] = append(dedupOps(kept), op)
+				lastDefs[w] = append(kept, op)
 			} else if len(op.BB.Guard) == 0 {
 				lastDefs[w] = []*htg.Op{op} // unconditional def kills all
 				lastReads[w] = nil
 			} else {
-				lastDefs[w] = append(dedupOps(kept), op)
+				lastDefs[w] = append(kept, op)
 			}
 		}
 		if len(in) > 0 {
@@ -237,18 +222,6 @@ func guardsCover(a, b []htg.GuardTerm) bool {
 		}
 	}
 	return true
-}
-
-func dedupOps(ops []*htg.Op) []*htg.Op {
-	seen := map[*htg.Op]bool{}
-	var out []*htg.Op
-	for _, o := range ops {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // CriticalPathLength returns the maximum number of flow edges on any path

@@ -50,7 +50,7 @@ void main() {
   out = t * 2;
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	def := findOp(g, func(op *htg.Op) bool { return op.Writes() != nil && op.Writes().Name == "t" })
 	use := findOp(g, func(op *htg.Op) bool {
 		for _, v := range op.Reads() {
@@ -79,7 +79,7 @@ void main() {
   t = a + 2;
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	var defs []*htg.Op
 	for _, op := range g.AllOps() {
 		if w := op.Writes(); w != nil && w.Name == "t" {
@@ -111,7 +111,7 @@ void main() {
   c = a > 2;
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	guarded := findOp(g, func(op *htg.Op) bool { return len(op.BB.Guard) > 0 })
 	if guarded == nil {
 		t.Fatal("no guarded op")
@@ -141,27 +141,25 @@ uint8 arr[4];
 void main() {
   arr[0] = 1;
   arr[1] = 2;
+  arr[1] = 3;
 }
 `)
-	opts := dfa.DefaultOptions()
-	d := dfa.Build(g.AllOps(), opts)
+	d := dfa.Build(g.AllOps())
 	var stores []*htg.Op
 	for _, op := range g.AllOps() {
 		if op.Kind == htg.OpStore {
 			stores = append(stores, op)
 		}
 	}
-	if len(stores) != 2 {
+	if len(stores) != 3 {
 		t.Fatalf("stores = %d", len(stores))
 	}
 	if hasEdge(d, stores[0], stores[1], dfa.Output) {
 		t.Error("distinct constant indices should not be ordered")
 	}
-	// With disambiguation off, they must be ordered.
-	opts.DisambiguateArrays = false
-	d2 := dfa.Build(g.AllOps(), opts)
-	if !hasEdge(d2, stores[0], stores[1], dfa.Output) {
-		t.Error("ablation: stores must be ordered without disambiguation")
+	// Two stores to the same constant index must keep program order.
+	if !hasEdge(d, stores[1], stores[2], dfa.Output) {
+		t.Error("stores to the same constant index must be ordered")
 	}
 }
 
@@ -175,7 +173,7 @@ void main() {
   out = arr[2];
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	store := findOp(g, func(op *htg.Op) bool { return op.Kind == htg.OpStore })
 	load := findOp(g, func(op *htg.Op) bool { return op.Kind == htg.OpLoad && op.Arr.Name == "arr" })
 	if !hasEdge(d, store, load, dfa.Flow) {
@@ -195,7 +193,7 @@ void main() {
   }
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	var defs []*htg.Op
 	for _, op := range g.AllOps() {
 		if w := op.Writes(); w != nil && w.Name == "x" && op.Kind == htg.OpCopy {
@@ -222,7 +220,7 @@ void main() {
   out = t2 + 3;
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	if depth := d.CriticalPathLength(); depth < 3 {
 		t.Errorf("dataflow depth = %d, want >= 3", depth)
 	}
@@ -242,7 +240,7 @@ void main() {
   out = t + arr[1];
 }
 `)
-	d := dfa.Build(g.AllOps(), dfa.DefaultOptions())
+	d := dfa.Build(g.AllOps())
 	for _, op := range d.Ops {
 		for _, e := range d.Succs[op] {
 			if e.From.ID >= e.To.ID {

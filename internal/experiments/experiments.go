@@ -87,7 +87,7 @@ func E2Fig03ConstPropParallel() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		depth := dfa.Build(spark.Graph.AllOps(), dfa.DefaultOptions()).CriticalPathLength()
+		depth := dfa.Build(spark.Graph.AllOps()).CriticalPathLength()
 		idxGone := spark.Program.Main().Lookup("i") == nil
 		t.Add(n, baseCycles, spark.Cycles, depth, idxGone)
 		if spark.Cycles != 1 || !idxGone {

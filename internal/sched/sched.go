@@ -206,7 +206,6 @@ type Config struct {
 	Mode      Mode
 	Resources Resources
 	Model     *delay.Model
-	DepOpts   dfa.Options
 	// DisableChaining forces every dependence to cross a register (the
 	// A4 ablation: one dataflow level per cycle).
 	DisableChaining bool
@@ -218,7 +217,6 @@ func DefaultConfig() Config {
 		Mode:      ModeChain,
 		Resources: Unlimited(),
 		Model:     delay.Default(),
-		DepOpts:   dfa.DefaultOptions(),
 	}
 }
 
@@ -234,7 +232,7 @@ func Schedule(g *htg.Graph, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sched: chain mode requires a loop-free graph " +
 			"(unroll loops first, or use sequential mode)")
 	}
-	s := &scheduler{cfg: cfg, res: newResult(g, cfg.Mode), deps: dfa.Build(g.AllOps(), cfg.DepOpts),
+	s := &scheduler{cfg: cfg, res: newResult(g, cfg.Mode), deps: dfa.Build(g.AllOps()),
 		guarded: map[varState]int{}, used: map[blockClass]int{}}
 	run := s.chain
 	if cfg.Mode == ModeSequential {

@@ -82,7 +82,7 @@ func TestChainRespectsClockPeriod(t *testing.T) {
 		t.Errorf("clock violations = %d, want >= 1 for the 26gu multiply", res.ClockViolations)
 	}
 	// Every flow dependence must cross states or chain within one.
-	for _, e := range flowEdges(g, cfg) {
+	for _, e := range flowEdges(g) {
 		if res.OpState[e.from] > res.OpState[e.to] {
 			t.Errorf("dependence violated: %s (state %d) before %s (state %d)",
 				e.from, res.OpState[e.from], e.to, res.OpState[e.to])
@@ -93,9 +93,9 @@ func TestChainRespectsClockPeriod(t *testing.T) {
 type edge struct{ from, to *htg.Op }
 
 // flowEdges lists the dependence edges the scheduler builds for g.
-func flowEdges(g *htg.Graph, cfg sched.Config) []edge {
+func flowEdges(g *htg.Graph) []edge {
 	var out []edge
-	deps := dfa.Build(g.AllOps(), cfg.DepOpts)
+	deps := dfa.Build(g.AllOps())
 	for _, op := range deps.Ops {
 		for _, e := range deps.Succs[op] {
 			out = append(out, edge{e.From, e.To})
