@@ -82,8 +82,7 @@ func EmitVerilog(m *Module) string {
 		w("        %d: begin\n", st)
 		for _, rw := range m.RegWrites {
 			if rw.State == st {
-				w("          %s <= %s;\n", sanitize(rw.Reg.Name),
-					vres(rw.Value, rw.Reg.Type.Width()))
+				w("          %s <= %s;\n", sanitize(rw.Reg.Name), verilogRef(rw.Value))
 			}
 		}
 		first := true
@@ -134,16 +133,11 @@ func verilogRef(s *Signal) string {
 	return sanitize(s.Name)
 }
 
-// vres references a signal resized (zero-extended/truncated) to width w.
-// Verilog does this implicitly in assignments, so a direct reference
-// suffices; kept as a helper for clarity.
-func vres(s *Signal, w int) string { return verilogRef(s) }
-
 func verilogGate(g *Gate) string {
 	r := verilogRef
 	outW := g.Out.Type.Width()
 	signedPair := func(a, b *Signal) (string, string) {
-		return fmt.Sprintf("$signed(%s)", sx(a)), fmt.Sprintf("$signed(%s)", sx(b))
+		return fmt.Sprintf("$signed(%s)", r(a)), fmt.Sprintf("$signed(%s)", r(b))
 	}
 	switch g.Kind {
 	case GateCopy:
@@ -199,7 +193,7 @@ func verilogGate(g *Gate) string {
 			if g.UnsignedOps {
 				return fmt.Sprintf("%s >> %s", r(a), r(b))
 			}
-			return fmt.Sprintf("$signed(%s) >>> %s", sx(a), r(b))
+			return fmt.Sprintf("$signed(%s) >>> %s", r(a), r(b))
 		case ir.OpEq:
 			return fmt.Sprintf("%s == %s", r(a), r(b))
 		case ir.OpNe:
@@ -219,5 +213,3 @@ func verilogGate(g *Gate) string {
 	}
 	return "/* ? */"
 }
-
-func sx(s *Signal) string { return verilogRef(s) }
