@@ -94,9 +94,6 @@ func Build(ops []*htg.Op) *Graph {
 	lastDefs := map[*ir.Var][]*htg.Op{} // defs not yet killed (guarded defs accumulate)
 	lastReads := map[*ir.Var][]*htg.Op{}
 
-	exclusive := func(a, b *htg.Op) bool {
-		return htg.MutuallyExclusive(a.BB, b.BB)
-	}
 	// distinctConstElems reports whether two array ops provably touch
 	// different elements.
 	distinctConstElems := func(a, b *htg.Op) bool {
@@ -123,7 +120,7 @@ func Build(ops []*htg.Op) *Graph {
 					distinctConstElems(d, op) {
 					continue
 				}
-				if v.Type.IsArray() && exclusive(d, op) {
+				if v.Type.IsArray() && htg.MutuallyExclusive(d.BB, op.BB) {
 					// A store in an exclusive branch can't feed
 					// this load.
 					continue
@@ -138,7 +135,7 @@ func Build(ops []*htg.Op) *Graph {
 				if r == op {
 					continue
 				}
-				if exclusive(r, op) {
+				if htg.MutuallyExclusive(r.BB, op.BB) {
 					continue
 				}
 				if w.Type.IsArray() && r.Kind == htg.OpLoad && op.Kind == htg.OpStore &&
@@ -149,7 +146,7 @@ func Build(ops []*htg.Op) *Graph {
 			}
 			var kept []*htg.Op
 			for _, d := range lastDefs[w] {
-				if exclusive(d, op) {
+				if htg.MutuallyExclusive(d.BB, op.BB) {
 					// Both writes can't happen in one run: no
 					// ordering needed, and the old def still
 					// reaches later readers on its own paths.
@@ -170,11 +167,9 @@ func Build(ops []*htg.Op) *Graph {
 				}
 				kept = append(kept, d)
 			}
-			if w.Type.IsArray() {
-				// Element stores never kill the whole array:
-				// readers at other indices still need older stores.
-				lastDefs[w] = append(kept, op)
-			} else if len(op.BB.Guard) == 0 {
+			// Element stores never kill the whole array: readers at
+			// other indices still need older stores.
+			if !w.Type.IsArray() && len(op.BB.Guard) == 0 {
 				lastDefs[w] = []*htg.Op{op} // unconditional def kills all
 				lastReads[w] = nil
 			} else {
