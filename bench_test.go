@@ -19,6 +19,7 @@
 //	BenchmarkExploration               E15  full design-space sweep
 //	BenchmarkSynthesizeILD/n=*         end-to-end synthesis timing sweep
 //	BenchmarkFrontendDepth/*           frontend scaling with program depth
+//	BenchmarkSynthesizeDepth/*         full-flow scaling with program depth
 //	BenchmarkRTLSimILD                 simulated decode throughput
 //	BenchmarkInterpILD                 behavioral decode throughput
 package sparkgo_test
@@ -179,6 +180,27 @@ func BenchmarkFrontendDepth(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", preset, n), func(b *testing.B) {
 				for b.Loop() {
 					if _, err := core.Frontend(p, fo); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSynthesizeDepth times full synthesis of BenchmarkFrontendDepth's
+// program under both presets. The midend's per-op and per-edge work is
+// constant, but under both presets no guarded write of u kills another,
+// so each reaches every later access of u: the dependence edge count,
+// and with it the time, grows faster than n.
+func BenchmarkSynthesizeDepth(b *testing.B) {
+	for _, preset := range []core.Preset{core.MicroprocessorBlock, core.ClassicalASIC} {
+		opt := core.Options{Preset: preset}
+		for _, n := range []int{1000, 2000, 4000} {
+			p := parser.MustParse("depth", depthSource(n))
+			b.Run(fmt.Sprintf("%s/n=%d", preset, n), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := core.Synthesize(p, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -142,6 +142,19 @@ func FuzzDecodeProgram(f *testing.F) {
 func FuzzDecodeGraph(f *testing.F) {
 	_, graphEnc, _, _, _ := fuzzArtifacts(f)
 	addSeeds(f, graphEnc)
+	// A graph whose first two ops share an ID: the decoder must reject
+	// it, as the midend indexes its tables by op ID.
+	g, err := htg.DecodeGraph(graphEnc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ops := g.AllOps()
+	ops[1].ID = ops[0].ID
+	forged, err := htg.EncodeGraph(g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(forged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fixedPoint(t, data, htg.DecodeGraph, htg.EncodeGraph)
 	})

@@ -59,38 +59,52 @@ type Edge struct {
 }
 
 // Graph is the dependence graph over a set of operations in program order.
+// Preds and Succs are indexed by op ID: Preds[op.ID] lists the edges into
+// op in the order Build found them, and Succs[op.ID] the edges out of it
+// in the same order. Both have one entry per ID up to the largest in Ops;
+// an ID with no op has empty lists.
 type Graph struct {
 	Ops   []*htg.Op
-	Succs map[*htg.Op][]Edge
-	Preds map[*htg.Op][]Edge
+	Succs [][]Edge
+	Preds [][]Edge
 }
 
 // Build constructs the dependence graph for ops (which must be in program
 // order, as produced by Graph.AllOps or BasicBlock.Ops), applying both
-// refinements.
+// refinements. Op IDs must be distinct and non-negative; the graph's
+// tables are as long as the largest ID plus one.
 func Build(ops []*htg.Op) *Graph {
-	g := &Graph{Ops: ops, Preds: map[*htg.Op][]Edge{}}
+	n := 0
+	for _, op := range ops {
+		n = max(n, op.ID+1)
+	}
+	g := &Graph{Ops: ops, Preds: make([][]Edge, n)}
 
 	// Every edge ends at the op being scanned, so in collects that op's
 	// predecessors, which are stored exact-size once its scan ends. Large
 	// graphs are the midend's peak memory, and lists grown by append
-	// would leave up to half of it unused.
+	// would leave up to half of it unused. stamp[k][from.ID] is to.ID+1
+	// once from has an edge of kind k into to; each op is scanned once,
+	// so that is the whole dedup. outDeg sizes the successor lists.
 	var in []Edge
+	var stamp [Guard + 1][]int
+	for k := range stamp {
+		stamp[k] = make([]int, n)
+	}
+	outDeg, edges := make([]int, n), 0
 	addEdge := func(from, to *htg.Op, kind EdgeKind, v *ir.Var) {
-		if from == to {
+		if from == to || stamp[kind][from.ID] == to.ID+1 {
 			return
 		}
-		for _, e := range in {
-			if e.From == from && e.Kind == kind {
-				return
-			}
-		}
+		stamp[kind][from.ID] = to.ID + 1
+		outDeg[from.ID]++
 		in = append(in, Edge{From: from, To: to, Kind: kind, Var: v})
 	}
 
 	// Per-variable def/use bookkeeping, scanning in program order.
 	// Each lastDefs list is duplicate-free: a write keeps a subsequence
 	// of the old list and appends itself, and each op is scanned once.
+	// Both tables own their lists, so a write reuses them in place.
 	lastDefs := map[*ir.Var][]*htg.Op{} // defs not yet killed (guarded defs accumulate)
 	lastReads := map[*ir.Var][]*htg.Op{}
 
@@ -144,8 +158,11 @@ func Build(ops []*htg.Op) *Graph {
 				}
 				addEdge(r, op, Anti, w)
 			}
-			var kept []*htg.Op
-			for _, d := range lastDefs[w] {
+			// kept reuses defs' array: it is written only behind
+			// the loop's read position.
+			defs := lastDefs[w]
+			kept := defs[:0]
+			for _, d := range defs {
 				if htg.MutuallyExclusive(d.BB, op.BB) {
 					// Both writes can't happen in one run: no
 					// ordering needed, and the old def still
@@ -170,32 +187,30 @@ func Build(ops []*htg.Op) *Graph {
 			// Element stores never kill the whole array: readers at
 			// other indices still need older stores.
 			if !w.Type.IsArray() && len(op.BB.Guard) == 0 {
-				lastDefs[w] = []*htg.Op{op} // unconditional def kills all
-				lastReads[w] = nil
+				lastDefs[w] = append(defs[:0], op) // unconditional def kills all
+				if reads, ok := lastReads[w]; ok {
+					lastReads[w] = reads[:0]
+				}
 			} else {
 				lastDefs[w] = append(kept, op)
 			}
 		}
 		if len(in) > 0 {
-			g.Preds[op] = slices.Clone(in)
+			g.Preds[op.ID] = slices.Clone(in)
+			edges += len(in)
 			in = in[:0]
 		}
 	}
-	// Fill each successor list, sized first, in the order the edges were
-	// found.
-	succs := map[*htg.Op]int{}
-	for _, op := range ops {
-		for _, e := range g.Preds[op] {
-			succs[e.From]++
-		}
-	}
-	g.Succs = make(map[*htg.Op][]Edge, len(succs))
-	for from, n := range succs {
-		g.Succs[from] = make([]Edge, 0, n)
+	// Fill each successor list in the order the edges were found. The
+	// lists share one backing array.
+	all := make([]Edge, edges)
+	g.Succs = make([][]Edge, n)
+	for id, k := range outDeg {
+		g.Succs[id], all = all[:0:k], all[k:]
 	}
 	for _, op := range ops {
-		for _, e := range g.Preds[op] {
-			g.Succs[e.From] = append(g.Succs[e.From], e)
+		for _, e := range g.Preds[op.ID] {
+			g.Succs[e.From.ID] = append(g.Succs[e.From.ID], e)
 		}
 	}
 	return g
@@ -222,21 +237,17 @@ func guardsCover(a, b []htg.GuardTerm) bool {
 // CriticalPathLength returns the maximum number of flow edges on any path
 // (the dataflow depth: paper Fig 3b's "two levels").
 func (g *Graph) CriticalPathLength() int {
-	depth := map[*htg.Op]int{}
-	max := 0
+	depth := make([]int, len(g.Preds))
+	longest := 0
 	for _, op := range g.Ops { // program order = topological
 		d := 0
-		for _, e := range g.Preds[op] {
+		for _, e := range g.Preds[op.ID] {
 			if e.Kind == Flow || e.Kind == Guard {
-				if depth[e.From]+1 > d {
-					d = depth[e.From] + 1
-				}
+				d = max(d, depth[e.From.ID]+1)
 			}
 		}
-		depth[op] = d
-		if d > max {
-			max = d
-		}
+		depth[op.ID] = d
+		longest = max(longest, d)
 	}
-	return max + 1
+	return longest + 1
 }

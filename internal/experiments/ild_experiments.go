@@ -86,7 +86,7 @@ func ildStageDepths(res *core.Result) (dataCalc, ripple float64) {
 		return false
 	}
 	for _, op := range res.Graph.AllOps() {
-		fin := res.Schedule.Finish[op]
+		fin := res.Schedule.Finish[op.ID]
 		if isRipple(op) {
 			if fin > ripple {
 				ripple = fin

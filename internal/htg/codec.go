@@ -275,6 +275,9 @@ func decodeGraph(d *wire.Decoder) (*Graph, error) {
 			}
 		}
 	}
+	if err := de.checkOpIDs(g); err != nil {
+		return nil, err
+	}
 	if g.Root, err = de.seq(0); err != nil {
 		return nil, err
 	}
@@ -375,6 +378,27 @@ func (de *graphDecoder) op(bb *BasicBlock) (*Op, error) {
 		}
 	}
 	return op, nil
+}
+
+// checkOpIDs requires the op IDs to be exactly 0..nextOp-1, as Lower
+// assigns them: the midend indexes its tables by op ID.
+func (de *graphDecoder) checkOpIDs(g *Graph) error {
+	if n := g.OpCount(); g.nextOp != n {
+		return de.fail("next op ID %d, but %d ops", g.nextOp, n)
+	}
+	seen := make([]bool, g.nextOp)
+	for _, bb := range g.Blocks {
+		for _, op := range bb.Ops {
+			if op.ID < 0 || op.ID >= g.nextOp {
+				return de.fail("op ID %d out of range", op.ID)
+			}
+			if seen[op.ID] {
+				return de.fail("op ID %d repeated", op.ID)
+			}
+			seen[op.ID] = true
+		}
+	}
+	return nil
 }
 
 // seq reads a region's node list. depth bounds the recursion: a forged

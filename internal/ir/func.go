@@ -1,8 +1,8 @@
 package ir
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Func is an IR function: the unit of behavioral description. The top-level
@@ -17,6 +17,13 @@ type Func struct {
 	Body   *Block
 
 	tempCounter int
+	// names maps each name in Locals to its first local, built by the
+	// first Lookup. NewLocal, NewTemp and AddLocal keep it in step;
+	// RemoveLocal and SetLocals drop it. named is len(Locals) when it
+	// was last in step, so a Lookup after any other change to the
+	// length of Locals rebuilds it.
+	names map[string]*Var
+	named int
 }
 
 // NewFunc constructs an empty function.
@@ -31,8 +38,25 @@ func NewFunc(name string, ret *Type, params ...*Var) *Func {
 // NewLocal declares a new local variable in f with the exact given name.
 func (f *Func) NewLocal(name string, t *Type) *Var {
 	v := &Var{Name: name, Type: t}
-	f.Locals = append(f.Locals, v)
+	f.AddLocal(v)
 	return v
+}
+
+// AddLocal appends v to f's locals.
+func (f *Func) AddLocal(v *Var) {
+	f.Locals = append(f.Locals, v)
+	if f.names != nil && f.named == len(f.Locals)-1 {
+		if _, dup := f.names[v.Name]; !dup {
+			f.names[v.Name] = v
+		}
+		f.named++
+	}
+}
+
+// SetLocals replaces f's locals with vs.
+func (f *Func) SetLocals(vs []*Var) {
+	f.Locals = vs
+	f.names = nil
 }
 
 // NewTemp declares a fresh synthetic temporary with a unique name derived
@@ -41,23 +65,28 @@ func (f *Func) NewLocal(name string, t *Type) *Var {
 func (f *Func) NewTemp(prefix string, t *Type) *Var {
 	for {
 		f.tempCounter++
-		name := fmt.Sprintf("%s_%d", prefix, f.tempCounter)
+		name := prefix + "_" + strconv.Itoa(f.tempCounter)
 		if f.Lookup(name) == nil {
 			v := &Var{Name: name, Type: t, Synthetic: true}
-			f.Locals = append(f.Locals, v)
+			f.AddLocal(v)
 			return v
 		}
 	}
 }
 
-// Lookup finds a local (or parameter) by name, or nil.
+// Lookup finds a local (or parameter) by name, or nil. If several
+// locals share the name, it returns the first.
 func (f *Func) Lookup(name string) *Var {
-	for _, v := range f.Locals {
-		if v.Name == name {
-			return v
+	if f.names == nil || f.named != len(f.Locals) {
+		f.names = make(map[string]*Var, len(f.Locals))
+		for _, v := range f.Locals {
+			if _, dup := f.names[v.Name]; !dup {
+				f.names[v.Name] = v
+			}
 		}
+		f.named = len(f.Locals)
 	}
-	return nil
+	return f.names[name]
 }
 
 // RemoveLocal deletes v from the locals list (used by DCE once a variable
@@ -65,7 +94,7 @@ func (f *Func) Lookup(name string) *Var {
 func (f *Func) RemoveLocal(v *Var) {
 	for i, w := range f.Locals {
 		if w == v {
-			f.Locals = append(f.Locals[:i], f.Locals[i+1:]...)
+			f.SetLocals(append(f.Locals[:i], f.Locals[i+1:]...))
 			return
 		}
 	}

@@ -321,3 +321,24 @@ func TestStmtWrites(t *testing.T) {
 		t.Errorf("StmtWrites array = %v", got)
 	}
 }
+
+// TestValidateNameIndex checks that Validate rejects a built name index
+// that disagrees with the function's locals.
+func TestValidateNameIndex(t *testing.T) {
+	p := NewProgram("names")
+	f := p.AddFunc(NewFunc("main", Void))
+	a := f.NewLocal("a", U8)
+	f.Lookup("a")
+	if err := Validate(p); err != nil {
+		t.Fatalf("in-step index: %v", err)
+	}
+	f.names["a"] = &Var{Name: "a", Type: U8}
+	if err := Validate(p); err == nil {
+		t.Error("index mapping a name to a foreign variable validated")
+	}
+	f.names["a"] = a
+	f.names["ghost"] = a
+	if err := Validate(p); err == nil {
+		t.Error("index holding a name no local has validated")
+	}
+}

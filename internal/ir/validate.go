@@ -12,7 +12,8 @@ import (
 // Checked invariants:
 //   - every variable referenced is registered (a global or a local of the
 //     enclosing function)
-//   - variable names are unique within their scope
+//   - variable names are unique within their scope, and a function's
+//     name index, once built, agrees with its locals
 //   - assignment RHS type widths match the LHS (after the implicit cast
 //     discipline: Assign always inserts casts, so a mismatch means a pass
 //     constructed a statement by hand incorrectly)
@@ -57,6 +58,16 @@ func validateFunc(p *Program, f *Func, globals map[*Var]bool) error {
 		}
 		names[v.Name] = true
 		locals[v] = true
+	}
+	if f.names != nil && f.named == len(f.Locals) {
+		if len(f.names) != len(names) {
+			return fmt.Errorf("name index holds %d names, locals %d", len(f.names), len(names))
+		}
+		for _, v := range f.Locals {
+			if f.names[v.Name] != v {
+				return fmt.Errorf("name index maps %s to another variable", v.Name)
+			}
+		}
 	}
 	for _, prm := range f.Params {
 		if !locals[prm] {

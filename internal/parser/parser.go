@@ -177,7 +177,7 @@ func (p *parser) collectSignatures() error {
 				}
 				prm := &ir.Var{Name: pn.Text, Type: pt, IsParam: true}
 				f.Params = append(f.Params, prm)
-				f.Locals = append(f.Locals, prm)
+				f.AddLocal(prm)
 				if !p.accept(",") && p.peek().Text != ")" {
 					return p.errf(p.peek(), "expected ',' or ')' in parameter list")
 				}

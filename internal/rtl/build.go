@@ -119,6 +119,12 @@ func Build(res *sched.Plan) (*Module, error) {
 		}
 	}
 
+	b.exitConds = make([][]*ir.Var, res.NumStates)
+	for _, tr := range res.Transitions {
+		if tr.Cond != nil {
+			b.exitConds[tr.From] = append(b.exitConds[tr.From], tr.Cond)
+		}
+	}
 	for state := 0; state < res.NumStates; state++ {
 		if err := b.buildState(state); err != nil {
 			return nil, err
@@ -160,6 +166,8 @@ type builder struct {
 	// condAtEnd records, per state, the end-of-state signal of each
 	// variable used by a transition condition.
 	condAtEnd map[stateCond]*Signal
+	// exitConds lists each state's transition conditions in FSM order.
+	exitConds [][]*ir.Var
 }
 
 func (b *builder) homeSig(v *ir.Var, s *Signal) {
@@ -340,10 +348,8 @@ func (b *builder) buildState(state int) error {
 	}
 	// Record end-of-state condition signals for FSM edges out of this
 	// state.
-	for _, tr := range b.res.Transitions {
-		if tr.From == state && tr.Cond != nil {
-			b.condAtEnd[stateCond{state, tr.Cond}] = valueOfEnd(cur, b.homes, tr.Cond, b.m)
-		}
+	for _, cond := range b.exitConds[state] {
+		b.condAtEnd[stateCond{state, cond}] = valueOfEnd(cur, b.homes, cond, b.m)
 	}
 	return nil
 }

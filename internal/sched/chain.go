@@ -29,45 +29,35 @@ func (s *scheduler) chain() error {
 // is unguarded. Everything else is a register. Globals and the return
 // variable are always registers (architectural state).
 func classifyVars(res *Plan) {
+	// varInfo is one variable's record. Defs are gathered first, so the
+	// second pass can tell at each read whether the value escapes its
+	// def state: read in another state, or before its first def there.
 	type varInfo struct {
-		defStates map[int]bool
-		useStates map[int]bool
-		firstDef  map[int]int // state -> op order index of first def
-		firstUse  map[int]int
-		guarded   bool // some def is guarded
+		defState   int // the first state that writes it; -1 if none
+		manyStates bool
+		firstDef   int // op-order index of the first def in defState
+		guarded    bool
+		escapes    bool
 	}
-	info := map[*ir.Var]*varInfo{}
+	index := map[*ir.Var]int{}
+	var infos []varInfo
 	get := func(v *ir.Var) *varInfo {
-		vi := info[v]
-		if vi == nil {
-			vi = &varInfo{defStates: map[int]bool{}, useStates: map[int]bool{},
-				firstDef: map[int]int{}, firstUse: map[int]int{}}
-			info[v] = vi
+		i, ok := index[v]
+		if !ok {
+			i = len(infos)
+			index[v] = i
+			infos = append(infos, varInfo{defState: -1})
 		}
-		return vi
+		return &infos[i]
 	}
 	for s, list := range res.OpOrder {
 		for idx, op := range list {
-			for _, v := range op.Reads() {
-				vi := get(v)
-				vi.useStates[s] = true
-				if _, ok := vi.firstUse[s]; !ok {
-					vi.firstUse[s] = idx
-				}
-			}
-			// Guard conditions are reads too.
-			for _, gt := range op.BB.Guard {
-				vi := get(gt.Cond)
-				vi.useStates[s] = true
-				if _, ok := vi.firstUse[s]; !ok {
-					vi.firstUse[s] = idx
-				}
-			}
 			if w := op.Writes(); w != nil {
 				vi := get(w)
-				vi.defStates[s] = true
-				if _, ok := vi.firstDef[s]; !ok {
-					vi.firstDef[s] = idx
+				if vi.defState < 0 {
+					vi.defState, vi.firstDef = s, idx
+				} else if s != vi.defState {
+					vi.manyStates = true
 				}
 				if len(op.BB.Guard) > 0 {
 					vi.guarded = true
@@ -75,42 +65,43 @@ func classifyVars(res *Plan) {
 			}
 		}
 	}
-	// Transition conditions are cross-checked as uses at their From
-	// state.
-	for _, tr := range res.Transitions {
-		if tr.Cond != nil {
-			vi := get(tr.Cond)
-			vi.useStates[tr.From] = true
+	read := func(v *ir.Var, s, idx int) {
+		if vi := get(v); s != vi.defState || idx < vi.firstDef {
+			vi.escapes = true
 		}
 	}
-	for v, vi := range info {
+	for s, list := range res.OpOrder {
+		for idx, op := range list {
+			for _, v := range op.Reads() {
+				read(v, s, idx)
+			}
+			// Guard conditions are reads too.
+			for _, gt := range op.BB.Guard {
+				read(gt.Cond, s, idx)
+			}
+		}
+	}
+	// A transition condition is read at the end of its From state.
+	for _, tr := range res.Transitions {
+		if tr.Cond != nil {
+			read(tr.Cond, tr.From, len(res.OpOrder[tr.From]))
+		}
+	}
+	for v, i := range index {
+		vi := infos[i]
 		cls := Wire
 		switch {
 		case v.IsGlobal || (res.G.RetVar != nil && v == res.G.RetVar):
 			cls = Register
-		case len(vi.defStates) == 0:
+		case vi.defState < 0:
 			// Never written: reads see the initial value; a local
 			// reads as constant zero — keep as wire (netlist feeds
 			// zero), unless global (handled above).
 			cls = Wire
-		case len(vi.defStates) > 1:
+		case vi.manyStates || vi.escapes:
 			cls = Register
-		default:
-			var ds int
-			for s := range vi.defStates {
-				ds = s
-			}
-			for us := range vi.useStates {
-				if us != ds {
-					cls = Register
-				}
-			}
-			if fu, ok := vi.firstUse[ds]; ok && fu < vi.firstDef[ds] {
-				cls = Register
-			}
-			if res.ReentrantStates[ds] && vi.guarded {
-				cls = Register
-			}
+		case res.ReentrantStates[vi.defState] && vi.guarded:
+			cls = Register
 		}
 		res.VarClass[v] = cls
 	}

@@ -104,7 +104,7 @@ func timingHash(g *htg.Graph, res *sched.Result) string {
 	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 	var b strings.Builder
 	for _, op := range g.AllOps() {
-		fmt.Fprintf(&b, "%d %d %s %s\n", op.ID, res.OpState[op], f(res.Arrival[op]), f(res.Finish[op]))
+		fmt.Fprintf(&b, "%d %d %s %s\n", op.ID, res.OpState[op.ID], f(res.Arrival[op.ID]), f(res.Finish[op.ID]))
 	}
 	for _, c := range res.StateCritPath {
 		fmt.Fprintf(&b, "c %s\n", f(c))
@@ -190,7 +190,7 @@ func TestClockViolationsCountPlacedOps(t *testing.T) {
 					}
 					want := 0
 					for _, op := range g.AllOps() {
-						if res.Arrival[op] == 0 && res.Finish[op]+cfg.Model.RegisterSetup() > clock {
+						if res.Arrival[op.ID] == 0 && res.Finish[op.ID]+cfg.Model.RegisterSetup() > clock {
 							want++
 						}
 					}

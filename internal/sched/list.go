@@ -10,8 +10,8 @@ import (
 )
 
 // scheduler is the state both regimes share: the schedule being built,
-// the dependence graph over the whole design, and the per-state counts
-// the chaining and resource checks read.
+// the dependence graph over the whole design, the per-state counts the
+// chaining and resource checks read, and list's per-op tables.
 type scheduler struct {
 	cfg  Config
 	res  *Result
@@ -21,8 +21,33 @@ type scheduler struct {
 	// inputs plus one (§3.1.2).
 	guarded map[varState]int
 	// used counts the ops of each block and class placed in the
-	// current (last opened) state.
+	// current (last opened) state. Only fits reads it, so it is kept
+	// only under a resource limit.
 	used map[blockClass]int
+
+	// list's tables, indexed by op ID and reused by every run: an op is
+	// in the current run iff inRun[op.ID] == run, and prio and waiting
+	// hold meaningful values only for such ops.
+	run     int
+	inRun   []int
+	prio    []float64
+	waiting []int
+}
+
+// newScheduler prepares to schedule g: its dependence graph, an empty
+// result and list's tables, each sized by op ID.
+func newScheduler(g *htg.Graph, cfg Config) *scheduler {
+	deps := dfa.Build(g.AllOps())
+	ids := len(deps.Preds)
+	res := &Result{
+		Plan: &Plan{G: g, Mode: cfg.Mode,
+			VarClass: map[*ir.Var]VarClass{}, ReentrantStates: map[int]bool{}},
+		OpState: slices.Repeat([]int{-1}, ids),
+		Arrival: make([]float64, ids), Finish: make([]float64, ids),
+	}
+	return &scheduler{cfg: cfg, res: res, deps: deps,
+		guarded: map[varState]int{}, used: map[blockClass]int{},
+		inRun: make([]int, ids), prio: make([]float64, ids), waiting: make([]int, ids)}
 }
 
 type varState struct {
@@ -70,31 +95,29 @@ func (s *scheduler) patch(e pendingExit, to int) { s.res.Transitions[e].To = to 
 // (priority desc, ID asc) order; ops a placement makes ready wait for
 // the next pass, and a pass that places nothing closes the state.
 func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first, last int, err error) {
-	// Priority: delay-weighted longest path to a sink within ops,
-	// computed in reverse program order (program order is topological).
-	// Successors outside ops count as 0.
-	prio := make(map[*htg.Op]float64, len(ops))
+	s.run++
+	inRun, prio, waiting := s.inRun, s.prio, s.waiting
+	for _, op := range ops {
+		inRun[op.ID], waiting[op.ID] = s.run, 0
+	}
+	// One reverse pass over the edges among ops fills both tables. prio
+	// is the delay-weighted longest path to a sink within ops: program
+	// order is topological, so each successor's prio is final before
+	// its predecessors read it, and successors outside ops count as 0.
+	// waiting counts each op's unplaced predecessors among ops.
 	for i := len(ops) - 1; i >= 0; i-- {
 		best := 0.0
-		for _, e := range s.deps.Succs[ops[i]] {
-			if p := prio[e.To]; p > best {
-				best = p
+		for _, e := range s.deps.Succs[ops[i].ID] {
+			if to := e.To.ID; inRun[to] == s.run {
+				best = max(best, prio[to])
+				waiting[to]++
 			}
 		}
-		prio[ops[i]] = best + opDelay(s.cfg.Model, ops[i])
-	}
-	// waiting counts each op's unplaced predecessors among ops.
-	waiting := make(map[*htg.Op]int, len(ops))
-	for _, op := range ops {
-		for _, e := range s.deps.Succs[op] {
-			if _, in := prio[e.To]; in {
-				waiting[e.To]++
-			}
-		}
+		prio[ops[i].ID] = best + opDelay(s.cfg.Model, ops[i])
 	}
 	var ready []*htg.Op
 	for _, op := range ops {
-		if waiting[op] == 0 {
+		if waiting[op.ID] == 0 {
 			ready = append(ready, op)
 		}
 	}
@@ -103,8 +126,8 @@ func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first,
 	last = first
 	for left := len(ops); left > 0; {
 		slices.SortFunc(ready, func(a, b *htg.Op) int {
-			if prio[a] != prio[b] {
-				if prio[a] > prio[b] {
+			if pa, pb := prio[a.ID], prio[b.ID]; pa != pb {
+				if pa > pb {
 					return -1
 				}
 				return 1
@@ -120,10 +143,10 @@ func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first,
 			}
 			placed = true
 			left--
-			for _, e := range s.deps.Succs[op] {
-				if n, in := waiting[e.To]; in {
-					waiting[e.To] = n - 1
-					if n == 1 {
+			for _, e := range s.deps.Succs[op.ID] {
+				if to := e.To.ID; inRun[to] == s.run {
+					waiting[to]--
+					if waiting[to] == 0 {
 						next = append(next, e.To)
 					}
 				}
@@ -168,7 +191,7 @@ func (s *scheduler) place(region htg.Node, op *htg.Op, st int) bool {
 	if violates {
 		s.res.ClockViolations++
 	}
-	s.res.OpState[op], s.res.Arrival[op], s.res.Finish[op] = st, arr, fin
+	s.res.OpState[op.ID], s.res.Arrival[op.ID], s.res.Finish[op.ID] = st, arr, fin
 	s.res.OpOrder[st] = append(s.res.OpOrder[st], op)
 	if fin > s.res.StateCritPath[st] {
 		s.res.StateCritPath[st] = fin
@@ -176,7 +199,9 @@ func (s *scheduler) place(region htg.Node, op *htg.Op, st int) bool {
 	if w := op.Writes(); w != nil && len(op.BB.Guard) > 0 {
 		s.guarded[varState{w, st}]++
 	}
-	s.used[blockClass{op.BB, ClassOf(op)}]++
+	if !s.cfg.Resources.Unlimited {
+		s.used[blockClass{op.BB, ClassOf(op)}]++
+	}
 	return true
 }
 
@@ -191,14 +216,14 @@ func (s *scheduler) timing(op *htg.Op, st int) (arr, fin float64) {
 	chain := s.cfg.Mode == ModeChain
 	var buf [8]*ir.Var
 	seen := buf[:0]
-	for _, e := range s.deps.Preds[op] {
+	for _, e := range s.deps.Preds[op.ID] {
 		if e.Kind == dfa.Anti || e.Kind == dfa.Output {
 			continue // ordering only: no value flows
 		}
-		if ps, ok := s.res.OpState[e.From]; !ok || ps != st {
+		if s.res.OpState[e.From.ID] != st {
 			continue
 		}
-		f := s.res.Finish[e.From]
+		f := s.res.Finish[e.From.ID]
 		if chain {
 			if v := e.Var; v != nil && !slices.Contains(seen, v) {
 				seen = append(seen, v)

@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"sparkgo/internal/delay"
-	"sparkgo/internal/dfa"
 	"sparkgo/internal/htg"
 	"sparkgo/internal/ir"
 )
@@ -175,30 +174,22 @@ type Plan struct {
 
 // Result is a fresh schedule: the plan plus what the scheduler reports
 // about it on the way. Only the plan outlives the scheduling run.
+// OpState, Arrival and Finish are indexed by op ID.
 type Result struct {
 	*Plan
 
-	OpState map[*htg.Op]int
+	// OpState is each op's state, or -1 while it is unplaced.
+	OpState []int
 	// Arrival is each op's within-cycle arrival time (gu); Finish adds
 	// the op's own delay.
-	Arrival map[*htg.Op]float64
-	Finish  map[*htg.Op]float64
+	Arrival []float64
+	Finish  []float64
 	// StateCritPath is the longest combinational path per state
 	// including register setup.
 	StateCritPath []float64
 	// ClockViolations counts ops that could not fit the clock period
 	// even alone in a cycle.
 	ClockViolations int
-}
-
-// newResult returns an empty schedule of g under mode.
-func newResult(g *htg.Graph, mode Mode) *Result {
-	return &Result{
-		Plan: &Plan{G: g, Mode: mode,
-			VarClass: map[*ir.Var]VarClass{}, ReentrantStates: map[int]bool{}},
-		OpState: map[*htg.Op]int{},
-		Arrival: map[*htg.Op]float64{}, Finish: map[*htg.Op]float64{},
-	}
 }
 
 // Config bundles scheduling parameters.
@@ -232,8 +223,7 @@ func Schedule(g *htg.Graph, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sched: chain mode requires a loop-free graph " +
 			"(unroll loops first, or use sequential mode)")
 	}
-	s := &scheduler{cfg: cfg, res: newResult(g, cfg.Mode), deps: dfa.Build(g.AllOps()),
-		guarded: map[varState]int{}, used: map[blockClass]int{}}
+	s := newScheduler(g, cfg)
 	run := s.chain
 	if cfg.Mode == ModeSequential {
 		run = s.sequential

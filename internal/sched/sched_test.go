@@ -56,7 +56,7 @@ func TestChainUnlimitedSingleCycle(t *testing.T) {
 	// multiply must be after the adds' finishes.
 	for _, op := range g.AllOps() {
 		if op.Kind == htg.OpBin && op.Bin == ir.OpMul {
-			if res.Arrival[op] <= 0 {
+			if res.Arrival[op.ID] <= 0 {
 				t.Error("multiply should chain after its operands")
 			}
 		}
@@ -83,9 +83,9 @@ func TestChainRespectsClockPeriod(t *testing.T) {
 	}
 	// Every flow dependence must cross states or chain within one.
 	for _, e := range flowEdges(g) {
-		if res.OpState[e.from] > res.OpState[e.to] {
+		if res.OpState[e.from.ID] > res.OpState[e.to.ID] {
 			t.Errorf("dependence violated: %s (state %d) before %s (state %d)",
-				e.from, res.OpState[e.from], e.to, res.OpState[e.to])
+				e.from, res.OpState[e.from.ID], e.to, res.OpState[e.to.ID])
 		}
 	}
 }
@@ -97,7 +97,7 @@ func flowEdges(g *htg.Graph) []edge {
 	var out []edge
 	deps := dfa.Build(g.AllOps())
 	for _, op := range deps.Ops {
-		for _, e := range deps.Succs[op] {
+		for _, e := range deps.Succs[op.ID] {
 			out = append(out, edge{e.From, e.To})
 		}
 	}
@@ -117,7 +117,7 @@ func TestDisableChainingOneLevelPerCycle(t *testing.T) {
 	}
 	// No op may have a same-cycle value predecessor.
 	for _, op := range g.AllOps() {
-		if res.Arrival[op] != 0 {
+		if res.Arrival[op.ID] != 0 {
 			t.Errorf("op %s has nonzero arrival with chaining disabled", op)
 		}
 	}

@@ -228,6 +228,6 @@ func pruneLocals(f *ir.Func) bool {
 		}
 	}
 	changed := len(kept) != len(f.Locals)
-	f.Locals = kept
+	f.SetLocals(kept)
 	return changed
 }
