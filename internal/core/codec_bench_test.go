@@ -1,14 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"sparkgo/internal/core"
-	"sparkgo/internal/htg"
 	"sparkgo/internal/ild"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/rtl"
-	"sparkgo/internal/sched"
 )
 
 // Codec benchmarks over the artifacts of one real staged-flow run. Run
@@ -38,6 +37,7 @@ func benchKinds(b *testing.B) []benchKind {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fa.Materialize()
 	ma, err := core.Midend(fa, opt.MidendOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -53,14 +53,16 @@ func benchKinds(b *testing.B) []benchKind {
 			wireDec: func(d []byte) error { _, err := ir.DecodeProgram(d); return err },
 		},
 		{
-			name:    "graph",
-			wireEnc: func() ([]byte, error) { return htg.EncodeGraph(ma.Graph) },
-			wireDec: func(d []byte) error { _, err := htg.DecodeGraph(d); return err },
-		},
-		{
-			name:    "schedule",
-			wireEnc: func() ([]byte, error) { return sched.EncodePlan(ma.Schedule) },
-			wireDec: func(d []byte) error { _, err := sched.DecodePlan(d); return err },
+			// The whole midend artifact: the program before lowering and
+			// the plan. Decoding it lowers the program again.
+			name: "midend",
+			wireEnc: func() ([]byte, error) {
+				if enc := ma.Materialize(); enc != nil {
+					return enc, nil
+				}
+				return nil, errors.New("midend artifact does not encode")
+			},
+			wireDec: func(d []byte) error { _, err := core.ReviveMidendArtifact(d, 0).Sched(); return err },
 		},
 		{
 			name:    "module",

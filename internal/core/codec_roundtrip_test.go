@@ -52,6 +52,14 @@ func codecDesigns() []codecDesign {
 		ildN: 8,
 	})
 	out = append(out, codecDesign{
+		// Keeps its loops, so it schedules sequentially, and revival
+		// lowers LoopNodes again.
+		name: "ild8-micro-nounroll",
+		prog: ild.Program(8),
+		opt:  core.Options{Preset: core.MicroprocessorBlock, NoUnroll: true},
+		ildN: 8,
+	})
+	out = append(out, codecDesign{
 		name: "ild8-natural",
 		prog: ild.NaturalProgram(8),
 		opt:  core.Options{Preset: core.MicroprocessorBlock, NormalizeWhile: true},

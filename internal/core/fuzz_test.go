@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,9 +25,9 @@ import (
 // mutations of each: truncations, bit flips, and inflated length
 // prefixes.
 
-// fuzzArtifacts runs the staged flow once and returns the four layered
-// encodings: program, graph, schedule, netlist, and the backend shell.
-func fuzzArtifacts(f testing.TB) (progEnc, graphEnc, schedEnc, modEnc, shellEnc []byte) {
+// fuzzArtifacts runs the staged flow once and returns the layered
+// encodings: program, midend artifact, netlist, and the backend shell.
+func fuzzArtifacts(f testing.TB) (progEnc, midendEnc, modEnc, shellEnc []byte) {
 	f.Helper()
 	prog := ild.Program(4)
 	opt := core.Options{Preset: core.MicroprocessorBlock}
@@ -39,10 +40,7 @@ func fuzzArtifacts(f testing.TB) (progEnc, graphEnc, schedEnc, modEnc, shellEnc 
 	if err != nil {
 		f.Fatal(err)
 	}
-	schedEnc = ma.Materialize()
-	if graphEnc, err = htg.EncodeGraph(ma.Graph); err != nil {
-		f.Fatal(err)
-	}
+	midendEnc = ma.Materialize()
 	ba, err := core.Backend(ma, opt.BackendOptions())
 	if err != nil {
 		f.Fatal(err)
@@ -51,7 +49,68 @@ func fuzzArtifacts(f testing.TB) (progEnc, graphEnc, schedEnc, modEnc, shellEnc 
 	if modEnc, err = rtl.EncodeModule(ba.Module); err != nil {
 		f.Fatal(err)
 	}
-	return progEnc, graphEnc, schedEnc, modEnc, shellEnc
+	return progEnc, midendEnc, modEnc, shellEnc
+}
+
+// classicalMidend returns the materialized ILD 8 classical midend
+// artifact: a multi-state plan with conditional and back edges, over a
+// graph that kept its loops.
+func classicalMidend(f testing.TB) *core.MidendArtifact {
+	f.Helper()
+	opt := core.Options{Preset: core.ClassicalASIC}
+	fa, err := core.Frontend(ild.Program(8), opt.FrontendOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ma, err := core.Midend(fa, opt.MidendOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if ma.Materialize() == nil {
+		f.Fatal("classical midend artifact did not encode")
+	}
+	return ma
+}
+
+// planSeeds returns the ILD 8 classical graph and two plan encodings
+// over it: the classical schedule, and the same graph scheduled
+// sequentially without resource limits.
+func planSeeds(f testing.TB) (*htg.Graph, [][]byte) {
+	f.Helper()
+	ma := classicalMidend(f)
+	cfg := sched.DefaultConfig()
+	cfg.Mode, cfg.Resources = sched.ModeSequential, sched.Unlimited()
+	res, err := sched.Schedule(ma.Graph, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var encs [][]byte
+	for _, p := range []*sched.Plan{ma.Schedule, res.Plan} {
+		enc, err := sched.EncodePlan(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	return ma.Graph, encs
+}
+
+// reviveMidend decodes a midend artifact the way a cache hit does:
+// revive the shell, then decode the program, lower it and attach the
+// plan (Sched).
+func reviveMidend(data []byte) (*core.MidendArtifact, error) {
+	ma := core.ReviveMidendArtifact(data, 0)
+	_, err := ma.Sched()
+	return ma, err
+}
+
+// materializeMidend re-encodes a revived midend artifact.
+func materializeMidend(ma *core.MidendArtifact) ([]byte, error) {
+	enc := ma.Materialize()
+	if enc == nil {
+		return nil, errors.New("midend artifact does not encode")
+	}
+	return enc, nil
 }
 
 // addSeeds registers an encoding and adversarial mutations of it:
@@ -83,15 +142,16 @@ func addSeeds(f *testing.F, seed []byte) {
 // it must report the truncation itself, never a semantic error those
 // zero values caused.
 func TestTruncatedArtifactsReportWireErrors(t *testing.T) {
-	progEnc, graphEnc, schedEnc, modEnc, _ := fuzzArtifacts(t)
+	progEnc, midendEnc, modEnc, _ := fuzzArtifacts(t)
+	g, plans := planSeeds(t)
 	decoders := []struct {
 		name   string
 		enc    []byte
 		decode func([]byte) error
 	}{
 		{"program", progEnc, func(b []byte) error { _, err := ir.DecodeProgram(b); return err }},
-		{"graph", graphEnc, func(b []byte) error { _, err := htg.DecodeGraph(b); return err }},
-		{"schedule", schedEnc, func(b []byte) error { _, err := sched.DecodePlan(b); return err }},
+		{"midend", midendEnc, func(b []byte) error { _, err := reviveMidend(b); return err }},
+		{"schedule", plans[0], func(b []byte) error { _, err := sched.DecodePlan(b, g); return err }},
 		{"module", modEnc, func(b []byte) error { _, err := rtl.DecodeModule(b); return err }},
 	}
 	for _, dc := range decoders {
@@ -132,57 +192,44 @@ func fixedPoint[T any](t *testing.T, data []byte, decode func([]byte) (T, error)
 }
 
 func FuzzDecodeProgram(f *testing.F) {
-	progEnc, _, _, _, _ := fuzzArtifacts(f)
+	progEnc, _, _, _ := fuzzArtifacts(f)
 	addSeeds(f, progEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fixedPoint(t, data, ir.DecodeProgram, ir.EncodeProgram)
 	})
 }
 
+// FuzzDecodeGraph fuzzes the revived midend artifact: the program
+// before lowering is decoded and lowered again, and the plan is
+// attached to that graph. It keeps the name the CI fuzz loop selects it
+// by. Seeds are the ILD 4 micro and ILD 8 classical artifacts.
 func FuzzDecodeGraph(f *testing.F) {
-	_, graphEnc, _, _, _ := fuzzArtifacts(f)
-	addSeeds(f, graphEnc)
-	// A graph whose first two ops share an ID: the decoder must reject
-	// it, as the midend indexes its tables by op ID.
-	g, err := htg.DecodeGraph(graphEnc)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ops := g.AllOps()
-	ops[1].ID = ops[0].ID
-	forged, err := htg.EncodeGraph(g)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(forged)
+	_, midendEnc, _, _ := fuzzArtifacts(f)
+	addSeeds(f, midendEnc)
+	addSeeds(f, classicalMidend(f).Materialize())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fixedPoint(t, data, htg.DecodeGraph, htg.EncodeGraph)
+		fixedPoint(t, data, reviveMidend, materializeMidend)
 	})
 }
 
-// FuzzDecodeResult fuzzes the schedule plan layout (sched.DecodePlan);
-// it keeps the name the CI fuzz loop selects it by. The ILD 8 classical
-// plan seeds conditional and back edges beside the single-state one.
+// FuzzDecodeResult fuzzes the schedule plan layout (sched.DecodePlan)
+// over a fixed lowered graph, ILD 8 under the classical preset; it keeps
+// the name the CI fuzz loop selects it by. Two plans over that graph
+// seed it: the classical one, with conditional and back edges, and an
+// unconstrained sequential one.
 func FuzzDecodeResult(f *testing.F) {
-	_, _, schedEnc, _, _ := fuzzArtifacts(f)
-	addSeeds(f, schedEnc)
-	opt := core.Options{Preset: core.ClassicalASIC}
-	fa, err := core.Frontend(ild.Program(8), opt.FrontendOptions())
-	if err != nil {
-		f.Fatal(err)
+	g, plans := planSeeds(f)
+	for _, enc := range plans {
+		addSeeds(f, enc)
 	}
-	ma, err := core.Midend(fa, opt.MidendOptions())
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(f, ma.Materialize())
+	decode := func(b []byte) (*sched.Plan, error) { return sched.DecodePlan(b, g) }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fixedPoint(t, data, sched.DecodePlan, sched.EncodePlan)
+		fixedPoint(t, data, decode, sched.EncodePlan)
 	})
 }
 
 func FuzzDecodeModule(f *testing.F) {
-	_, _, _, modEnc, _ := fuzzArtifacts(f)
+	_, _, modEnc, _ := fuzzArtifacts(f)
 	addSeeds(f, modEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fixedPoint(t, data, rtl.DecodeModule, rtl.EncodeModule)
@@ -190,7 +237,7 @@ func FuzzDecodeModule(f *testing.F) {
 }
 
 func FuzzDecodeBackendArtifact(f *testing.F) {
-	_, _, _, _, shellEnc := fuzzArtifacts(f)
+	_, _, _, shellEnc := fuzzArtifacts(f)
 	addSeeds(f, shellEnc)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Both layers: the shell parse of ReviveBackendArtifact and the

@@ -40,7 +40,10 @@ const (
 	// paths or dependence graph.
 	// v5: sequential-mode FSMs carry no tombstone edges (From = -3), and
 	// decoding rejects an edge outside the plan's states.
-	MidendVersion = 5
+	// v6: the artifact persists the program before lowering and the
+	// plan's decisions, with ops by ID; the lowered graph does not
+	// travel, and revival lowers the program again.
+	MidendVersion = 6
 	// BackendVersion keys netlist/stats artifacts.
 	//
 	// v2: backend artifacts are persisted losslessly (rtl.EncodeModule +
@@ -107,9 +110,10 @@ type FrontendArtifact struct {
 	PassStats []pass.Stat
 	Rounds    int
 
-	// progEnc holds the program's lossless encoding on artifacts revived
-	// from disk; Prog decodes it on first use. Computed artifacts carry
-	// the program directly and never pay a decode.
+	// progEnc holds the program's lossless encoding: on artifacts revived
+	// from disk Prog decodes it on first use, and Materialize keeps the
+	// one it made. Computed artifacts carry the program directly and
+	// never pay a decode.
 	progEnc    []byte
 	decodeOnce sync.Once
 	decodeErr  error
@@ -161,7 +165,17 @@ func (fa *FrontendArtifact) Materialize() []byte {
 		return nil
 	}
 	fa.Fingerprint = ir.FingerprintBytes(enc)
+	fa.progEnc = enc
 	return enc
+}
+
+// encoding returns the program's lossless encoding: the one
+// Materialize made or revival read, else a fresh one.
+func (fa *FrontendArtifact) encoding() ([]byte, error) {
+	if fa.progEnc != nil {
+		return fa.progEnc, nil
+	}
+	return ir.EncodeProgram(fa.Program)
 }
 
 // Frontend runs the transformation stage: clone the input, drive the
@@ -252,66 +266,101 @@ func MidendKey(fa *FrontendArtifact, o MidendOptions) string {
 // plus the private program clone they reference. What the scheduler
 // only reports (arrival times, critical paths) is not part of the
 // artifact; a fresh Synthesize result carries it.
+//
+// The graph is derived data: lowering is a deterministic function of
+// the program. So the artifact persists the program as it was before
+// lowering, which is the frontend artifact's program encoding, and after
+// it only the plan's decisions (sched.EncodePlan). A revived artifact
+// lowers the program again and attaches the plan to that graph.
 type MidendArtifact struct {
-	Program  *ir.Program // midend's own clone; Graph/Schedule reference its vars
+	Program  *ir.Program // midend's own clone, lowered; Graph/Schedule reference its vars
 	Graph    *htg.Graph
 	Schedule *sched.Plan
 	Cycles   int
 	// Fingerprint is the artifact's content identity: the SHA-256 of its
-	// lossless encoding (sched.EncodePlan, which embeds the graph and
-	// program). Empty until Materialize runs; the one-shot Synthesize
-	// path never pays for it.
+	// lossless encoding. Empty until Materialize runs; the one-shot
+	// Synthesize path never pays for it.
 	Fingerprint string
 	Key         string
 
-	// schedEnc holds the plan's lossless encoding on artifacts revived
-	// from disk; Sched decodes it on first use.
-	schedEnc   []byte
+	// src holds the program before lowering, as the frontend artifact
+	// the midend lowered; Materialize persists its encoding. On a revived
+	// artifact it holds only the encoding read back.
+	src *FrontendArtifact
+	// enc holds the lossless encoding on artifacts revived from disk;
+	// Sched decodes it on first use.
+	enc        []byte
 	decodeOnce sync.Once
 	decodeErr  error
 }
 
+// midendTag versions the midend artifact wire shell: the program
+// before lowering, then the schedule plan.
+const midendTag = "midend/1"
+
 // ReviveMidendArtifact rebuilds a midend artifact shell from a
-// persisted schedule encoding without decoding it: disk revival is
-// hash-verified by the cache layer, and cycles travels as metadata
-// alongside the payload, so downstream stage keys and sweep metrics
-// never force a decode. Sched materializes the plan on first use.
-func ReviveMidendArtifact(schedEnc []byte, cycles int) *MidendArtifact {
-	return &MidendArtifact{schedEnc: schedEnc, Cycles: cycles}
+// persisted encoding without decoding it: disk revival is hash-verified
+// by the cache layer, and cycles travels as metadata alongside the
+// payload, so downstream stage keys and sweep metrics never force a
+// decode. Sched materializes the plan on first use.
+func ReviveMidendArtifact(enc []byte, cycles int) *MidendArtifact {
+	return &MidendArtifact{enc: enc, Cycles: cycles}
 }
 
-// Sched returns the artifact's schedule plan, decoding the persisted
-// encoding on first call for revived artifacts (program and graph
-// fields are filled from the embedded encoding too). Computed artifacts
-// return their in-memory plan unconditionally.
+// Sched returns the artifact's schedule plan. On first call for a
+// revived artifact it decodes the program, lowers it exactly as the
+// midend stage does, and decodes the plan over that graph, filling the
+// program and graph fields too. Computed artifacts return their
+// in-memory plan unconditionally.
 func (ma *MidendArtifact) Sched() (*sched.Plan, error) {
 	if ma.Schedule != nil {
 		return ma.Schedule, nil
 	}
 	ma.decodeOnce.Do(func() {
-		if ma.schedEnc == nil {
-			ma.decodeErr = fmt.Errorf("core: midend artifact has no schedule encoding")
+		if ma.enc == nil {
+			ma.decodeErr = fmt.Errorf("core: midend artifact has no encoding")
 			return
 		}
-		p, err := sched.DecodePlan(ma.schedEnc)
-		if err != nil {
-			ma.decodeErr = fmt.Errorf("core: revive midend: %w", err)
-			return
+		if ma.decodeErr = ma.revive(); ma.decodeErr != nil {
+			ma.decodeErr = fmt.Errorf("core: revive midend: %w", ma.decodeErr)
 		}
-		ma.Program, ma.Graph, ma.Schedule = p.G.Prog, p.G, p
-		ma.Cycles = p.NumStates
 	})
 	return ma.Schedule, ma.decodeErr
 }
 
+func (ma *MidendArtifact) revive() error {
+	d := wire.NewDecoder(ma.enc)
+	d.Tag(midendTag)
+	progEnc, planEnc := d.Bytes(), d.Bytes()
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	prog, err := ir.DecodeProgram(progEnc)
+	if err != nil {
+		return err
+	}
+	g, err := lower(prog)
+	if err != nil {
+		return err
+	}
+	p, err := sched.DecodePlan(planEnc, g)
+	if err != nil {
+		return err
+	}
+	ma.src = ReviveFrontendArtifact(progEnc)
+	ma.Program, ma.Graph, ma.Schedule = prog, g, p
+	ma.Cycles = p.NumStates
+	return nil
+}
+
 // Materialize computes and stores the artifact's content Fingerprint,
-// returning the lossless encoding it hashes (nil if the schedule failed
+// returning the lossless encoding it hashes (nil if the artifact failed
 // to encode) so callers persisting the artifact reuse it instead of
 // encoding again — the exact contract FrontendArtifact.Materialize
 // carries. Call it from the goroutine that created the artifact, before
 // sharing it.
 func (ma *MidendArtifact) Materialize() []byte {
-	enc, err := sched.EncodePlan(ma.Schedule)
+	enc, err := ma.encode()
 	if err != nil {
 		// Mirror the frontend's fallback for unencodable artifacts: a
 		// stable (if uninformative) fingerprint, no reusable encoding.
@@ -320,6 +369,29 @@ func (ma *MidendArtifact) Materialize() []byte {
 	}
 	ma.Fingerprint = ir.FingerprintBytes(enc)
 	return enc
+}
+
+func (ma *MidendArtifact) encode() ([]byte, error) {
+	p, err := ma.Sched()
+	if err != nil {
+		return nil, err
+	}
+	if ma.src == nil {
+		return nil, fmt.Errorf("core: midend artifact has no program before lowering")
+	}
+	prog, err := ma.src.encoding()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := sched.EncodePlan(p)
+	if err != nil {
+		return nil, err
+	}
+	e := wire.NewEncoder(32 + len(prog) + len(plan))
+	e.Tag(midendTag)
+	e.Bytes(prog)
+	e.Bytes(plan)
+	return e.Data(), nil
 }
 
 // Midend runs the scheduling stage: clone the frontend artifact's
@@ -332,24 +404,22 @@ func Midend(fa *FrontendArtifact, o MidendOptions) (*MidendArtifact, error) {
 		return nil, err
 	}
 	ma, _, err := midend(ir.CloneProgram(prog), fa, o)
-	return ma, err
+	if err != nil {
+		return nil, err
+	}
+	ma.src = fa
+	return ma, nil
 }
 
 // midend is Midend on a program the caller owns outright, also
 // returning the fresh schedule with its report. Synthesize uses it to
 // skip the defensive clone (its artifact is private to the call, so
-// lowering may consume it in place) and to keep the report.
+// lowering may consume it in place) and to keep the report. The
+// artifact it returns has no program before lowering to persist.
 func midend(work *ir.Program, fa *FrontendArtifact, o MidendOptions) (*MidendArtifact, *sched.Result, error) {
-	main := work.Main()
-	if main == nil {
-		return nil, nil, fmt.Errorf("core: program has no main function")
-	}
-	if ir.Shape(main).Calls > 0 {
-		return nil, nil, fmt.Errorf("core: calls survive transformation (recursive or non-inlinable)")
-	}
-	g, err := htg.Lower(work, main)
+	g, err := lower(work)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: lower: %w", err)
+		return nil, nil, err
 	}
 	s, err := sched.Schedule(g, o.schedConfig(g))
 	if err != nil {
@@ -359,6 +429,25 @@ func midend(work *ir.Program, fa *FrontendArtifact, o MidendOptions) (*MidendArt
 		Program: work, Graph: g, Schedule: s.Plan,
 		Cycles: s.NumStates, Key: MidendKey(fa, o),
 	}, s, nil
+}
+
+// lower builds the HTG of a transformed program's main function, which
+// must exist and be call-free. The midend stage and midend revival both
+// lower through it, so a revived artifact's graph is the one its plan
+// was scheduled on.
+func lower(work *ir.Program) (*htg.Graph, error) {
+	main := work.Main()
+	if main == nil {
+		return nil, fmt.Errorf("core: program has no main function")
+	}
+	if ir.Shape(main).Calls > 0 {
+		return nil, fmt.Errorf("core: calls survive transformation (recursive or non-inlinable)")
+	}
+	g, err := htg.Lower(work, main)
+	if err != nil {
+		return nil, fmt.Errorf("core: lower: %w", err)
+	}
+	return g, nil
 }
 
 func (o MidendOptions) schedConfig(g *htg.Graph) sched.Config {

@@ -60,12 +60,14 @@ type Edge struct {
 
 // Graph is the dependence graph over a set of operations in program order.
 // Preds and Succs are indexed by op ID: Preds[op.ID] lists the edges into
-// op in the order Build found them, and Succs[op.ID] the edges out of it
-// in the same order. Both have one entry per ID up to the largest in Ops;
-// an ID with no op has empty lists.
+// op in the order Build found them, and Succs[op.ID] the successor at the
+// end of each edge out of it, in the same order: each edge is stored once,
+// and a successor joined by edges of several kinds is listed once per
+// edge. Both have one entry per ID up to the largest in Ops; an ID with no
+// op has empty lists.
 type Graph struct {
 	Ops   []*htg.Op
-	Succs [][]Edge
+	Succs [][]*htg.Op
 	Preds [][]Edge
 }
 
@@ -203,14 +205,14 @@ func Build(ops []*htg.Op) *Graph {
 	}
 	// Fill each successor list in the order the edges were found. The
 	// lists share one backing array.
-	all := make([]Edge, edges)
-	g.Succs = make([][]Edge, n)
+	all := make([]*htg.Op, edges)
+	g.Succs = make([][]*htg.Op, n)
 	for id, k := range outDeg {
 		g.Succs[id], all = all[:0:k], all[k:]
 	}
 	for _, op := range ops {
 		for _, e := range g.Preds[op.ID] {
-			g.Succs[e.From.ID] = append(g.Succs[e.From.ID], e)
+			g.Succs[e.From.ID] = append(g.Succs[e.From.ID], op)
 		}
 	}
 	return g

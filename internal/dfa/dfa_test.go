@@ -32,8 +32,8 @@ func findOp(g *htg.Graph, pred func(*htg.Op) bool) *htg.Op {
 }
 
 func hasEdge(d *dfa.Graph, from, to *htg.Op, kind dfa.EdgeKind) bool {
-	for _, e := range d.Succs[from.ID] {
-		if e.To == to && e.Kind == kind {
+	for _, e := range d.Preds[to.ID] {
+		if e.From == from && e.Kind == kind {
 			return true
 		}
 	}
@@ -242,7 +242,7 @@ void main() {
 `)
 	d := dfa.Build(g.AllOps())
 	for _, op := range d.Ops {
-		for _, e := range d.Succs[op.ID] {
+		for _, e := range d.Preds[op.ID] {
 			if e.From.ID >= e.To.ID {
 				t.Errorf("edge not forward in program order: #%d -> #%d (%v)",
 					e.From.ID, e.To.ID, e.Kind)

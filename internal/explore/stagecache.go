@@ -482,14 +482,14 @@ func (e *Engine) midend(ctx context.Context, fa *core.FrontendArtifact, o core.M
 	})
 }
 
-// midendBlob is the stored form of a midend artifact: the schedule
-// plan in its lossless encoding (sched.EncodePlan embeds the graph and
-// program), the content fingerprint downstream stage keys chain on,
-// and the cycle count — the one schedule metric sweep points read — so
-// a revived artifact answers every cache-warm question without
-// decoding the plan.
+// midendBlob is the stored form of a midend artifact: its lossless
+// encoding (the program before lowering, then the schedule plan's
+// decisions; revival lowers the program again), the content
+// fingerprint downstream stage keys chain on, and the cycle count — the
+// one schedule metric sweep points read — so a revived artifact answers
+// every cache-warm question without decoding the plan.
 type midendBlob struct {
-	Schedule    []byte // sched.EncodePlan of the artifact's schedule plan
+	Schedule    []byte // core.MidendArtifact.Materialize: program, then plan
 	Fingerprint string
 	Cycles      int
 }

@@ -6,6 +6,13 @@
 // it executes). The package also enumerates chaining trails — all the
 // control paths leading back from a basic block — which the scheduler's
 // chaining heuristic validates exactly as §3.1.1 describes.
+//
+// A graph is derived data and has no wire format of its own. Lower is a
+// deterministic function of the program: it numbers ops 0..n-1 in
+// AllOps order and names its temporaries from the function's counter,
+// so lowering a decoded copy of a program rebuilds the same ops and the
+// same VarTable. The midend artifact persists the program before
+// lowering and lowers it again on revival.
 package htg
 
 import (
@@ -193,8 +200,16 @@ type Graph struct {
 	Blocks []*BasicBlock
 	// RetVar receives the function's return value (nil for void).
 	RetVar *ir.Var
+}
 
-	nextOp int
+// VarTable returns the graph's variable reference table — the program's
+// globals first, then the graph function's locals — the shared indexing
+// the schedule plan codec references variables by.
+func (g *Graph) VarTable() []*ir.Var {
+	out := make([]*ir.Var, 0, len(g.Prog.Globals)+len(g.Fn.Locals))
+	out = append(out, g.Prog.Globals...)
+	out = append(out, g.Fn.Locals...)
+	return out
 }
 
 // AllOps returns every op in the graph in construction order.

@@ -36,6 +36,10 @@ type lowerer struct {
 	cur   *BasicBlock
 	seq   *Seq
 	guard []GuardTerm
+	// nextOp numbers the ops in emission order, which is AllOps order:
+	// the midend indexes its tables by op ID, and the plan codec
+	// references ops by it.
+	nextOp int
 
 	// Lowering arenas: ops, operand lists, blocks, and guard copies are
 	// carved from fixed-size chunks instead of allocated one heap object
@@ -132,8 +136,8 @@ func (lw *lowerer) ensureBB() *BasicBlock {
 func (lw *lowerer) emit(proto Op) *Op {
 	op := lw.newOp(proto)
 	bb := lw.ensureBB()
-	op.ID = lw.g.nextOp
-	lw.g.nextOp++
+	op.ID = lw.nextOp
+	lw.nextOp++
 	op.BB = bb
 	bb.Ops = append(bb.Ops, op)
 	return op

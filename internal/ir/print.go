@@ -30,13 +30,6 @@ func Print(p *Program) string {
 	return b.String()
 }
 
-// PrintFunc renders a single function.
-func PrintFunc(f *Func) string {
-	var b strings.Builder
-	(&printer{w: &b}).function(f)
-	return b.String()
-}
-
 // PrintStmt renders a single statement at indent 0.
 func PrintStmt(s Stmt) string {
 	var b strings.Builder

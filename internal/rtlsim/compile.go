@@ -293,12 +293,6 @@ func CompileSoA(m *rtl.Module) *Program { return compileProgram(m, false) }
 // Mix returns the compiled instruction counts per execution class.
 func (p *Program) Mix() InsnMix { return p.mix }
 
-// BitSlots returns how many signals were packed into bit-sliced words.
-func (p *Program) BitSlots() int { return p.bitSlots }
-
-// WideSlots returns how many signals use the struct-of-arrays layout.
-func (p *Program) WideSlots() int { return p.wideSlots }
-
 func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 	p := &Program{
 		M:          m,

@@ -1,14 +1,15 @@
 package sched
 
-// This file is the lossless serialization of schedule plans — the
-// payload of the midend artifact cache. A Plan is layered over a graph:
-// ops are referenced by their position in the graph's construction
-// order (htg.Graph.AllOps), variables by the graph's VarTable, and the
-// graph itself travels embedded in its own lossless encoding, so a
-// decoded plan is a self-contained design ready for the backend. What
-// the scheduler only reports (arrival and finish times, per-state
-// critical paths, the dependence graph it scheduled over) is not part
-// of a Plan and does not travel.
+// This file is the lossless serialization of schedule plans: the
+// scheduler's decisions, which the midend artifact persists after the
+// program it lowered. The graph a plan is layered over does not travel.
+// Lowering is a deterministic function of the program, so the reader
+// lowers the program again and DecodePlan attaches the decisions to that
+// graph. Ops travel as op IDs, which htg.Lower numbers 0..n-1 in AllOps
+// order, and variables as indices into the graph's VarTable. What the
+// scheduler only reports (arrival and finish times, per-state critical
+// paths, the dependence graph it scheduled over) is not part of a Plan
+// and does not travel.
 //
 // Each direction is one walk over internal/wire. The two maps in Plan
 // (VarClass, ReentrantStates) are written as index-ordered lists: map
@@ -25,8 +26,8 @@ import (
 	"sparkgo/internal/wire"
 )
 
-// resultTag versions the plan wire layout.
-const resultTag = "sched/2"
+// planTag versions the plan wire layout.
+const planTag = "sched/3"
 
 // planDecodes counts DecodePlan calls — the zero-decode revival tests
 // assert disk-warm sweeps never pay a midend decode.
@@ -36,32 +37,23 @@ var planDecodes atomic.Int64
 // process start.
 func PlanDecodeCount() int64 { return planDecodes.Load() }
 
-// EncodePlan serializes a plan losslessly into a self-contained byte
-// string (graph and program included) in the deterministic binary
-// layout of internal/wire. The inverse is DecodePlan.
+// EncodePlan serializes a plan's decisions losslessly in the
+// deterministic binary layout of internal/wire; the graph is not
+// included. The inverse is DecodePlan over the same graph.
 func EncodePlan(p *Plan) ([]byte, error) {
-	graph, err := htg.EncodeGraph(p.G)
-	if err != nil {
-		return nil, fmt.Errorf("sched: encode: %w", err)
-	}
 	ops := p.G.AllOps()
-	opIndex := make(map[*htg.Op]int, len(ops))
-	for i, op := range ops {
-		opIndex[op] = i
-	}
 	vars := p.G.VarTable()
 	varIndex := make(map[*ir.Var]int, len(vars))
 	for i, v := range vars {
 		varIndex[v] = i
 	}
 
-	e := wire.NewEncoder(512 + len(graph))
+	e := wire.NewEncoder(64 + 2*len(ops))
 	opRef := func(op *htg.Op) error {
-		i, ok := opIndex[op]
-		if !ok {
+		if op.ID < 0 || op.ID >= len(ops) || ops[op.ID] != op {
 			return fmt.Errorf("sched: encode: op %d not in graph", op.ID)
 		}
-		e.Int(i)
+		e.Int(op.ID)
 		return nil
 	}
 	varRef := func(v *ir.Var) error {
@@ -76,8 +68,7 @@ func EncodePlan(p *Plan) ([]byte, error) {
 		return nil
 	}
 
-	e.Tag(resultTag)
-	e.Bytes(graph)
+	e.Tag(planTag)
 	e.Int(int(p.Mode))
 	e.Int(p.NumStates)
 	e.Uvarint(uint64(len(p.OpOrder)))
@@ -123,32 +114,23 @@ func EncodePlan(p *Plan) ([]byte, error) {
 	return e.Data(), nil
 }
 
-// DecodePlan reconstructs a plan serialized by EncodePlan, graph and
-// program included. The plan shares nothing with any other; op and
-// variable identity is rebuilt from the embedded graph's tables, every
-// reference is range-checked, and the FSM must fit the plan's states:
-// one op list per state, every edge from a state to a state or done.
-func DecodePlan(data []byte) (*Plan, error) {
+// DecodePlan reconstructs a plan serialized by EncodePlan and attaches
+// it to g, which must be the graph the plan was made for: the lowering
+// of the same program. Every op and variable reference is range-checked
+// against g, and the FSM must fit the plan's states: one op list per
+// state, every edge from a state to a state or done.
+func DecodePlan(data []byte, g *htg.Graph) (*Plan, error) {
 	planDecodes.Add(1)
-	p, err := decodePlan(wire.NewDecoder(data))
+	p, err := decodePlan(wire.NewDecoder(data), g)
 	if err != nil {
 		return nil, fmt.Errorf("sched: decode: %w", err)
 	}
 	return p, nil
 }
 
-func decodePlan(d *wire.Decoder) (*Plan, error) {
-	d.Tag(resultTag)
-	graph := d.Bytes()
-	p := &Plan{Mode: Mode(d.Int()), NumStates: d.Int()}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	g, err := htg.DecodeGraph(graph)
-	if err != nil {
-		return nil, err
-	}
-	p.G = g
+func decodePlan(d *wire.Decoder, g *htg.Graph) (*Plan, error) {
+	d.Tag(planTag)
+	p := &Plan{G: g, Mode: Mode(d.Int()), NumStates: d.Int()}
 	ops := g.AllOps()
 	vars := g.VarTable()
 	// fail reports a semantic error, unless a wire failure (whose zero
@@ -176,6 +158,7 @@ func decodePlan(d *wire.Decoder) (*Plan, error) {
 		}
 		return vars[i], nil
 	}
+	var err error
 	if n := d.Len(1); n > 0 {
 		p.OpOrder = make([][]*htg.Op, n)
 		for s := range p.OpOrder {

@@ -107,8 +107,8 @@ func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first,
 	// waiting counts each op's unplaced predecessors among ops.
 	for i := len(ops) - 1; i >= 0; i-- {
 		best := 0.0
-		for _, e := range s.deps.Succs[ops[i].ID] {
-			if to := e.To.ID; inRun[to] == s.run {
+		for _, succ := range s.deps.Succs[ops[i].ID] {
+			if to := succ.ID; inRun[to] == s.run {
 				best = max(best, prio[to])
 				waiting[to]++
 			}
@@ -143,11 +143,11 @@ func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first,
 			}
 			placed = true
 			left--
-			for _, e := range s.deps.Succs[op.ID] {
-				if to := e.To.ID; inRun[to] == s.run {
+			for _, succ := range s.deps.Succs[op.ID] {
+				if to := succ.ID; inRun[to] == s.run {
 					waiting[to]--
 					if waiting[to] == 0 {
-						next = append(next, e.To)
+						next = append(next, succ)
 					}
 				}
 			}

@@ -97,7 +97,7 @@ func flowEdges(g *htg.Graph) []edge {
 	var out []edge
 	deps := dfa.Build(g.AllOps())
 	for _, op := range deps.Ops {
-		for _, e := range deps.Succs[op.ID] {
+		for _, e := range deps.Preds[op.ID] {
 			out = append(out, edge{e.From, e.To})
 		}
 	}
