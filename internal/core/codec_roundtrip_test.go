@@ -208,7 +208,7 @@ func TestArtifactCodecRoundTrip(t *testing.T) {
 // TestBackendKeyUsesContentFingerprint pins the backend sharing rule:
 // the key derives from the midend artifact's content fingerprint, so it
 // exists exactly when the artifact is materialized, and differs across
-// report models.
+// delay models.
 func TestBackendKeyUsesContentFingerprint(t *testing.T) {
 	d := codecDesigns()[0]
 	fa, err := core.Frontend(d.prog, d.opt.FrontendOptions())
@@ -228,9 +228,7 @@ func TestBackendKeyUsesContentFingerprint(t *testing.T) {
 	if base == "" {
 		t.Fatal("materialized midend artifact produced no backend key")
 	}
-	scaled := d.opt
-	scaled.ReportModel = &delay.Model{NandDelay: 2}
-	if k := core.BackendKey(ma, scaled.BackendOptions()); k == base {
-		t.Error("report-model change did not change the backend key")
+	if k := core.BackendKey(ma, core.BackendOptions{Model: &delay.Model{NandDelay: 2}}); k == base {
+		t.Error("delay-model change did not change the backend key")
 	}
 }

@@ -72,15 +72,9 @@ func (p Preset) String() string {
 // Options configures a synthesis run. The zero value is the
 // MicroprocessorBlock preset with the default delay model.
 type Options struct {
-	Preset Preset
-	Model  *delay.Model
-	// ReportModel, when non-nil, is the technology model the backend
-	// report stage evaluates under, decoupled from Model (which the
-	// scheduler's chaining test reads). nil: Model. Because only the
-	// backend reads it, sweeping ReportModel alone revives frontend AND
-	// midend artifacts and re-runs just the binding/report stage.
-	ReportModel *delay.Model
-	MaxUnroll   int // 0: transform.DefaultMaxUnroll
+	Preset    Preset
+	Model     *delay.Model
+	MaxUnroll int // 0: transform.DefaultMaxUnroll
 
 	// Ablation switches (DESIGN.md experiments A1-A4).
 	NoSpeculation bool

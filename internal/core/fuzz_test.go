@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,11 +201,11 @@ func FuzzDecodeProgram(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGraph fuzzes the revived midend artifact: the program
+// FuzzReviveMidend fuzzes the revived midend artifact: the program
 // before lowering is decoded and lowered again, and the plan is
-// attached to that graph. It keeps the name the CI fuzz loop selects it
-// by. Seeds are the ILD 4 micro and ILD 8 classical artifacts.
-func FuzzDecodeGraph(f *testing.F) {
+// attached to that graph. Seeds are the ILD 4 micro and ILD 8 classical
+// artifacts.
+func FuzzReviveMidend(f *testing.F) {
 	_, midendEnc, _, _ := fuzzArtifacts(f)
 	addSeeds(f, midendEnc)
 	addSeeds(f, classicalMidend(f).Materialize())
@@ -212,12 +214,30 @@ func FuzzDecodeGraph(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult fuzzes the schedule plan layout (sched.DecodePlan)
-// over a fixed lowered graph, ILD 8 under the classical preset; it keeps
-// the name the CI fuzz loop selects it by. Two plans over that graph
-// seed it: the classical one, with conditional and back edges, and an
-// unconstrained sequential one.
-func FuzzDecodeResult(f *testing.F) {
+// TestReviveRejectsInvalidProgram replays a single-bit flip of the
+// ILD 8 classical midend encoding that decodes to a program with a
+// nil-typed variable, which rtl.Build dereferenced. Revival must report
+// the invalid program from Sched and Backend instead of panicking.
+func TestReviveRejectsInvalidProgram(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "midend_flip_nil_type.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "revived program invalid"
+	if _, err := core.ReviveMidendArtifact(data, 0).Sched(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Sched: err = %v, want %q", err, want)
+	}
+	ma := core.ReviveMidendArtifact(data, 0)
+	if _, err := core.Backend(ma, core.BackendOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Backend: err = %v, want %q", err, want)
+	}
+}
+
+// FuzzDecodePlan fuzzes the schedule plan layout (sched.DecodePlan)
+// over a fixed lowered graph, ILD 8 under the classical preset. Two
+// plans over that graph seed it: the classical one, with conditional
+// and back edges, and an unconstrained sequential one.
+func FuzzDecodePlan(f *testing.F) {
 	g, plans := planSeeds(f)
 	for _, enc := range plans {
 		addSeeds(f, enc)

@@ -67,16 +67,21 @@ type FrontendOptions struct {
 	Rounds int
 }
 
-// canonical renders the option fields that affect frontend output. The
-// pass join escapes ";" inside specs so two distinct lists can never
-// render — and therefore key — identically.
+// canonical renders the option fields that affect frontend output.
 func (o FrontendOptions) canonical() string {
-	esc := make([]string, len(o.Passes))
-	for i, s := range o.Passes {
+	return fmt.Sprintf("passes=[%s] rounds=%d", JoinPassSpecs(o.Passes), o.Rounds)
+}
+
+// JoinPassSpecs renders a pass list unambiguously: "\" and ";" inside a
+// spec are escaped before joining on "; ", so two distinct lists can
+// never render — and therefore key — identically.
+func JoinPassSpecs(specs []string) string {
+	esc := make([]string, len(specs))
+	for i, s := range specs {
 		s = strings.ReplaceAll(s, `\`, `\\`)
 		esc[i] = strings.ReplaceAll(s, ";", `\;`)
 	}
-	return fmt.Sprintf("passes=[%s] rounds=%d", strings.Join(esc, "; "), o.Rounds)
+	return strings.Join(esc, "; ")
 }
 
 // FrontendKeyFrom composes the frontend stage key from the input
@@ -339,6 +344,12 @@ func (ma *MidendArtifact) revive() error {
 	if err != nil {
 		return err
 	}
+	// The frontend validated this program before it was encoded, so a
+	// program that fails here was corrupted on the way, and lowering it
+	// could hand the backend what it cannot build.
+	if err := ir.Validate(prog); err != nil {
+		return fmt.Errorf("core: revived program invalid: %w", err)
+	}
 	g, err := lower(prog)
 	if err != nil {
 		return err
@@ -484,7 +495,9 @@ func (o BackendOptions) model() *delay.Model {
 // BackendKey composes the backend stage key from the midend artifact's
 // *content* fingerprint — not its stage key, so two option sets that
 // converge on the same schedule share backend work (the same sharing
-// rule MidendKey applies one stage up) — and the backend options. Empty
+// rule MidendKey applies one stage up) — and the backend options. The
+// model is hashed here because the midend fingerprint does not encode
+// it: with no clock bound, two models can produce the same plan. Empty
 // when the midend artifact was never materialized (the one-shot flow).
 func BackendKey(ma *MidendArtifact, o BackendOptions) string {
 	if ma.Fingerprint == "" {
@@ -605,11 +618,7 @@ func (o Options) MidendOptions() MidendOptions {
 	}
 }
 
-// BackendOptions projects the option fields the backend stage reads:
-// the report model when one is set, the shared model otherwise.
+// BackendOptions projects the option fields the backend stage reads.
 func (o Options) BackendOptions() BackendOptions {
-	if o.ReportModel != nil {
-		return BackendOptions{Model: o.ReportModel}
-	}
 	return BackendOptions{Model: o.Model}
 }

@@ -84,7 +84,7 @@ func E15Exploration(workers int) (*report.Table, error) {
 func E16PassOrder(n, workers int) (*report.Table, error) {
 	motions := []string{"speculate", "unroll all full", "constprop", "cse"}
 	var orders [][]string
-	for _, m := range explore.PermutePasses(motions, 0) {
+	for _, m := range explore.PermutePasses(motions) {
 		full := append([]string{"inline", "drop-uncalled"}, m...)
 		full = append(full, "constfold", "copyprop", "dce")
 		orders = append(orders, full)

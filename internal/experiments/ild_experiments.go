@@ -244,13 +244,3 @@ func Ablations(n int) (*report.Table, error) {
 func equivalentPrograms(a, b *ir.Program, trials int) error {
 	return testutil.Equivalent(a, b, trials, 77)
 }
-
-// interpOnce is kept for the benchmarks: one behavioral decode.
-func interpOnce(p *ir.Program, buf []byte) error {
-	env := interp.NewEnv(p)
-	if err := ild.LoadBuffer(p, env, buf); err != nil {
-		return err
-	}
-	_, err := interp.New(p).RunMain(env)
-	return err
-}

@@ -83,11 +83,10 @@ func TestAnnealRespectsBudget(t *testing.T) {
 // through revisits forever.
 func TestAnnealConvergesUnbudgeted(t *testing.T) {
 	sp := explore.Space{
-		Base:           explore.DefaultSpace(4).Base,
-		Prologue:       []string{"inline", "drop-uncalled"},
-		Motions:        []string{"speculate", "constprop"},
-		Epilogue:       []string{"constfold", "copyprop", "dce"},
-		ToggleChaining: true,
+		Base:     explore.DefaultSpace(4).Base,
+		Prologue: []string{"inline", "drop-uncalled"},
+		Motions:  []string{"speculate", "constprop"},
+		Epilogue: []string{"constfold", "copyprop", "dce"},
 	}
 	res := explore.SimulatedAnnealing{}.Search(context.Background(), &explore.Engine{}, sp,
 		explore.LatencyObjective(), explore.Budget{}, 11)

@@ -20,7 +20,7 @@ import (
 const (
 	frontendBlobTag = "expfe/2"
 	midendBlobTag   = "expme/1"
-	pointTag        = "exppt/1"
+	pointTag        = "exppt/2"
 )
 
 func (b *frontendBlob) encode() []byte {
@@ -88,8 +88,6 @@ func encodePoint(pt *Point) []byte {
 	for _, p := range c.Passes {
 		e.String(p)
 	}
-	e.Int(c.Rounds)
-	e.Float64(c.ReportNand)
 	e.Int(pt.Cycles)
 	e.Int(pt.Latency)
 	e.Float64(pt.CritPath)
@@ -121,8 +119,6 @@ func decodePoint(data []byte) (*Point, error) {
 			c.Passes = append(c.Passes, d.String())
 		}
 	}
-	c.Rounds = d.Int()
-	c.ReportNand = d.Float64()
 	pt.Cycles = d.Int()
 	pt.Latency = d.Int()
 	pt.CritPath = d.Float64()

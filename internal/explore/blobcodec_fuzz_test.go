@@ -76,7 +76,6 @@ func FuzzDecodePoint(f *testing.F) {
 		Config: Config{
 			Source: "ild", N: 8, Preset: 1, NoUnroll: true,
 			MaxUnroll: 4, Passes: []string{"cse", "constprop"},
-			Rounds: 3, ReportNand: 1.5,
 		},
 		Cycles: 12, Latency: 14, CritPath: 3.25, Area: 100.5,
 		Muxes: 4, FUs: 3, Rounds: 3,

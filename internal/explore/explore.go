@@ -9,11 +9,11 @@
 // Memoization is stage-granular, keyed on the artifact hashes of the
 // staged flow: configurations sharing a (source, pass-list) prefix reuse
 // one frontend run — the transformation pipeline executes exactly once
-// per unique (source fingerprint, pass list, rounds) triple — midend
-// artifacts (HTG + schedule) are shared by every configuration with the
-// same transformed program and scheduling knobs, and backend artifacts
-// (netlist + report) by every configuration with the same schedule and
-// report model. A fully evaluated configuration is additionally
+// per unique (source fingerprint, pass list) pair — midend artifacts
+// (HTG + schedule) are shared by every configuration with the same
+// transformed program and scheduling knobs, and backend artifacts
+// (netlist + report) by every configuration with the same schedule. A
+// fully evaluated configuration is additionally
 // memoized as a Point.
 //
 // Every memoized layer lives behind one tiered blob store
@@ -47,7 +47,6 @@ import (
 	"sparkgo/internal/blob"
 	"sparkgo/internal/cache"
 	"sparkgo/internal/core"
-	"sparkgo/internal/delay"
 	"sparkgo/internal/interp"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/obs"
@@ -57,7 +56,8 @@ import (
 
 // Config is one point in the design space: a source program (a named
 // entry in the engine's source table, or the built-in generator at scale
-// N) plus a synthesis configuration.
+// N) plus a synthesis configuration. Every config synthesizes under the
+// default delay model and pipeline fixpoint bound.
 type Config struct {
 	// Source names the program this config synthesizes: a key into the
 	// engine's Sources table (user programs parsed from files). Empty
@@ -80,19 +80,11 @@ type Config struct {
 	// Passes, when non-empty, is an explicit pass list (internal/pass
 	// spec syntax) replacing the preset plan — the pass-order axis.
 	Passes []string
-	// Rounds bounds pipeline fixpoint iteration (0 = default).
-	Rounds int
-	// ReportNand, when positive, overrides the NAND-delay scale of the
-	// technology model the backend report is evaluated under — the
-	// backend-only axis. The scheduling model is untouched, so two
-	// configs differing only here share the frontend AND midend
-	// artifacts and re-run just the binding/report stage.
-	ReportNand float64
 }
 
 // Options lowers the config to synthesizer options.
 func (c Config) Options() core.Options {
-	o := core.Options{
+	return core.Options{
 		Preset:        c.Preset,
 		MaxUnroll:     c.MaxUnroll,
 		NoSpeculation: c.NoSpeculation,
@@ -101,12 +93,7 @@ func (c Config) Options() core.Options {
 		NoCSE:         c.NoCSE,
 		NoChaining:    c.NoChaining,
 		Passes:        c.Passes,
-		CustomRounds:  c.Rounds,
 	}
-	if c.ReportNand > 0 {
-		o.ReportModel = &delay.Model{NandDelay: c.ReportNand}
-	}
-	return o
 }
 
 // String renders the canonical form of the config — the exact text the
@@ -134,27 +121,9 @@ func (c Config) String() string {
 		fmt.Fprintf(&b, " maxunroll=%d", c.MaxUnroll)
 	}
 	if len(c.Passes) > 0 {
-		fmt.Fprintf(&b, " passes=[%s]", joinSpecs(c.Passes))
-	}
-	if c.Rounds > 0 {
-		fmt.Fprintf(&b, " rounds=%d", c.Rounds)
-	}
-	if c.ReportNand > 0 {
-		fmt.Fprintf(&b, " reportnand=%g", c.ReportNand)
+		fmt.Fprintf(&b, " passes=[%s]", core.JoinPassSpecs(c.Passes))
 	}
 	return b.String()
-}
-
-// joinSpecs renders a pass list unambiguously: any ";" inside a spec is
-// escaped before joining on "; ", so two distinct lists can never render
-// identically (the canonical string is a cache key; see Config.String).
-func joinSpecs(specs []string) string {
-	esc := make([]string, len(specs))
-	for i, s := range specs {
-		s = strings.ReplaceAll(s, `\`, `\\`)
-		esc[i] = strings.ReplaceAll(s, ";", `\;`)
-	}
-	return strings.Join(esc, "; ")
 }
 
 // Key is the 64-bit FNV-1a hash of the canonical string: a compact
@@ -193,7 +162,7 @@ type Stats struct {
 	PointRemoteHits int64 `json:"point_remote_hits"`
 	PointComputed   int64 `json:"point_computed"`
 	// Frontend stage cache: transformed-IR artifacts shared by every
-	// configuration with the same (source, pass list, rounds).
+	// configuration with the same (source, pass list).
 	FrontendMemHits    int64 `json:"frontend_mem_hits"`
 	FrontendDiskHits   int64 `json:"frontend_disk_hits"`
 	FrontendRemoteHits int64 `json:"frontend_remote_hits"`
@@ -206,7 +175,7 @@ type Stats struct {
 	MidendRemoteHits int64 `json:"midend_remote_hits"`
 	MidendComputed   int64 `json:"midend_computed"`
 	// Backend stage cache: netlist + report artifacts shared by every
-	// configuration with the same schedule and report model.
+	// configuration with the same schedule.
 	BackendMemHits    int64 `json:"backend_mem_hits"`
 	BackendDiskHits   int64 `json:"backend_disk_hits"`
 	BackendRemoteHits int64 `json:"backend_remote_hits"`

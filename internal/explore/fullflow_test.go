@@ -2,7 +2,6 @@ package explore_test
 
 import (
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,11 +21,12 @@ func fullFlowSpace() []explore.Config {
 
 // TestFullFlowDiskPersistence is the acceptance scenario of the
 // full-flow artifact persistence work: a cold sweep, a process restart
-// (a fresh engine over the same cache directory), and a re-sweep with
-// only the delay model changed must revive frontend AND midend
-// artifacts from disk — zero midend recomputes, every revived schedule
-// fingerprint-verified before use (a verification failure would count
-// as a disk error and a recompute) — and re-run only the backend.
+// (a fresh engine over the same cache directory) with the backend and
+// point layers deleted from disk, and a re-sweep must revive frontend
+// AND midend artifacts from disk — zero midend recomputes, every
+// revived schedule fingerprint-verified before use (a verification
+// failure would count as a disk error and a recompute) — and re-run
+// only the backend.
 func TestFullFlowDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	space := fullFlowSpace()
@@ -47,15 +47,15 @@ func TestFullFlowDiskPersistence(t *testing.T) {
 		t.Fatalf("cold sweep hit disk errors: %+v", cs)
 	}
 
-	// "Process restart": a fresh engine, same directory, and a config
-	// space differing ONLY in the backend report model.
-	scaled := make([]explore.Config, len(space))
-	for i, c := range space {
-		c.ReportNand = 2
-		scaled[i] = c
+	// "Process restart": a fresh engine over the same directory, which
+	// has lost every backend artifact and point.
+	for _, kind := range []string{"backend", "point"} {
+		if err := os.RemoveAll(filepath.Join(dir, explore.DiskSchema(), kind)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	warm := &explore.Engine{SimTrials: 1, CacheDir: dir}
-	warmPts := warm.Sweep(scaled)
+	warmPts := warm.Sweep(space)
 	for _, p := range warmPts {
 		if p.Err != "" {
 			t.Fatalf("disk-warm sweep failed: %s: %s", p.Config, p.Err)
@@ -75,43 +75,22 @@ func TestFullFlowDiskPersistence(t *testing.T) {
 		t.Errorf("restarted sweep recomputed %d frontend artifacts, want 0: %+v", ws.FrontendComputed, ws)
 	}
 	if ws.BackendComputed == 0 {
-		t.Errorf("restarted sweep computed no backend artifacts (the report model DID change): %+v", ws)
+		t.Errorf("restarted sweep computed no backend artifacts (they were deleted): %+v", ws)
 	}
 	if ws.PointDiskHits != 0 {
-		t.Errorf("restarted sweep hit %d points on disk despite the model change", ws.PointDiskHits)
+		t.Errorf("restarted sweep hit %d points on disk after they were deleted", ws.PointDiskHits)
 	}
 	if ws.DiskErrors != 0 {
 		t.Errorf("restarted sweep hit disk errors (failed revival verifications?): %+v", ws)
 	}
 
-	// The revived schedule is the same design: the state count and area
-	// (NAND-equivalents) are untouched by the report model, and the
-	// critical path scales linearly with it. (Simulated latency is NOT
-	// compared across the model change — the stimulus seed includes the
-	// canonical config, which the new axis is deliberately part of.)
+	// Determinism of the revived path: backends built on revived
+	// schedules must produce the points the cold sweep computed from
+	// source.
 	for i := range space {
-		c0, c1 := coldPts[i], warmPts[i]
-		if c0.Cycles != c1.Cycles {
-			t.Errorf("%s: state count drifted across revival: %d vs %d",
-				space[i], c0.Cycles, c1.Cycles)
-		}
-		if math.Abs(c1.CritPath-2*c0.CritPath) > 1e-9 {
-			t.Errorf("%s: critical path %.3f, want 2x of %.3f", space[i], c1.CritPath, c0.CritPath)
-		}
-		if c0.Area != c1.Area {
-			t.Errorf("%s: area drifted across revival: %v vs %v", space[i], c0.Area, c1.Area)
-		}
-	}
-
-	// Determinism of the revived path: a fully cold engine evaluating
-	// the same scaled configs — recomputing every stage from source —
-	// must produce identical points.
-	ref := &explore.Engine{SimTrials: 1}
-	refPts := ref.Sweep(scaled)
-	for i := range scaled {
-		if !reflect.DeepEqual(refPts[i], warmPts[i]) {
+		if !reflect.DeepEqual(coldPts[i], warmPts[i]) {
 			t.Errorf("%s: revived evaluation diverged from cold evaluation:\n  cold: %+v\n  revived: %+v",
-				scaled[i], refPts[i], warmPts[i])
+				space[i], coldPts[i], warmPts[i])
 		}
 	}
 
@@ -288,20 +267,5 @@ func TestCorruptStagePayloadsHeal(t *testing.T) {
 	}
 	if last.DiskErrors != 0 || last.MidendComputed != 0 || last.BackendComputed != 0 {
 		t.Errorf("corrupt payloads were not healed by the first recompute round: %+v", last)
-	}
-}
-
-// TestReportNandIsCanonical pins the new backend axis into the
-// config's canonical string (the cache key): two configs differing only
-// in ReportNand must never alias.
-func TestReportNandIsCanonical(t *testing.T) {
-	a := explore.Config{N: 4}
-	b := a
-	b.ReportNand = 2
-	if a.String() == b.String() {
-		t.Fatalf("ReportNand not canonical: %q", a.String())
-	}
-	if a.Key() == b.Key() {
-		t.Error("ReportNand configs alias under Key()")
 	}
 }

@@ -52,12 +52,9 @@ func (g Genetic) Search(ctx context.Context, eng *Engine, sp Space, obj Objectiv
 	// chaining flip, the guaranteed frontend-sharing probe of the
 	// scheduler knob — plus random draws.
 	pop := make([]candidate, 0, gaPopulation)
-	pop = append(pop, sp.identity())
-	if sp.ToggleChaining {
-		flip := sp.identity()
-		flip.chain = !flip.chain
-		pop = append(pop, flip)
-	}
+	flip := sp.identity()
+	flip.chain = !flip.chain
+	pop = append(pop, sp.identity(), flip)
 	for len(pop) < gaPopulation {
 		pop = append(pop, sp.random(rng))
 	}
@@ -165,9 +162,10 @@ func crossover(a candidate, b candidate, rng *rand.Rand) candidate {
 	if rng.Intn(2) == 0 {
 		child.unroll = b.unroll
 	}
-	if rng.Intn(2) == 0 {
-		child.size = b.size
-	}
+	// An unused draw: seeded searches reproduce the trajectories pinned
+	// in search_trajectories.golden only while the RNG advances as
+	// before the scale knob was removed.
+	rng.Intn(2)
 	if rng.Intn(2) == 0 {
 		child.chain = b.chain
 	}

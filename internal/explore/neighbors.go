@@ -11,9 +11,10 @@ import (
 // Space is the neighborhood definition of an adaptive search: the axes a
 // strategy may mutate and the fixed scaffolding around them. A candidate
 // drawn from the space is a pass ordering over Motions (with per-motion
-// enable toggles), an unroll-bound choice, a scale choice, and a
-// chaining switch — the explicit-pass-list rendering of the grid axes
-// Grid sweeps exhaustively.
+// enable toggles, the explicit-pass-list form of the A1–A4 knockouts),
+// an unroll-bound choice and a chaining switch — the explicit-pass-list
+// rendering of the grid axes Grid sweeps exhaustively. The scale is
+// Base.N: objectives compare designs of one program.
 type Space struct {
 	// Base is the config template: source selection, preset, and every
 	// field the search does not mutate are taken from it verbatim.
@@ -30,18 +31,6 @@ type Space struct {
 	// "unroll all full" motion (0 = unbounded). Empty leaves motion
 	// specs untouched.
 	UnrollBounds []int
-	// Sizes, when non-empty, adds the generator-scale axis: a candidate
-	// picks one N from this list (overriding Base.N). Objectives then
-	// compare designs across scales, so leave it empty unless that is
-	// what you want.
-	Sizes []int
-	// ToggleMotions allows candidates to drop individual motions — the
-	// explicit-pass-list form of the A1–A4 knockout toggles.
-	ToggleMotions bool
-	// ToggleChaining allows NoChaining flips. Chaining is a pure
-	// scheduler knob, so these neighbors share the incumbent's frontend
-	// artifact byte-for-byte: the cheapest move in the space.
-	ToggleChaining bool
 }
 
 // DefaultSpace is the paper's search space at scale n: the coordinated
@@ -50,13 +39,11 @@ type Space struct {
 // epilogue, over both unroll bounds and the chaining switch.
 func DefaultSpace(n int) Space {
 	return Space{
-		Base:           Config{N: n, Preset: core.MicroprocessorBlock},
-		Prologue:       []string{"inline", "drop-uncalled"},
-		Motions:        []string{"speculate", "unroll all full", "constprop", "cse"},
-		Epilogue:       []string{"constfold", "copyprop", "dce"},
-		UnrollBounds:   []int{0, 8},
-		ToggleMotions:  true,
-		ToggleChaining: true,
+		Base:         Config{N: n, Preset: core.MicroprocessorBlock},
+		Prologue:     []string{"inline", "drop-uncalled"},
+		Motions:      []string{"speculate", "unroll all full", "constprop", "cse"},
+		Epilogue:     []string{"constfold", "copyprop", "dce"},
+		UnrollBounds: []int{0, 8},
 	}
 }
 
@@ -68,7 +55,6 @@ type candidate struct {
 	order  []int  // permutation of Motions indices, execution order
 	mask   []bool // mask[i]: motion i enabled
 	unroll int    // index into UnrollBounds (0 when empty)
-	size   int    // index into Sizes (0 when empty)
 	chain  bool   // Config.NoChaining
 }
 
@@ -100,20 +86,13 @@ func (sp *Space) identity() candidate {
 func (sp *Space) random(rng *rand.Rand) candidate {
 	c := sp.identity()
 	copy(c.order, rng.Perm(len(sp.Motions)))
-	if sp.ToggleMotions {
-		for i := range c.mask {
-			c.mask[i] = rng.Intn(4) != 0 // bias toward keeping motions on
-		}
+	for i := range c.mask {
+		c.mask[i] = rng.Intn(4) != 0 // bias toward keeping motions on
 	}
 	if len(sp.UnrollBounds) > 0 {
 		c.unroll = rng.Intn(len(sp.UnrollBounds))
 	}
-	if len(sp.Sizes) > 0 {
-		c.size = rng.Intn(len(sp.Sizes))
-	}
-	if sp.ToggleChaining {
-		c.chain = rng.Intn(2) == 0
-	}
+	c.chain = rng.Intn(2) == 0
 	return c
 }
 
@@ -132,9 +111,6 @@ func (sp *Space) config(c candidate) Config {
 	passes = append(passes, sp.Epilogue...)
 	cfg.Passes = passes
 	cfg.NoChaining = c.chain
-	if len(sp.Sizes) > 0 {
-		cfg.N = sp.Sizes[c.size]
-	}
 	return cfg
 }
 
@@ -155,7 +131,7 @@ func (sp *Space) motionSpec(i int, c candidate) string {
 //
 //  1. the chaining flip — identical pass list, so it is served from the
 //     incumbent's frontend artifact (a frontend mem-hit by construction);
-//  2. unroll-bound and scale steps (±1 on the knob index);
+//  2. unroll-bound steps (±1 on the knob index);
 //  3. adjacent swaps in the motion order, deepest pair first;
 //  4. motion enable flips, deepest execution position first.
 //
@@ -165,22 +141,14 @@ func (sp *Space) motionSpec(i int, c candidate) string {
 // already-evaluated full lists (point or frontend cache hits) far more
 // often than head mutations would.
 func (sp *Space) neighbors(c candidate) []candidate {
-	var out []candidate
+	flip := c.clone()
+	flip.chain = !flip.chain
+	out := []candidate{flip}
 	add := func(n candidate) { out = append(out, n) }
-	if sp.ToggleChaining {
-		n := c.clone()
-		n.chain = !n.chain
-		add(n)
-	}
 	for _, step := range []int{1, -1} {
 		if u := c.unroll + step; u >= 0 && u < len(sp.UnrollBounds) {
 			n := c.clone()
 			n.unroll = u
-			add(n)
-		}
-		if s := c.size + step; len(sp.Sizes) > 0 && s >= 0 && s < len(sp.Sizes) {
-			n := c.clone()
-			n.size = s
 			add(n)
 		}
 	}
@@ -189,12 +157,10 @@ func (sp *Space) neighbors(c candidate) []candidate {
 		n.order[i], n.order[i+1] = n.order[i+1], n.order[i]
 		add(n)
 	}
-	if sp.ToggleMotions {
-		for i := len(c.order) - 1; i >= 0; i-- {
-			n := c.clone()
-			n.mask[c.order[i]] = !n.mask[c.order[i]]
-			add(n)
-		}
+	for i := len(c.order) - 1; i >= 0; i-- {
+		n := c.clone()
+		n.mask[c.order[i]] = !n.mask[c.order[i]]
+		add(n)
 	}
 	return out
 }
@@ -204,21 +170,17 @@ func (sp *Space) neighbors(c candidate) []candidate {
 // truth an adaptive search is judged against (experiment E17). Grid
 // configs go through the same candidate lowering the strategies use
 // (Space.config), so the baseline and the search can never drift onto
-// different renderings of the same space. The knockout and scale axes
-// stay at their identity values.
+// different renderings of the same space. The knockout axis stays at
+// its identity value.
 func (sp Space) OrderGrid() []Config {
 	unrolls := len(sp.UnrollBounds)
 	if unrolls == 0 {
 		unrolls = 1
 	}
-	chains := []bool{sp.Base.NoChaining}
-	if sp.ToggleChaining {
-		chains = []bool{false, true}
-	}
 	var grid []Config
 	for _, ord := range permutations(len(sp.Motions)) {
 		for u := 0; u < unrolls; u++ {
-			for _, ch := range chains {
+			for _, ch := range []bool{false, true} {
 				c := sp.identity()
 				copy(c.order, ord)
 				c.unroll = u
@@ -281,15 +243,9 @@ func tailIndex(rng *rand.Rand, n int) int {
 // backend knob and deep-position order changes.
 func (sp *Space) mutate(c *candidate, rng *rand.Rand) {
 	type move func()
-	var moves []move
-	if sp.ToggleChaining {
-		moves = append(moves, func() { c.chain = !c.chain })
-	}
+	moves := []move{func() { c.chain = !c.chain }}
 	if len(sp.UnrollBounds) > 1 {
 		moves = append(moves, func() { c.unroll = rng.Intn(len(sp.UnrollBounds)) })
-	}
-	if len(sp.Sizes) > 1 {
-		moves = append(moves, func() { c.size = rng.Intn(len(sp.Sizes)) })
 	}
 	if len(c.order) > 1 {
 		moves = append(moves, func() {
@@ -297,14 +253,11 @@ func (sp *Space) mutate(c *candidate, rng *rand.Rand) {
 			c.order[i], c.order[i+1] = c.order[i+1], c.order[i]
 		})
 	}
-	if sp.ToggleMotions && len(c.mask) > 0 {
+	if len(c.mask) > 0 {
 		moves = append(moves, func() {
 			i := c.order[tailIndex(rng, len(c.order))]
 			c.mask[i] = !c.mask[i]
 		})
-	}
-	if len(moves) == 0 {
-		return
 	}
 	moves[rng.Intn(len(moves))]()
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // TestSpaceConfigLowering pins the candidate → Config lowering: pass
-// list assembly order, unroll-bound substitution, motion masking, the
-// chaining switch, and the scale override.
+// list assembly order, unroll-bound substitution, motion masking and the
+// chaining switch.
 func TestSpaceConfigLowering(t *testing.T) {
 	sp := DefaultSpace(4)
-	sp.Sizes = []int{4, 8}
 
 	id := sp.identity()
 	cfg := sp.config(id)
@@ -30,7 +29,6 @@ func TestSpaceConfigLowering(t *testing.T) {
 	c.order = []int{2, 1, 0, 3} // constprop, unroll, speculate, cse
 	c.mask[0] = false           // drop speculate
 	c.unroll = 1                // bound 8
-	c.size = 1                  // n=8
 	c.chain = true
 	cfg = sp.config(c)
 	want = []string{"inline", "drop-uncalled",
@@ -39,7 +37,7 @@ func TestSpaceConfigLowering(t *testing.T) {
 	if !reflect.DeepEqual(cfg.Passes, want) {
 		t.Fatalf("mutated passes = %v, want %v", cfg.Passes, want)
 	}
-	if cfg.N != 8 || !cfg.NoChaining {
+	if cfg.N != 4 || !cfg.NoChaining {
 		t.Fatalf("mutated knobs: %+v", cfg)
 	}
 }
@@ -130,7 +128,6 @@ func TestCrossoverPermutation(t *testing.T) {
 // inside the space.
 func TestMutatePreservesValidity(t *testing.T) {
 	sp := DefaultSpace(4)
-	sp.Sizes = []int{2, 3, 4}
 	rng := rand.New(rand.NewSource(13))
 	c := sp.identity()
 	for i := 0; i < 500; i++ {
@@ -142,8 +139,7 @@ func TestMutatePreservesValidity(t *testing.T) {
 			}
 			seen[m] = true
 		}
-		if c.unroll < 0 || c.unroll >= len(sp.UnrollBounds) ||
-			c.size < 0 || c.size >= len(sp.Sizes) {
+		if c.unroll < 0 || c.unroll >= len(sp.UnrollBounds) {
 			t.Fatalf("mutation %d pushed knobs out of range: %+v", i, c)
 		}
 	}

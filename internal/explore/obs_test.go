@@ -16,12 +16,10 @@ import (
 // without perturbing the seed-deterministic trajectory.
 func TestSearchObserverCallbacks(t *testing.T) {
 	sp := explore.Space{
-		Base:           explore.Config{N: 2, Preset: core.MicroprocessorBlock},
-		Prologue:       []string{"inline", "drop-uncalled"},
-		Motions:        []string{"constprop", "cse"},
-		Epilogue:       []string{"dce"},
-		ToggleMotions:  true,
-		ToggleChaining: true,
+		Base:     explore.Config{N: 2, Preset: core.MicroprocessorBlock},
+		Prologue: []string{"inline", "drop-uncalled"},
+		Motions:  []string{"constprop", "cse"},
+		Epilogue: []string{"dce"},
 	}
 	budget := explore.Budget{MaxEvaluations: 12}
 	for _, st := range append(searchStrategies(), explore.SimulatedAnnealing{}) {

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"sort"
 	"strings"
 
 	"sparkgo/internal/core"
@@ -10,50 +9,26 @@ import (
 // PermutePasses enumerates distinct orderings of a pass-spec list — the
 // pass-order axis of the design space. Orderings are generated in
 // lexicographic index order (so the identity ordering comes first and
-// the sequence is deterministic), de-duplicated when specs repeat, and
-// capped at limit (0 = all). The returned slices are freshly allocated
-// and safe to hand to Config.Passes.
-func PermutePasses(specs []string, limit int) [][]string {
+// the sequence is deterministic) and de-duplicated when specs repeat.
+// The returned slices are freshly allocated and safe to hand to
+// Config.Passes.
+func PermutePasses(specs []string) [][]string {
 	if len(specs) == 0 {
 		return nil
 	}
 	var out [][]string
 	seen := map[string]bool{}
-	idx := make([]int, len(specs))
-	for i := range idx {
-		idx[i] = i
-	}
-	emit := func() bool {
+	for _, idx := range permutations(len(specs)) {
 		order := make([]string, len(idx))
 		for i, j := range idx {
 			order[i] = specs[j]
 		}
-		key := strings.Join(order, "\x00")
-		if !seen[key] {
+		if key := strings.Join(order, "\x00"); !seen[key] {
 			seen[key] = true
 			out = append(out, order)
 		}
-		return limit > 0 && len(out) >= limit
 	}
-	for {
-		if emit() {
-			return out
-		}
-		// Advance idx to the next lexicographic permutation.
-		i := len(idx) - 2
-		for i >= 0 && idx[i] >= idx[i+1] {
-			i--
-		}
-		if i < 0 {
-			return out
-		}
-		j := len(idx) - 1
-		for idx[j] <= idx[i] {
-			j--
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-		sort.Ints(idx[i+1:])
-	}
+	return out
 }
 
 // PassOrderGrid builds one microprocessor-regime configuration per pass
@@ -64,20 +39,6 @@ func PassOrderGrid(n int, orders [][]string) []Config {
 		space = append(space, Config{
 			N: n, Preset: core.MicroprocessorBlock, Passes: order,
 		})
-	}
-	return space
-}
-
-// PassOrderGridSources is PassOrderGrid over named sources instead of
-// the generator scale.
-func PassOrderGridSources(names []string, orders [][]string) []Config {
-	var space []Config
-	for _, name := range names {
-		for _, order := range orders {
-			space = append(space, Config{
-				Source: name, Preset: core.MicroprocessorBlock, Passes: order,
-			})
-		}
 	}
 	return space
 }

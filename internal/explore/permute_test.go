@@ -10,7 +10,7 @@ import (
 
 func TestPermutePasses(t *testing.T) {
 	specs := []string{"a", "b", "c"}
-	all := explore.PermutePasses(specs, 0)
+	all := explore.PermutePasses(specs)
 	if len(all) != 6 {
 		t.Fatalf("got %d permutations of 3 specs, want 6", len(all))
 	}
@@ -25,16 +25,11 @@ func TestPermutePasses(t *testing.T) {
 		t.Fatalf("permutations not distinct: %v", all)
 	}
 	// Deterministic across calls.
-	if !reflect.DeepEqual(all, explore.PermutePasses(specs, 0)) {
+	if !reflect.DeepEqual(all, explore.PermutePasses(specs)) {
 		t.Fatal("PermutePasses is not deterministic")
 	}
-	// Capped enumeration returns a prefix.
-	capped := explore.PermutePasses(specs, 4)
-	if !reflect.DeepEqual(capped, all[:4]) {
-		t.Fatalf("limit=4 returned %v, want prefix of full enumeration", capped)
-	}
 	// Duplicate specs de-duplicate.
-	dup := explore.PermutePasses([]string{"x", "x", "y"}, 0)
+	dup := explore.PermutePasses([]string{"x", "x", "y"})
 	if len(dup) != 3 {
 		t.Fatalf("got %d distinct orderings of [x x y], want 3", len(dup))
 	}
@@ -46,7 +41,7 @@ func TestPermutePasses(t *testing.T) {
 }
 
 func TestPassOrderGrid(t *testing.T) {
-	orders := explore.PermutePasses([]string{"inline", "dce"}, 0)
+	orders := explore.PermutePasses([]string{"inline", "dce"})
 	space := explore.PassOrderGrid(4, orders)
 	if len(space) != len(orders) {
 		t.Fatalf("got %d configs, want %d", len(space), len(orders))
@@ -60,13 +55,5 @@ func TestPassOrderGrid(t *testing.T) {
 			t.Fatalf("duplicate key for %q and %q", prev, c.String())
 		}
 		seen[c.Key()] = c.String()
-	}
-	named := explore.PassOrderGridSources([]string{"p", "q"}, orders)
-	if len(named) != 2*len(orders) {
-		t.Fatalf("got %d named configs, want %d", len(named), 2*len(orders))
-	}
-	if named[0].Source != "p" || named[len(named)-1].Source != "q" {
-		t.Fatalf("sources not threaded through: %q, %q",
-			named[0].Source, named[len(named)-1].Source)
 	}
 }

@@ -127,14 +127,17 @@ func TestSearchFindsGridBest(t *testing.T) {
 // with Evaluations bounded by the number of distinct configs it saw.
 func TestSearchRevisitsAreFree(t *testing.T) {
 	sp := explore.DefaultSpace(2)
-	sp.ToggleMotions = false // shrink: 24 orders × 2 unrolls × 2 chain = 96 distinct
+	// Shrink to speculate, unroll and constprop: over every enabled
+	// subset, its orders × 2 chain settings, × 2 unroll bounds when the
+	// unroll motion is on — 54 distinct configs.
+	sp.Motions = sp.Motions[:3]
 	res := explore.HillClimb{}.Search(context.Background(), &explore.Engine{}, sp,
 		explore.WeightedObjective(1000, 1), explore.Budget{MaxEvaluations: 500}, 2)
 	if res.Revisits == 0 {
 		t.Fatalf("restarted hill climb never revisited a candidate: %+v", res)
 	}
-	if res.Evaluations > 96 {
-		t.Fatalf("spent %d evaluations on a 96-config space", res.Evaluations)
+	if res.Evaluations > 54 {
+		t.Fatalf("spent %d evaluations on a 54-config space", res.Evaluations)
 	}
 	if res.Exhausted {
 		t.Fatalf("converged run marked exhausted: %+v", res)
@@ -147,12 +150,10 @@ func TestSearchRevisitsAreFree(t *testing.T) {
 // revisits forever.
 func TestSearchUnbudgetedTerminates(t *testing.T) {
 	sp := explore.Space{
-		Base:           explore.Config{N: 2, Preset: core.MicroprocessorBlock},
-		Prologue:       []string{"inline", "drop-uncalled"},
-		Motions:        []string{"constprop", "cse"},
-		Epilogue:       []string{"dce"},
-		ToggleMotions:  true,
-		ToggleChaining: true,
+		Base:     explore.Config{N: 2, Preset: core.MicroprocessorBlock},
+		Prologue: []string{"inline", "drop-uncalled"},
+		Motions:  []string{"constprop", "cse"},
+		Epilogue: []string{"dce"},
 	}
 	for _, st := range searchStrategies() {
 		res := st.Search(context.Background(), &explore.Engine{}, sp, explore.LatencyObjective(), explore.Budget{}, 4)

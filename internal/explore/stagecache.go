@@ -51,7 +51,11 @@ import (
 // round count; the backend blob is core's backend encoding itself, with
 // no wrapper or fingerprint. Both layouts changed, so a v6 blob would
 // mis-parse.
-const SchemaVersion = 7
+//
+// v8: the point blob (exppt/2) drops the config's fixpoint-round bound
+// and backend report scale, two knobs the engine no longer has, so a v7
+// point would mis-parse.
+const SchemaVersion = 8
 
 // Artifact kinds in the blob store.
 const (

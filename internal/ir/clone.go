@@ -87,23 +87,6 @@ func CloneBlock(b *Block, subst map[*Var]*Var) *Block {
 	return out
 }
 
-// CloneFunc deep-copies a function, giving it fresh Var objects so the copy
-// can be transformed independently.
-func CloneFunc(f *Func) *Func {
-	subst := make(map[*Var]*Var, len(f.Locals))
-	nf := &Func{Name: f.Name, Ret: f.Ret, tempCounter: f.tempCounter}
-	for _, v := range f.Locals {
-		c := *v
-		subst[v] = &c
-		nf.Locals = append(nf.Locals, &c)
-		if v.IsParam {
-			nf.Params = append(nf.Params, &c)
-		}
-	}
-	nf.Body = CloneBlock(f.Body, subst)
-	return nf
-}
-
 // CloneProgram deep-copies an entire program. Globals are cloned too, and
 // call targets are re-resolved against the cloned function set, so the copy
 // shares nothing with the original. Every synthesis run clones its input so

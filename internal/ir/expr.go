@@ -78,15 +78,6 @@ func (op BinOp) IsComparison() bool {
 // IsLogical reports whether op combines two booleans.
 func (op BinOp) IsLogical() bool { return op == OpLAnd || op == OpLOr }
 
-// IsCommutative reports whether op's operands may be exchanged.
-func (op BinOp) IsCommutative() bool {
-	switch op {
-	case OpAdd, OpMul, OpAnd, OpOr, OpXor, OpEq, OpNe, OpLAnd, OpLOr:
-		return true
-	}
-	return false
-}
-
 // UnOp enumerates unary operators.
 type UnOp int
 
@@ -316,12 +307,6 @@ func Sub(l, r Expr) *BinExpr { return Bin(OpSub, l, r) }
 // And returns l & r.
 func And(l, r Expr) *BinExpr { return Bin(OpAnd, l, r) }
 
-// Or returns l | r.
-func Or(l, r Expr) *BinExpr { return Bin(OpOr, l, r) }
-
-// Shr returns l >> r.
-func Shr(l, r Expr) *BinExpr { return Bin(OpShr, l, r) }
-
 // Shl returns l << r.
 func Shl(l, r Expr) *BinExpr { return Bin(OpShl, l, r) }
 
@@ -330,9 +315,6 @@ func Eq(l, r Expr) *BinExpr { return Bin(OpEq, l, r) }
 
 // Lt returns l < r.
 func Lt(l, r Expr) *BinExpr { return Bin(OpLt, l, r) }
-
-// Le returns l <= r.
-func Le(l, r Expr) *BinExpr { return Bin(OpLe, l, r) }
 
 // Call builds a call expression (unresolved; sema or the caller sets F).
 func Call(f *Func, args ...Expr) *CallExpr {

@@ -36,41 +36,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down. Nil-receiver safe.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds d (CAS loop; safe for concurrent adders).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a bounded-bucket histogram with cumulative Prometheus
 // semantics. Bucket bounds are fixed at creation. Nil-receiver safe.
 type Histogram struct {
@@ -129,14 +94,12 @@ var DefaultCycleBuckets = []float64{
 
 const (
 	typeCounter   = "counter"
-	typeGauge     = "gauge"
 	typeHistogram = "histogram"
 )
 
 type series struct {
 	labels string // canonical rendered label set, "" or `k="v",k2="v2"`
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -216,8 +179,6 @@ func (r *Registry) lookup(name, help, typ string, bounds []float64, labels []str
 		switch typ {
 		case typeCounter:
 			s.c = &Counter{}
-		case typeGauge:
-			s.g = &Gauge{}
 		case typeHistogram:
 			s.h = &Histogram{
 				bounds:  f.bounds,
@@ -236,14 +197,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 		return nil
 	}
 	return r.lookup(name, help, typeCounter, nil, labels).c
-}
-
-// Gauge returns the gauge series for name and labels.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, typeGauge, nil, labels).g
 }
 
 // Histogram returns the histogram series for name and labels. The
@@ -301,8 +254,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.typ {
 			case typeCounter:
 				fmt.Fprintf(&sb, "%s %d\n", seriesName(f.name, s.labels), s.c.Value())
-			case typeGauge:
-				fmt.Fprintf(&sb, "%s %s\n", seriesName(f.name, s.labels), formatFloat(s.g.Value()))
 			case typeHistogram:
 				var cum int64
 				for i, b := range s.h.bounds {
@@ -335,8 +286,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			switch f.typ {
 			case typeCounter:
 				out[seriesName(f.name, s.labels)] = float64(s.c.Value())
-			case typeGauge:
-				out[seriesName(f.name, s.labels)] = s.g.Value()
 			case typeHistogram:
 				out[seriesName(f.name+"_count", s.labels)] = float64(s.h.Count())
 				out[seriesName(f.name+"_sum", s.labels)] = s.h.Sum()

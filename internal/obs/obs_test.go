@@ -110,7 +110,6 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_total", "A counter.", "kind", "a").Add(3)
 	r.Counter("test_total", "A counter.", "kind", "b").Inc()
-	r.Gauge("test_gauge", "A gauge.").Set(2.5)
 	h := r.Histogram("test_seconds", "A histogram.", []float64{0.1, 1})
 	h.Observe(0.25)
 	h.Observe(0.5)
@@ -126,8 +125,6 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 		"# TYPE test_total counter",
 		`test_total{kind="a"} 3`,
 		`test_total{kind="b"} 1`,
-		"# TYPE test_gauge gauge",
-		"test_gauge 2.5",
 		"# TYPE test_seconds histogram",
 		`test_seconds_bucket{le="0.1"} 0`,
 		`test_seconds_bucket{le="1"} 2`,
@@ -140,7 +137,7 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 		}
 	}
 	// Families render in sorted order.
-	if strings.Index(out, "test_gauge") > strings.Index(out, "test_total") {
+	if strings.Index(out, "test_seconds") > strings.Index(out, "test_total") {
 		t.Error("families not sorted by name")
 	}
 }
@@ -179,17 +176,14 @@ func TestRegistrySnapshot(t *testing.T) {
 
 func TestNilMetricsAreInert(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var r *Registry
 	c.Inc()
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics accumulated values")
 	}
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Histogram("x", "", nil) != nil {
 		t.Fatal("nil registry returned metrics")
 	}
 	if r.Snapshot() != nil {

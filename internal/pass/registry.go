@@ -2,41 +2,38 @@ package pass
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sparkgo/internal/transform"
 )
 
-// Factory constructs a pass from space-separated spec arguments, e.g. the
+// factory constructs a pass from space-separated spec arguments, e.g. the
 // "unroll" factory receives ["all", "full"] for the spec "unroll all full".
-type Factory func(args []string) (transform.Pass, error)
+type factory func(args []string) (transform.Pass, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register adds a named factory. Registering an existing name replaces it
-// (aliases register the same factory under several names).
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = f
-}
-
-// Names returns every registered pass name, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// registry maps each pass name in the synthesis-script grammar to its
+// factory; aliases share a factory.
+var registry = map[string]factory{
+	"normalize-while": noArgs(transform.NormalizeWhile),
+	"normalize":       noArgs(transform.NormalizeWhile),
+	"inline": func(args []string) (transform.Pass, error) {
+		if len(args) == 0 {
+			return transform.Inline(nil), nil
+		}
+		return transform.Inline(args), nil
+	},
+	"drop-uncalled": noArgs(transform.DropUncalledFuncs),
+	"speculate":     noArgs(transform.Speculate),
+	"unroll":        buildUnroll,
+	"constprop":     noArgs(transform.ConstProp),
+	"const-prop":    noArgs(transform.ConstProp),
+	"constfold":     noArgs(transform.ConstFold),
+	"const-fold":    noArgs(transform.ConstFold),
+	"copyprop":      noArgs(transform.CopyProp),
+	"copy-prop":     noArgs(transform.CopyProp),
+	"cse":           noArgs(transform.CSE),
+	"dce":           noArgs(transform.DCE),
 }
 
 // Build constructs one pass from a spec string: a pass name followed by
@@ -47,9 +44,7 @@ func Build(spec string) (transform.Pass, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("pass: empty spec")
 	}
-	regMu.RLock()
 	f, ok := registry[fields[0]]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("pass: unknown pass %q", fields[0])
 	}
@@ -73,7 +68,7 @@ func BuildAll(specs []string) ([]transform.Pass, error) {
 	return out, nil
 }
 
-func noArgs(name string, mk func() transform.Pass) Factory {
+func noArgs(mk func() transform.Pass) factory {
 	return func(args []string) (transform.Pass, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("takes no arguments, got %v", args)
@@ -117,29 +112,4 @@ func buildUnroll(args []string) (transform.Pass, error) {
 		return nil, fmt.Errorf("partial unroll needs a loop label")
 	}
 	return transform.UnrollBy(label, factor), nil
-}
-
-func init() {
-	Register("normalize-while", noArgs("normalize-while", transform.NormalizeWhile))
-	Register("normalize", noArgs("normalize", transform.NormalizeWhile))
-	Register("inline", func(args []string) (transform.Pass, error) {
-		if len(args) == 0 {
-			return transform.Inline(nil), nil
-		}
-		return transform.Inline(args), nil
-	})
-	Register("drop-uncalled", noArgs("drop-uncalled", transform.DropUncalledFuncs))
-	Register("speculate", noArgs("speculate", transform.Speculate))
-	Register("unroll", buildUnroll)
-	for _, alias := range []string{"constprop", "const-prop"} {
-		Register(alias, noArgs(alias, transform.ConstProp))
-	}
-	for _, alias := range []string{"constfold", "const-fold"} {
-		Register(alias, noArgs(alias, transform.ConstFold))
-	}
-	for _, alias := range []string{"copyprop", "copy-prop"} {
-		Register(alias, noArgs(alias, transform.CopyProp))
-	}
-	Register("cse", noArgs("cse", transform.CSE))
-	Register("dce", noArgs("dce", transform.DCE))
 }

@@ -94,9 +94,6 @@ func (p *Program) NewBatch(lanes int) *Batch {
 	return b
 }
 
-// Lanes returns the batch width.
-func (b *Batch) Lanes() int { return b.lanes }
-
 // Reset returns every lane to reset state: registers at their reset
 // values, the FSM at state 0, cycle counters and errors cleared. Inputs
 // keep their values, matching Sim.Reset. Reset does not allocate.

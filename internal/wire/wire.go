@@ -101,14 +101,6 @@ func (e *Encoder) Ints(v []int) {
 	}
 }
 
-// Float64s writes a length-prefixed []float64.
-func (e *Encoder) Float64s(v []float64) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.Float64(x)
-	}
-}
-
 // Tag writes a format tag (a versioned string like "irprog/1") the
 // decoder checks before reading anything else.
 func (e *Encoder) Tag(s string) { e.String(s) }
@@ -299,20 +291,6 @@ func (d *Decoder) Ints() []int {
 	out := make([]int, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.Int())
-	}
-	return out
-}
-
-// Float64s reads a length-prefixed []float64, returning nil for an
-// empty list.
-func (d *Decoder) Float64s() []float64 {
-	n := d.Len(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.Float64())
 	}
 	return out
 }
