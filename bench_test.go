@@ -18,6 +18,7 @@
 //	BenchmarkAblation_*                A1-A4 coordination ablations
 //	BenchmarkExploration               E15  full design-space sweep
 //	BenchmarkSynthesizeILD/n=*         end-to-end synthesis timing sweep
+//	BenchmarkFrontendILD/n=*           the frontend's fixpoint on the ILD
 //	BenchmarkFrontendDepth/*           frontend scaling with program depth
 //	BenchmarkSynthesizeDepth/*         full-flow scaling with program depth
 //	BenchmarkRTLSimILD                 simulated decode throughput
@@ -161,6 +162,23 @@ func BenchmarkSynthesizeILD(b *testing.B) {
 				}
 				if res.Cycles != 1 {
 					b.Fatalf("n=%d: %d cycles", n, res.Cycles)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrontendILD times the frontend alone (core.Frontend: the pass
+// fixpoint, without scheduling or RTL) on the ILD under the
+// microprocessor preset. Run with -benchmem.
+func BenchmarkFrontendILD(b *testing.B) {
+	fo := core.Options{Preset: core.MicroprocessorBlock}.FrontendOptions()
+	for _, n := range []int{16, 32, 64} {
+		p := ild.Program(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := core.Frontend(p, fo); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -32,6 +32,7 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -164,8 +165,16 @@ func (s *Store) Get(kind, key string) ([]byte, bool, error) {
 // alone.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	path := s.path(kind, key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
+	dir := filepath.Dir(path)
+	// One mkdir for the fan-out directory; only a store whose kind
+	// directory is missing too pays for MkdirAll's walk.
+	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+		if !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("cache: %w", err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("cache: %w", err)
+		}
 	}
 	sum := sha256.Sum256(payload)
 	e := wire.NewEncoder(64 + len(kind) + len(key) + len(payload))
@@ -175,11 +184,16 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	e.String(key)
 	e.Raw(sum[:])
 	e.Bytes(payload)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	renamed := false
+	defer func() {
+		if !renamed {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(e.Data()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cache: %s/%s: write: %w", kind, key, err)
@@ -190,6 +204,7 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
+	renamed = true
 	return nil
 }
 

@@ -772,3 +772,106 @@ func TestStoreStatsCounters(t *testing.T) {
 		t.Fatalf("corruption not counted: %+v", st)
 	}
 }
+
+// storeFiles lists the regular files under root, relative to it.
+func storeFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		out = append(out, rel)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPutIntoFreshStore: the first put of a kind creates the kind and
+// fan-out directories, and every put leaves exactly its artifact behind,
+// no temp file.
+func TestPutIntoFreshStore(t *testing.T) {
+	s, err := cache.Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		if err := s.Put("midend", k, payloadFor(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := storeFiles(t, s.Root())
+	if len(files) != len(keys) {
+		t.Fatalf("store holds %v, want %d artifacts", files, len(keys))
+	}
+	for _, f := range files {
+		if !strings.HasPrefix(f, "midend"+string(filepath.Separator)) || !strings.HasSuffix(f, ".art") {
+			t.Errorf("unexpected file %s", f)
+		}
+	}
+	for _, k := range keys {
+		if got, ok, err := s.Get("midend", k); err != nil || !ok || !bytes.Equal(got, payloadFor(k)) {
+			t.Fatalf("Get(%s) = %q, %v, %v", k, got, ok, err)
+		}
+	}
+}
+
+// TestPutAfterKindDirRemoved: a put recreates the whole path when the
+// kind directory was deleted underneath the store.
+func TestPutAfterKindDirRemoved(t *testing.T) {
+	s, err := cache.Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("backend", "k", payloadFor("k")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(s.Root(), "backend")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("backend", "k", payloadFor("k")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get("backend", "k"); err != nil || !ok || !bytes.Equal(got, payloadFor("k")) {
+		t.Fatalf("Get = %q, %v, %v", got, ok, err)
+	}
+	if files := storeFiles(t, s.Root()); len(files) != 1 {
+		t.Fatalf("store holds %v, want one artifact", files)
+	}
+}
+
+// TestFailedPutRemovesTempFile: a put whose rename fails reports the
+// error and leaves no temp file behind.
+func TestFailedPutRemovesTempFile(t *testing.T) {
+	s, err := cache.Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("point", "k", payloadFor("k")); err != nil {
+		t.Fatal(err)
+	}
+	files := storeFiles(t, s.Root())
+	if len(files) != 1 {
+		t.Fatalf("store holds %v, want one artifact", files)
+	}
+	// A non-empty directory where the artifact goes makes the rename fail.
+	art := filepath.Join(s.Root(), files[0])
+	if err := os.Remove(art); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(art, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("point", "k", payloadFor("k")); err == nil {
+		t.Fatal("Put over a directory succeeded")
+	}
+	if entries, err := os.ReadDir(filepath.Dir(art)); err != nil || len(entries) != 1 {
+		t.Fatalf("fan-out directory holds %v (%v), want only the blocking directory", entries, err)
+	}
+}

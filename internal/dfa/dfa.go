@@ -21,7 +21,7 @@ import (
 )
 
 // EdgeKind classifies dependence edges.
-type EdgeKind int
+type EdgeKind uint8
 
 const (
 	// Flow: the successor reads a value the predecessor writes.
@@ -49,25 +49,29 @@ func (k EdgeKind) String() string {
 	return "?"
 }
 
-// Edge is one dependence: From must complete before (or chain into) To.
+// Edge is one dependence into the op whose Preds list holds it: the op
+// with ID From must complete before (or chain into) that op. Large
+// graphs hold over 100,000 edges and are the midend's peak memory, so an
+// edge takes 8 bytes: the successor is implied by the list, the
+// predecessor is stored as an ID, and the storage mediating the
+// dependence is read off the ops (Graph.Var).
 type Edge struct {
-	From, To *htg.Op
-	Kind     EdgeKind
-	// Var is the storage mediating the dependence (condition var for
-	// Guard edges).
-	Var *ir.Var
+	From int32
+	Kind EdgeKind
 }
 
 // Graph is the dependence graph over a set of operations in program order.
-// Preds and Succs are indexed by op ID: Preds[op.ID] lists the edges into
-// op in the order Build found them, and Succs[op.ID] the successor at the
-// end of each edge out of it, in the same order: each edge is stored once,
-// and a successor joined by edges of several kinds is listed once per
-// edge. Both have one entry per ID up to the largest in Ops; an ID with no
-// op has empty lists.
+// Preds, Succs and ByID are indexed by op ID: Preds[id] lists the edges
+// into op id in the order Build found them, and Succs[id] the ID of the
+// successor at the end of each edge out of it, in the same order: each
+// edge is stored once, and a successor joined by edges of several kinds
+// is listed once per edge. ByID[id] is the op with that ID. All three
+// have one entry per ID up to the largest in Ops; an ID with no op has
+// empty lists and a nil op.
 type Graph struct {
 	Ops   []*htg.Op
-	Succs [][]*htg.Op
+	ByID  []*htg.Op
+	Succs [][]int32
 	Preds [][]Edge
 }
 
@@ -80,7 +84,7 @@ func Build(ops []*htg.Op) *Graph {
 	for _, op := range ops {
 		n = max(n, op.ID+1)
 	}
-	g := &Graph{Ops: ops, Preds: make([][]Edge, n)}
+	g := &Graph{Ops: ops, ByID: make([]*htg.Op, n), Preds: make([][]Edge, n)}
 
 	// Every edge ends at the op being scanned, so in collects that op's
 	// predecessors, which are stored exact-size once its scan ends. Large
@@ -94,13 +98,13 @@ func Build(ops []*htg.Op) *Graph {
 		stamp[k] = make([]int, n)
 	}
 	outDeg, edges := make([]int, n), 0
-	addEdge := func(from, to *htg.Op, kind EdgeKind, v *ir.Var) {
+	addEdge := func(from, to *htg.Op, kind EdgeKind) {
 		if from == to || stamp[kind][from.ID] == to.ID+1 {
 			return
 		}
 		stamp[kind][from.ID] = to.ID + 1
 		outDeg[from.ID]++
-		in = append(in, Edge{From: from, To: to, Kind: kind, Var: v})
+		in = append(in, Edge{From: int32(from.ID), Kind: kind})
 	}
 
 	// Per-variable def/use bookkeeping, scanning in program order.
@@ -118,6 +122,7 @@ func Build(ops []*htg.Op) *Graph {
 	}
 
 	for _, op := range ops {
+		g.ByID[op.ID] = op
 		// Guard dependences: the op needs its path conditions — and it
 		// READS them, so later writers of a condition variable must be
 		// anti-ordered after this op (a stale guard would otherwise
@@ -125,7 +130,7 @@ func Build(ops []*htg.Op) *Graph {
 		// several cycles).
 		for _, gt := range op.BB.Guard {
 			for _, d := range lastDefs[gt.Cond] {
-				addEdge(d, op, Guard, gt.Cond)
+				addEdge(d, op, Guard)
 			}
 			lastReads[gt.Cond] = append(lastReads[gt.Cond], op)
 		}
@@ -141,7 +146,7 @@ func Build(ops []*htg.Op) *Graph {
 					// this load.
 					continue
 				}
-				addEdge(d, op, Flow, v)
+				addEdge(d, op, Flow)
 			}
 			lastReads[v] = append(lastReads[v], op)
 		}
@@ -158,7 +163,7 @@ func Build(ops []*htg.Op) *Graph {
 					distinctConstElems(r, op) {
 					continue
 				}
-				addEdge(r, op, Anti, w)
+				addEdge(r, op, Anti)
 			}
 			// kept reuses defs' array: it is written only behind
 			// the loop's read position.
@@ -177,7 +182,7 @@ func Build(ops []*htg.Op) *Graph {
 					kept = append(kept, d)
 					continue
 				}
-				addEdge(d, op, Output, w)
+				addEdge(d, op, Output)
 				// A killed def stops reaching later readers only
 				// when the new write covers it: scalar writes whose
 				// guard set is implied by the old def's guards.
@@ -205,17 +210,27 @@ func Build(ops []*htg.Op) *Graph {
 	}
 	// Fill each successor list in the order the edges were found. The
 	// lists share one backing array.
-	all := make([]*htg.Op, edges)
-	g.Succs = make([][]*htg.Op, n)
+	all := make([]int32, edges)
+	g.Succs = make([][]int32, n)
 	for id, k := range outDeg {
 		g.Succs[id], all = all[:0:k], all[k:]
 	}
 	for _, op := range ops {
 		for _, e := range g.Preds[op.ID] {
-			g.Succs[e.From.ID] = append(g.Succs[e.From.ID], op)
+			g.Succs[e.From] = append(g.Succs[e.From], int32(op.ID))
 		}
 	}
 	return g
+}
+
+// Var returns the storage mediating edge e into op to: the variable the
+// predecessor writes for Flow and Guard edges (the condition, for
+// Guard), and the one to overwrites for Anti and Output edges.
+func (g *Graph) Var(to *htg.Op, e Edge) *ir.Var {
+	if e.Kind == Anti || e.Kind == Output {
+		return to.Writes()
+	}
+	return g.ByID[e.From].Writes()
 }
 
 // guardsCover reports whether guard set a implies b (b is a prefix of a:
@@ -245,7 +260,7 @@ func (g *Graph) CriticalPathLength() int {
 		d := 0
 		for _, e := range g.Preds[op.ID] {
 			if e.Kind == Flow || e.Kind == Guard {
-				d = max(d, depth[e.From.ID]+1)
+				d = max(d, depth[e.From]+1)
 			}
 		}
 		depth[op.ID] = d

@@ -1,10 +1,13 @@
 package dfa_test
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"sparkgo/internal/dfa"
 	"sparkgo/internal/htg"
+	"sparkgo/internal/ir"
 	"sparkgo/internal/parser"
 	"sparkgo/internal/transform"
 )
@@ -33,7 +36,7 @@ func findOp(g *htg.Graph, pred func(*htg.Op) bool) *htg.Op {
 
 func hasEdge(d *dfa.Graph, from, to *htg.Op, kind dfa.EdgeKind) bool {
 	for _, e := range d.Preds[to.ID] {
-		if e.From == from && e.Kind == kind {
+		if int(e.From) == from.ID && e.Kind == kind {
 			return true
 		}
 	}
@@ -243,10 +246,75 @@ void main() {
 	d := dfa.Build(g.AllOps())
 	for _, op := range d.Ops {
 		for _, e := range d.Preds[op.ID] {
-			if e.From.ID >= e.To.ID {
+			if int(e.From) >= op.ID {
 				t.Errorf("edge not forward in program order: #%d -> #%d (%v)",
-					e.From.ID, e.To.ID, e.Kind)
+					e.From, op.ID, e.Kind)
 			}
 		}
+	}
+}
+
+// TestEdgeVar checks Graph.Var against each edge kind's definition: the
+// storage a flow or guard edge carries is the predecessor's write and is
+// read by the successor (as a guard condition, for Guard), and an anti or
+// output edge orders a write of the successor after the predecessor's
+// read or write of the same storage.
+func TestEdgeVar(t *testing.T) {
+	g := lower(t, `
+uint8 a;
+uint8 b;
+uint8 out;
+void main() {
+  uint8 t;
+  t = a + 1;
+  if (t > 2) {
+    out = t;
+  }
+  t = b;
+  if (t > 3) {
+    out = t + 1;
+  }
+}
+`)
+	d := dfa.Build(g.AllOps())
+	reads := func(op *htg.Op, v *ir.Var) bool {
+		if slices.Contains(op.Reads(), v) {
+			return true
+		}
+		for _, gt := range op.BB.Guard {
+			if gt.Cond == v {
+				return true
+			}
+		}
+		return false
+	}
+	seen := map[dfa.EdgeKind]bool{}
+	for _, to := range d.Ops {
+		for _, e := range d.Preds[to.ID] {
+			from, v := d.ByID[e.From], d.Var(to, e)
+			seen[e.Kind] = true
+			ok := false
+			switch e.Kind {
+			case dfa.Flow, dfa.Guard:
+				ok = v == from.Writes() && reads(to, v)
+			case dfa.Anti:
+				ok = v == to.Writes() && reads(from, v)
+			case dfa.Output:
+				ok = v == to.Writes() && v == from.Writes()
+			}
+			if v == nil || !ok {
+				t.Errorf("%v edge %s -> %s: Var = %v", e.Kind, from, to, v)
+			}
+		}
+	}
+	for _, k := range []dfa.EdgeKind{dfa.Flow, dfa.Anti, dfa.Output, dfa.Guard} {
+		if !seen[k] {
+			t.Errorf("no %v edge in the test program", k)
+		}
+	}
+	// Large graphs hold over 100,000 edges; the midend's peak memory
+	// depends on an edge staying two words of four bytes.
+	if size := unsafe.Sizeof(dfa.Edge{}); size != 8 {
+		t.Errorf("dfa.Edge takes %d bytes, want 8", size)
 	}
 }

@@ -23,6 +23,12 @@ type Var struct {
 	// Synthetic marks compiler-generated temporaries (speculation temps,
 	// inlining copies, wire variables).
 	Synthetic bool
+	// ID is the dense number Func.NumberVars gives the variable for one
+	// pass over a function, so the pass can keep its per-variable facts
+	// in slices. It means nothing outside that pass: clones, decoded
+	// programs and hand-built IR carry whatever ID they were given last.
+	// An int32 keeps a Var in a 32-byte allocation.
+	ID int32
 }
 
 func (v *Var) String() string { return v.Name }

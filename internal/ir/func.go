@@ -24,6 +24,9 @@ type Func struct {
 	// length of Locals rebuilds it.
 	names map[string]*Var
 	named int
+	// nvars is the ID AddLocal gives the next local: NumberVars' count
+	// plus the locals added since.
+	nvars int
 }
 
 // NewFunc constructs an empty function.
@@ -42,8 +45,11 @@ func (f *Func) NewLocal(name string, t *Type) *Var {
 	return v
 }
 
-// AddLocal appends v to f's locals.
+// AddLocal appends v to f's locals and numbers it after the variables
+// NumberVars numbered.
 func (f *Func) AddLocal(v *Var) {
+	v.ID = int32(f.nvars)
+	f.nvars++
 	f.Locals = append(f.Locals, v)
 	if f.names != nil && f.named == len(f.Locals)-1 {
 		if _, dup := f.names[v.Name]; !dup {
@@ -51,6 +57,24 @@ func (f *Func) AddLocal(v *Var) {
 		}
 		f.named++
 	}
+}
+
+// NumberVars gives every variable f can reference a dense ID for a pass
+// over f: the globals get 0..len(globals)-1 and f's locals follow in
+// order. Locals added later by AddLocal continue the numbering. It
+// returns the number of IDs given. A pass calls it before it reads any
+// ID, so IDs left by an earlier pass, a clone or a decoder never count.
+func (f *Func) NumberVars(globals []*Var) int {
+	for i, g := range globals {
+		g.ID = int32(i)
+	}
+	n := len(globals)
+	for _, v := range f.Locals {
+		v.ID = int32(n)
+		n++
+	}
+	f.nvars = n
+	return n
 }
 
 // SetLocals replaces f's locals with vs.

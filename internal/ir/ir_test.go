@@ -342,3 +342,30 @@ func TestValidateNameIndex(t *testing.T) {
 		t.Error("index holding a name no local has validated")
 	}
 }
+
+// TestIntTypesAreInterned: Int and UInt return one shared *Type per
+// signedness and width, and never the same one for different types.
+func TestIntTypesAreInterned(t *testing.T) {
+	seen := map[*Type]string{}
+	for bits := 1; bits <= 64; bits++ {
+		for _, c := range []struct {
+			make func(int) *Type
+			name string
+		}{{Int, "int"}, {UInt, "uint"}} {
+			ty := c.make(bits)
+			if again := c.make(bits); again != ty {
+				t.Fatalf("%s%d: two calls returned two types", c.name, bits)
+			}
+			if ty.Kind != KindInt || ty.Bits != bits || ty.Signed != (c.name == "int") {
+				t.Fatalf("%s%d = %+v", c.name, bits, ty)
+			}
+			if prev, dup := seen[ty]; dup {
+				t.Fatalf("%s and %s share one *Type", prev, ty)
+			}
+			seen[ty] = ty.String()
+		}
+	}
+	if U8 != UInt(8) || I32 != Int(32) || USizeT != U16 {
+		t.Error("the predeclared integer types are not the interned ones")
+	}
+}

@@ -71,12 +71,22 @@ var (
 	USizeT = UInt(16) // index arithmetic width used by generated code
 )
 
+// intTypes holds the one *Type of each integer type, indexed by
+// signedness and width, so that Int and UInt allocate nothing.
+var intTypes = func() (t [2][65]*Type) {
+	for bits := 1; bits <= 64; bits++ {
+		t[0][bits] = &Type{Kind: KindInt, Bits: bits}
+		t[1][bits] = &Type{Kind: KindInt, Bits: bits, Signed: true}
+	}
+	return t
+}()
+
 // Int returns the signed integer type with the given bit width.
 func Int(bits int) *Type {
 	if bits < 1 || bits > 64 {
 		panic(fmt.Sprintf("ir.Int: invalid width %d", bits))
 	}
-	return &Type{Kind: KindInt, Bits: bits, Signed: true}
+	return intTypes[1][bits]
 }
 
 // UInt returns the unsigned integer type with the given bit width.
@@ -84,7 +94,7 @@ func UInt(bits int) *Type {
 	if bits < 1 || bits > 64 {
 		panic(fmt.Sprintf("ir.UInt: invalid width %d", bits))
 	}
-	return &Type{Kind: KindInt, Bits: bits, Signed: false}
+	return intTypes[0][bits]
 }
 
 // Array returns the array type with the given element type and length.

@@ -344,6 +344,7 @@ func compileProgram(m *rtl.Module, bitSliced bool) *Program {
 			}
 		}
 	}
+	p.insns = make([]insn, 0, len(m.Gates))
 	for _, g := range m.Gates {
 		p.insns = append(p.insns, p.lowerGate(g, at))
 	}

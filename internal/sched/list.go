@@ -107,8 +107,8 @@ func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first,
 	// waiting counts each op's unplaced predecessors among ops.
 	for i := len(ops) - 1; i >= 0; i-- {
 		best := 0.0
-		for _, succ := range s.deps.Succs[ops[i].ID] {
-			if to := succ.ID; inRun[to] == s.run {
+		for _, to := range s.deps.Succs[ops[i].ID] {
+			if inRun[to] == s.run {
 				best = max(best, prio[to])
 				waiting[to]++
 			}
@@ -143,11 +143,11 @@ func (s *scheduler) list(region htg.Node, ops []*htg.Op, reentrant bool) (first,
 			}
 			placed = true
 			left--
-			for _, succ := range s.deps.Succs[op.ID] {
-				if to := succ.ID; inRun[to] == s.run {
+			for _, to := range s.deps.Succs[op.ID] {
+				if inRun[to] == s.run {
 					waiting[to]--
 					if waiting[to] == 0 {
-						next = append(next, succ)
+						next = append(next, s.deps.ByID[to])
 					}
 				}
 			}
@@ -220,12 +220,12 @@ func (s *scheduler) timing(op *htg.Op, st int) (arr, fin float64) {
 		if e.Kind == dfa.Anti || e.Kind == dfa.Output {
 			continue // ordering only: no value flows
 		}
-		if s.res.OpState[e.From.ID] != st {
+		if s.res.OpState[e.From] != st {
 			continue
 		}
-		f := s.res.Finish[e.From.ID]
+		f := s.res.Finish[e.From]
 		if chain {
-			if v := e.Var; v != nil && !slices.Contains(seen, v) {
+			if v := s.deps.Var(op, e); v != nil && !slices.Contains(seen, v) {
 				seen = append(seen, v)
 				if n := s.guarded[varState{v, st}]; n > 0 {
 					f += m.MuxDelay(n + 1)

@@ -98,7 +98,7 @@ func flowEdges(g *htg.Graph) []edge {
 	deps := dfa.Build(g.AllOps())
 	for _, op := range deps.Ops {
 		for _, e := range deps.Preds[op.ID] {
-			out = append(out, edge{e.From, e.To})
+			out = append(out, edge{deps.ByID[e.From], op})
 		}
 	}
 	return out

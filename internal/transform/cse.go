@@ -1,8 +1,6 @@
 package transform
 
 import (
-	"hash/maphash"
-
 	"sparkgo/internal/ir"
 )
 
@@ -21,7 +19,8 @@ func CSE() Pass {
 	return PassFunc{PassName: "cse", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			c := cse{avail: newScoped[uint64, *available](), stamps: newScoped[*ir.Var, int]()}
+			n := f.NumberVars(p.Globals)
+			c := cse{avail: newScoped[uint64, *available](), stamps: newVarScoped[int](n)}
 			if c.block(f.Body) {
 				changed = true
 			}
@@ -33,12 +32,13 @@ func CSE() Pass {
 // cse is one function walk. Writes are not applied to the available
 // expressions; each bumps the written variable's stamp instead, and a
 // lookup accepts an entry only if nothing it depends on has been written
-// since it was made. A call bumps the stamp of anyGlobalMarker. Branches
-// and loop bodies are scopes of both tables, so what they make available
-// and the stamps they bump are rolled back on exit.
+// since it was made. A call stamps called. Branches and loop bodies are
+// scopes of both tables and of called, so what they make available and
+// the stamps they bump are rolled back on exit.
 type cse struct {
 	avail  scoped[uint64, *available] // structural hash -> entries, newest first
-	stamps scoped[*ir.Var, int]       // when each variable was last written
+	stamps varScoped[int]             // when each variable was last written
+	called int                        // when a call last wrote any global
 	now    int
 	// written holds the variables the branches of the ifs being walked
 	// wrote, to be killed after each if.
@@ -60,7 +60,10 @@ func (c *cse) kill(v *ir.Var) {
 }
 
 // clobberGlobals records a call, which may write any global.
-func (c *cse) clobberGlobals() { c.kill(anyGlobalMarker) }
+func (c *cse) clobberGlobals() {
+	c.now++
+	c.called = c.now
+}
 
 func (c *cse) stamp(v *ir.Var) int {
 	t, _ := c.stamps.get(v)
@@ -87,7 +90,7 @@ func (c *cse) find(h uint64, e ir.Expr) *available {
 // global, anything a call may write.
 func (c *cse) fresh(a *available) bool {
 	written := func(v *ir.Var) bool {
-		return c.stamp(v) > a.at || v.IsGlobal && c.stamp(anyGlobalMarker) > a.at
+		return c.stamp(v) > a.at || v.IsGlobal && c.called > a.at
 	}
 	return !written(a.holder) && !anyRead(a.expr, written)
 }
@@ -138,27 +141,29 @@ func (c *cse) block(b *ir.Block) bool {
 // branches walks each branch of x in its own scope. Afterwards, what
 // either branch wrote is killed: the conservative join.
 func (c *cse) branches(x *ir.IfStmt) bool {
-	changed := false
+	changed, calls := false, false
 	base := len(c.written)
 	for _, br := range [...]*ir.Block{x.Then, x.Else} {
 		if br == nil {
 			continue
 		}
-		c.avail.push()
-		c.stamps.push()
+		called := c.push()
 		if c.block(br) {
 			changed = true
 		}
 		for _, ch := range c.stamps.touched() {
 			c.written = append(c.written, ch.k)
 		}
-		c.stamps.pop()
-		c.avail.pop()
+		calls = calls || c.called != called
+		c.pop(called)
 	}
 	for _, v := range c.written[base:] {
 		c.kill(v)
 	}
 	c.written = c.written[:base]
+	if calls {
+		c.clobberGlobals()
+	}
 	return changed
 }
 
@@ -166,12 +171,24 @@ func (c *cse) branches(x *ir.IfStmt) bool {
 // subexpressions in its body, in a scope, with what survives.
 func (c *cse) loop(loop ir.Stmt, body *ir.Block) bool {
 	killWritten(c, []ir.Stmt{loop})
+	called := c.push()
+	changed := c.block(body)
+	c.pop(called)
+	return changed
+}
+
+// push opens a scope and returns what pop needs to close it.
+func (c *cse) push() (called int) {
 	c.avail.push()
 	c.stamps.push()
-	changed := c.block(body)
+	return c.called
+}
+
+// pop closes the innermost scope.
+func (c *cse) pop(called int) {
 	c.stamps.pop()
 	c.avail.pop()
-	return changed
+	c.called = called
 }
 
 // assign replaces the right-hand side of x with a copy when an equal
@@ -217,33 +234,40 @@ func isNontrivial(e ir.Expr) bool {
 
 // anyRead reports whether pred holds for a variable or array e reads.
 func anyRead(e ir.Expr, pred func(*ir.Var) bool) bool {
-	found := false
-	ir.WalkExpr(e, func(x ir.Expr) bool {
-		switch y := x.(type) {
-		case *ir.VarExpr:
-			found = found || pred(y.V)
-		case *ir.IndexExpr:
-			found = found || pred(y.Arr)
+	switch x := e.(type) {
+	case *ir.VarExpr:
+		return pred(x.V)
+	case *ir.IndexExpr:
+		return pred(x.Arr) || anyRead(x.Index, pred)
+	case *ir.BinExpr:
+		return anyRead(x.L, pred) || anyRead(x.R, pred)
+	case *ir.UnExpr:
+		return anyRead(x.X, pred)
+	case *ir.CastExpr:
+		return anyRead(x.X, pred)
+	case *ir.SelExpr:
+		return anyRead(x.Cond, pred) || anyRead(x.Then, pred) || anyRead(x.Else, pred)
+	case *ir.CallExpr:
+		for _, a := range x.Args {
+			if anyRead(a, pred) {
+				return true
+			}
 		}
-		return !found
-	})
-	return found
+	}
+	return false
 }
 
-// varSeed hashes variables by identity.
-var varSeed = maphash.MakeSeed()
-
 // hashExpr is a structural hash of a pure expression: operators, types,
-// constant values and variable identities. Expressions exprEqual accepts
-// hash alike.
+// constant values and variable IDs. Expressions exprEqual accepts hash
+// alike, since the variables of the function walked are numbered.
 func hashExpr(e ir.Expr) uint64 {
 	switch x := e.(type) {
 	case *ir.ConstExpr:
 		return mix(mix(1, hashType(x.Typ)), uint64(x.Val))
 	case *ir.VarExpr:
-		return mix(2, maphash.Comparable(varSeed, x.V))
+		return mix(2, uint64(x.V.ID))
 	case *ir.IndexExpr:
-		return mix(mix(3, maphash.Comparable(varSeed, x.Arr)), hashExpr(x.Index))
+		return mix(mix(3, uint64(x.Arr.ID)), hashExpr(x.Index))
 	case *ir.BinExpr:
 		h := mix(mix(4, uint64(x.Op)), hashType(x.Typ))
 		return mix(mix(h, hashExpr(x.L)), hashExpr(x.R))

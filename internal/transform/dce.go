@@ -1,7 +1,7 @@
 package transform
 
 import (
-	"maps"
+	"slices"
 
 	"sparkgo/internal/ir"
 )
@@ -20,9 +20,10 @@ func DCE() Pass {
 	return PassFunc{PassName: "dce", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			d := &dce{globals: p.Globals}
+			n := f.NumberVars(p.Globals)
+			d := &dce{globals: len(p.Globals), words: (n + 63) / 64}
 			f.Body.Stmts = d.block(f.Body.Stmts, d.exitLive(), true)
-			if pruneLocals(f) || d.changed {
+			if pruneLocals(f, d.words) || d.changed {
 				changed = true
 			}
 		}
@@ -30,46 +31,44 @@ func DCE() Pass {
 	}}
 }
 
-type liveSet map[*ir.Var]bool
-
-// addAll adds o to l and reports whether l grew.
-func (l liveSet) addAll(o liveSet) bool {
-	grew := false
-	for k := range o {
-		if !l[k] {
-			l[k] = true
-			grew = true
-		}
-	}
-	return grew
-}
-
 // dce is one backward liveness walk over a function. Without sweep it
 // only computes liveness; with sweep it also removes what is dead.
 type dce struct {
-	globals []*ir.Var
+	globals int // the globals are the variables numbered below this
+	words   int // the length of every live set
+	free    []varSet
 	changed bool
 }
 
 // exitLive is the liveness at function exit: every global (the outside
 // world observes them).
-func (d *dce) exitLive() liveSet {
-	l := liveSet{}
-	d.addGlobals(l)
+func (d *dce) exitLive() varSet {
+	l := make(varSet, d.words)
+	l.addFirst(d.globals)
 	return l
 }
 
-func (d *dce) addGlobals(l liveSet) {
-	for _, g := range d.globals {
-		l[g] = true
+// clone returns a copy of l, reusing a set released earlier if it can.
+func (d *dce) clone(l varSet) varSet {
+	var c varSet
+	if n := len(d.free); n > 0 {
+		c, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		c = make(varSet, d.words)
 	}
+	copy(c, l)
+	return c
 }
+
+// release hands back a set clone returned, which is no longer used.
+func (d *dce) release(l varSet) { d.free = append(d.free, l) }
 
 // block turns live from the liveness after stmts into the liveness
 // before them. With sweep it also drops the dead statements and returns
-// the kept ones, compacted into the tail of the slice; without, it
-// returns stmts as they were.
-func (d *dce) block(stmts []ir.Stmt, live liveSet, sweep bool) []ir.Stmt {
+// the kept ones, in a new slice if it dropped any, so that a block that
+// shrank does not keep its old backing array alive; without, it returns
+// stmts as they were.
+func (d *dce) block(stmts []ir.Stmt, live varSet, sweep bool) []ir.Stmt {
 	kept := len(stmts)
 	for i := len(stmts) - 1; i >= 0; i-- {
 		if d.stmt(stmts[i], live, sweep) || !sweep {
@@ -79,14 +78,16 @@ func (d *dce) block(stmts []ir.Stmt, live liveSet, sweep bool) []ir.Stmt {
 			d.changed = true
 		}
 	}
-	clear(stmts[:kept]) // let the removed statements be collected
-	return stmts[kept:]
+	if kept > 0 {
+		return slices.Clone(stmts[kept:])
+	}
+	return stmts
 }
 
 // stmt turns live from the liveness after s into the liveness before it
 // and reports whether s stays. A statement that does not stay leaves live
 // as it was.
-func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
+func (d *dce) stmt(s ir.Stmt, live varSet, sweep bool) bool {
 	switch x := s.(type) {
 	case *ir.AssignStmt:
 		if dead(x, live) {
@@ -94,18 +95,18 @@ func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
 		}
 		switch lhs := x.LHS.(type) {
 		case *ir.VarExpr:
-			delete(live, lhs.V)
+			live.drop(lhs.V)
 		case *ir.IndexExpr:
 			// A store writes one element, so it does not kill the array.
-			ir.VarsRead(lhs.Index, live)
+			live.addReads(lhs.Index)
 		}
 		if call, isCall := x.RHS.(*ir.CallExpr); isCall {
 			d.callReads(call.Args, live)
 		} else {
-			ir.VarsRead(x.RHS, live)
+			live.addReads(x.RHS)
 		}
 	case *ir.IfStmt:
-		then := maps.Clone(live)
+		then := d.clone(live)
 		x.Then.Stmts = d.block(x.Then.Stmts, then, sweep)
 		if x.Else != nil {
 			x.Else.Stmts = d.block(x.Else.Stmts, live, sweep)
@@ -123,7 +124,8 @@ func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
 			d.changed = true
 		}
 		live.addAll(then)
-		ir.VarsRead(x.Cond, live)
+		d.release(then)
+		live.addReads(x.Cond)
 	case *ir.ForStmt:
 		if sweep && !d.sweepLoop(x.Cond, x.Body, x.Post, live) && dead(x.Init, live) && dead(x.Post, live) {
 			return false
@@ -140,9 +142,9 @@ func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
 	case *ir.ReturnStmt:
 		// Function exits: only globals (and the value) matter.
 		clear(live)
-		d.addGlobals(live)
+		live.addFirst(d.globals)
 		if x.Val != nil {
-			ir.VarsRead(x.Val, live)
+			live.addReads(x.Val)
 		}
 	case *ir.ExprStmt:
 		d.callReads(x.Call.Args, live)
@@ -155,36 +157,39 @@ func (d *dce) stmt(s ir.Stmt, live liveSet, sweep bool) bool {
 
 // callReads adds what a call reads: its arguments and, since the callee
 // may read any global, every global.
-func (d *dce) callReads(args []ir.Expr, live liveSet) {
+func (d *dce) callReads(args []ir.Expr, live varSet) {
 	for _, a := range args {
-		ir.VarsRead(a, live)
+		live.addReads(a)
 	}
-	d.addGlobals(live)
+	live.addFirst(d.globals)
 }
 
 // loop turns live from the liveness after a loop into the liveness at its
 // head: the fixed point over the back edge of body then post, with the
 // condition read on every entry.
-func (d *dce) loop(cond ir.Expr, body []ir.Stmt, post *ir.AssignStmt, live liveSet) {
-	ir.VarsRead(cond, live)
+func (d *dce) loop(cond ir.Expr, body []ir.Stmt, post *ir.AssignStmt, live varSet) {
+	live.addReads(cond)
+	in := d.clone(live)
+	defer d.release(in)
 	for {
-		in := maps.Clone(live)
 		if post != nil {
 			d.stmt(post, in, false)
 		}
 		d.block(body, in, false)
-		ir.VarsRead(cond, in)
+		in.addReads(cond)
 		if !live.addAll(in) {
 			return
 		}
+		copy(in, live)
 	}
 }
 
 // sweepLoop removes the dead statements of a loop body against the
 // liveness at the loop's head, given the liveness after the loop, and
 // reports whether the body kept any.
-func (d *dce) sweepLoop(cond ir.Expr, body *ir.Block, post *ir.AssignStmt, after liveSet) bool {
-	head := maps.Clone(after)
+func (d *dce) sweepLoop(cond ir.Expr, body *ir.Block, post *ir.AssignStmt, after varSet) bool {
+	head := d.clone(after)
+	defer d.release(head)
 	d.loop(cond, body.Stmts, post, head)
 	body.Stmts = d.block(body.Stmts, head, true)
 	return len(body.Stmts) > 0
@@ -192,7 +197,7 @@ func (d *dce) sweepLoop(cond ir.Expr, body *ir.Block, post *ir.AssignStmt, after
 
 // dead reports whether dropping the assignment is unobservable: it is
 // absent, or it writes a local no later statement reads and calls nothing.
-func dead(a *ir.AssignStmt, live liveSet) bool {
+func dead(a *ir.AssignStmt, live varSet) bool {
 	if a == nil {
 		return true
 	}
@@ -200,30 +205,21 @@ func dead(a *ir.AssignStmt, live liveSet) bool {
 		return false
 	}
 	v := ir.StmtWrites(a)
-	return !live[v] && !v.IsGlobal
+	return !live.has(v) && !v.IsGlobal
 }
 
 // pruneLocals removes the locals of f that no longer appear anywhere in
-// its body.
-func pruneLocals(f *ir.Func) bool {
-	used := map[*ir.Var]bool{}
+// its body. f's variables are numbered, and words is the length of a set
+// over them.
+func pruneLocals(f *ir.Func, words int) bool {
+	used := make(varSet, words)
 	ir.WalkStmts(f.Body, func(s ir.Stmt) bool {
-		ir.WalkStmtExprs(s, func(e ir.Expr) {
-			ir.WalkExpr(e, func(x ir.Expr) bool {
-				switch n := x.(type) {
-				case *ir.VarExpr:
-					used[n.V] = true
-				case *ir.IndexExpr:
-					used[n.Arr] = true
-				}
-				return true
-			})
-		})
+		ir.WalkStmtExprs(s, used.addReads)
 		return true
 	})
 	var kept []*ir.Var
 	for _, v := range f.Locals {
-		if v.IsParam || used[v] {
+		if v.IsParam || used.has(v) {
 			kept = append(kept, v)
 		}
 	}

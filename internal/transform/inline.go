@@ -55,20 +55,21 @@ func inlineCallsIn(p *ir.Program, f *ir.Func) (bool, error) {
 			if err != nil {
 				return stmts
 			}
-			var out []ir.Stmt
-			for _, s := range stmts {
+			out := splice(stmts, func(s ir.Stmt) ([]ir.Stmt, bool) {
 				call, dst := stmtCall(s)
-				if call == nil {
-					out = append(out, s)
-					continue
+				if call == nil || err != nil {
+					return nil, false
 				}
 				exp, e := expandCall(f, call, dst)
 				if e != nil {
 					err = e
-					return stmts
+					return nil, false
 				}
-				out = append(out, exp...)
 				any = true
+				return exp, true
+			})
+			if err != nil {
+				return stmts
 			}
 			return out
 		})
@@ -167,7 +168,7 @@ func tailReturnBody(callee *ir.Func) (*ir.Block, ir.Expr, error) {
 func DropUncalledFuncs() Pass {
 	return PassFunc{PassName: "drop-uncalled", Fn: func(p *ir.Program) (bool, error) {
 		root := p.Main()
-		if root == nil {
+		if root == nil || len(p.Funcs) == 1 {
 			return false, nil
 		}
 		reach := map[*ir.Func]bool{root: true}

@@ -136,18 +136,15 @@ func stepAlwaysPositive(p *ir.Program, w *ir.WhileStmt, x *ir.Var) bool {
 	writes := 0
 	var step ir.Expr
 	for _, s := range body.Stmts {
-		wr := map[*ir.Var]bool{}
-		writtenVars([]ir.Stmt{s}, wr)
-		if !wr[x] && !wr[anyGlobalMarker] {
-			continue
-		}
-		if wr[anyGlobalMarker] && x.IsGlobal {
+		writesX := false
+		calls := writesOf(s, func(v *ir.Var) { writesX = writesX || v == x })
+		if calls && x.IsGlobal {
 			// A call might write a global cursor: reject.
 			if _, isAssignToX := xWrite(s, x); !isAssignToX {
 				return false
 			}
 		}
-		if !wr[x] {
+		if !writesX {
 			continue
 		}
 		a, isAssignToX := xWrite(s, x)
@@ -216,8 +213,7 @@ func stepDeterministic(p *ir.Program, body *ir.Block, x *ir.Var, step ir.Expr) b
 	}
 	// Everything the body writes (arrays by variable, calls as globals).
 	written := map[*ir.Var]bool{}
-	writtenVars(body.Stmts, written)
-	callMayWrite := written[anyGlobalMarker]
+	callMayWrite := eachWritten(body.Stmts, func(v *ir.Var) { written[v] = true })
 
 	// Find the defining assignments of the step variable at top level.
 	defs := 0

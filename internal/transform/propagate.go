@@ -90,8 +90,8 @@ func (f fact) expr(v *ir.Var) ir.Expr {
 // has held as its source, so kill looks for readers only where there
 // can be some.
 type facts struct {
-	known scoped[*ir.Var, fact]
-	read  map[*ir.Var]bool
+	known varScoped[fact]
+	read  varSet
 	// joins holds, for the ifs being walked, the facts a branch ended
 	// with for each variable it touched.
 	joins []joined
@@ -104,14 +104,16 @@ type joined struct {
 	ok bool
 }
 
-func newFacts() *facts {
-	return &facts{known: newScoped[*ir.Var, fact](), read: map[*ir.Var]bool{}}
+// newFacts returns the empty facts of a walk over a function with n
+// numbered variables.
+func newFacts(n int) *facts {
+	return &facts{known: newVarScoped[fact](n), read: newVarSet(n)}
 }
 
 func (s *facts) set(v *ir.Var, f fact) {
 	s.known.set(v, f)
 	if f.src != nil {
-		s.read[f.src] = true
+		s.read.add(f.src)
 	}
 }
 
@@ -119,24 +121,17 @@ func (s *facts) set(v *ir.Var, f fact) {
 // that reads v.
 func (s *facts) kill(v *ir.Var) {
 	s.known.del(v)
-	if !s.read[v] {
-		return
-	}
-	for k, f := range s.known.m {
-		if f.src == v {
-			s.known.del(k)
-		}
+	if s.read.has(v) {
+		s.known.dropIf(func(_ *ir.Var, f fact) bool { return f.src == v })
 	}
 }
 
 // clobberGlobals drops the facts a call invalidates: those about a global
 // and those reading one.
 func (s *facts) clobberGlobals() {
-	for k, f := range s.known.m {
-		if k.IsGlobal || f.src != nil && f.src.IsGlobal {
-			s.known.del(k)
-		}
-	}
+	s.known.dropIf(func(k *ir.Var, f fact) bool {
+		return k.IsGlobal || f.src != nil && f.src.IsGlobal
+	})
 }
 
 // ends appends what the open scope ended with for each variable it
@@ -194,7 +189,7 @@ func (pr propagation) pass() Pass {
 	return PassFunc{PassName: pr.name, Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			s := newFacts()
+			s := newFacts(f.NumberVars(p.Globals))
 			pr.init(f, s)
 			if pr.block(f.Body, s) {
 				changed = true
@@ -243,23 +238,11 @@ func (pr propagation) substituteArgs(call *ir.CallExpr, s *facts) bool {
 // rebuilt only once a branch is spliced.
 func (pr propagation) block(b *ir.Block, s *facts) bool {
 	changed := false
-	var out []ir.Stmt
-	for i, st := range b.Stmts {
+	b.Stmts = splice(b.Stmts, func(st ir.Stmt) ([]ir.Stmt, bool) {
 		ch, folded, taken := pr.stmt(st, s)
 		changed = changed || ch
-		switch {
-		case folded:
-			if out == nil {
-				out = append(make([]ir.Stmt, 0, len(b.Stmts)+len(taken)), b.Stmts[:i]...)
-			}
-			out = append(out, taken...)
-		case out != nil:
-			out = append(out, st)
-		}
-	}
-	if out != nil {
-		b.Stmts = out
-	}
+		return taken, folded
+	})
 	return changed
 }
 

@@ -33,7 +33,8 @@ func Speculate() Pass {
 	return PassFunc{PassName: "speculate", Fn: func(p *ir.Program) (bool, error) {
 		changed := false
 		for _, f := range p.Funcs {
-			sp := &speculator{fn: f}
+			n := f.NumberVars(p.Globals)
+			sp := &speculator{fn: f, globals: p.Globals, rename: make([]*ir.Var, n), dirty: newVarSet(n)}
 			if sp.block(f.Body) {
 				changed = true
 			}
@@ -42,35 +43,77 @@ func Speculate() Pass {
 	}}
 }
 
+// speculator is one walk over a function. rename and dirty describe the
+// branch being hoisted from, and are indexed by variable ID; touched
+// lists what they hold, so each branch starts them empty at the cost of
+// what the previous one wrote.
 type speculator struct {
-	fn *ir.Func
+	fn      *ir.Func
+	globals []*ir.Var
+	rename  []*ir.Var // by ID: the temp that holds the variable's speculated value
+	dirty   varSet    // variables with a non-hoisted in-branch write
+	touched []*ir.Var
+}
+
+// renamed returns v's speculation temp, or nil.
+func (sp *speculator) renamed(v *ir.Var) *ir.Var {
+	if int(v.ID) < len(sp.rename) {
+		return sp.rename[v.ID]
+	}
+	return nil
+}
+
+// setRename records that t holds v's speculated value (t nil: none),
+// and that v is not dirty.
+func (sp *speculator) setRename(v, t *ir.Var) {
+	if int(v.ID) >= len(sp.rename) {
+		// v is a temp this walk made: grow both tables.
+		n := max(int(v.ID)+1, 2*len(sp.rename))
+		sp.rename = append(sp.rename, make([]*ir.Var, n-len(sp.rename))...)
+		sp.dirty = append(sp.dirty, make(varSet, (n+63)/64-len(sp.dirty))...)
+	}
+	sp.rename[v.ID] = t
+	sp.dirty.drop(v)
+	sp.touched = append(sp.touched, v)
+}
+
+// setDirty marks v dirty and drops its speculation temp.
+func (sp *speculator) setDirty(v *ir.Var) {
+	sp.setRename(v, nil)
+	sp.dirty.add(v)
+}
+
+// reset empties rename and dirty.
+func (sp *speculator) reset() {
+	for _, v := range sp.touched {
+		sp.rename[v.ID] = nil
+		sp.dirty.drop(v)
+	}
+	sp.touched = sp.touched[:0]
 }
 
 // block processes a statement list, returning whether anything changed.
 // Hoisted code lands immediately before the conditional it came from.
 func (sp *speculator) block(b *ir.Block) bool {
 	changed := false
-	var out []ir.Stmt
-	for _, s := range b.Stmts {
-		ifs, ok := s.(*ir.IfStmt)
-		if !ok {
-			switch x := s.(type) {
-			case *ir.ForStmt:
-				changed = sp.block(x.Body) || changed
-			case *ir.WhileStmt:
-				changed = sp.block(x.Body) || changed
-			case *ir.Block:
-				changed = sp.block(x) || changed
+	b.Stmts = splice(b.Stmts, func(s ir.Stmt) ([]ir.Stmt, bool) {
+		switch x := s.(type) {
+		case *ir.IfStmt:
+			hoisted, ch := sp.speculateIf(x)
+			changed = changed || ch
+			if len(hoisted) == 0 {
+				return nil, false
 			}
-			out = append(out, s)
-			continue
+			return append(hoisted, x), true
+		case *ir.ForStmt:
+			changed = sp.block(x.Body) || changed
+		case *ir.WhileStmt:
+			changed = sp.block(x.Body) || changed
+		case *ir.Block:
+			changed = sp.block(x) || changed
 		}
-		hoisted, ch := sp.speculateIf(ifs)
-		changed = changed || ch
-		out = append(out, hoisted...)
-		out = append(out, ifs)
-	}
-	b.Stmts = out
+		return nil, false
+	})
 	return changed
 }
 
@@ -104,53 +147,24 @@ func (sp *speculator) speculateIf(ifs *ir.IfStmt) ([]ir.Stmt, bool) {
 func (sp *speculator) hoistBranch(branch *ir.Block) ([]ir.Stmt, bool) {
 	changed := false
 	var hoisted []ir.Stmt
-	rename := map[*ir.Var]*ir.Var{} // var -> its speculation temp
-	dirty := map[*ir.Var]bool{}     // vars with a non-hoisted in-branch write
+	defer sp.reset()
 
 	applyRename := func(e ir.Expr) ir.Expr {
 		return ir.RewriteExpr(e, func(x ir.Expr) ir.Expr {
 			if v, ok := x.(*ir.VarExpr); ok {
-				if t, ok := rename[v.V]; ok {
+				if t := sp.renamed(v.V); t != nil {
 					return ir.V(t)
 				}
 			}
 			return x
 		})
 	}
-	readsDirty := func(e ir.Expr) bool {
-		found := false
-		ir.WalkExpr(e, func(x ir.Expr) bool {
-			switch n := x.(type) {
-			case *ir.VarExpr:
-				if dirty[n.V] {
-					found = true
-				}
-			case *ir.IndexExpr:
-				if dirty[n.Arr] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
 	markDirty := func(s ir.Stmt) {
-		w := map[*ir.Var]bool{}
-		writtenVars([]ir.Stmt{s}, w)
-		if w[anyGlobalMarker] {
-			// Calls may write any global.
-			delete(w, anyGlobalMarker)
-			for v := range rename {
-				if v.IsGlobal {
-					delete(rename, v)
-					dirty[v] = true
-				}
+		if writesOf(s, sp.setDirty) {
+			// A call may write any global.
+			for _, g := range sp.globals {
+				sp.setDirty(g)
 			}
-			dirtyAllGlobals(dirty, sp.fn)
-		}
-		for v := range w {
-			dirty[v] = true
-			delete(rename, v)
 		}
 	}
 
@@ -171,66 +185,34 @@ func (sp *speculator) hoistBranch(branch *ir.Block) ([]ir.Stmt, bool) {
 		}
 		// A bare commit copy "v = t" needs no new temp.
 		if src, isCopy := a.RHS.(*ir.VarExpr); isCopy {
-			if t, ok := rename[src.V]; ok {
+			t := sp.renamed(src.V)
+			if t != nil {
 				a.RHS = ir.V(t)
 			}
-			if !dirty[src.V] {
-				// v now equals a pre-branch-computable value.
-				rename[lhsVar.V] = renameTarget(rename, src.V)
-				delete(dirty, lhsVar.V)
+			if !sp.dirty.has(src.V) {
+				// v now equals a pre-branch-computable value: its
+				// temp if it has one, else itself.
+				if t == nil {
+					t = src.V
+				}
+				sp.setRename(lhsVar.V, t)
 			} else {
-				dirty[lhsVar.V] = true
-				delete(rename, lhsVar.V)
+				sp.setDirty(lhsVar.V)
 			}
 			continue
 		}
 		rhs := applyRename(a.RHS)
-		if !IsPure(rhs) || readsDirty(rhs) {
+		if !IsPure(rhs) || anyRead(rhs, sp.dirty.has) {
 			a.RHS = rhs
-			dirty[lhsVar.V] = true
-			delete(rename, lhsVar.V)
+			sp.setDirty(lhsVar.V)
 			continue
 		}
 		// Hoist: t = RHS' above; commit copy v = t in place.
 		t := sp.fn.NewTemp("spec_"+lhsVar.V.Name, lhsVar.V.Type)
 		hoisted = append(hoisted, ir.AssignRaw(ir.V(t), rhs))
 		branch.Stmts[i] = ir.Assign(ir.V(lhsVar.V), ir.V(t))
-		rename[lhsVar.V] = t
-		delete(dirty, lhsVar.V)
+		sp.setRename(lhsVar.V, t)
 		changed = true
 	}
 	return hoisted, changed
-}
-
-// renameTarget resolves the temp a copy source refers to: if src itself has
-// a rename entry use that temp, otherwise src is readable pre-branch as-is.
-func renameTarget(rename map[*ir.Var]*ir.Var, src *ir.Var) *ir.Var {
-	if t, ok := rename[src]; ok {
-		return t
-	}
-	return src
-}
-
-func dirtyAllGlobals(dirty map[*ir.Var]bool, f *ir.Func) {
-	// Mark every global referenced in the function dirty. (We cannot
-	// enumerate program globals from here without threading the program;
-	// referenced globals are the only ones that matter for reads.)
-	ir.WalkStmts(f.Body, func(s ir.Stmt) bool {
-		ir.WalkStmtExprs(s, func(e ir.Expr) {
-			ir.WalkExpr(e, func(x ir.Expr) bool {
-				switch n := x.(type) {
-				case *ir.VarExpr:
-					if n.V.IsGlobal {
-						dirty[n.V] = true
-					}
-				case *ir.IndexExpr:
-					if n.Arr.IsGlobal {
-						dirty[n.Arr] = true
-					}
-				}
-				return true
-			})
-		})
-		return true
-	})
 }

@@ -15,6 +15,19 @@
 // All passes preserve program semantics as defined by package interp; the
 // test suite checks this with randomized equivalence testing after every
 // pass on every workload.
+//
+// The flow-sensitive passes (DCE, constant and copy propagation, CSE and
+// speculation) keep their per-variable facts in slices, not maps. Each
+// numbers a function's variables when it starts on it
+// (ir.Func.NumberVars: globals first, then the locals) and trusts no
+// other ID; temporaries it creates are numbered by ir.Func.AddLocal.
+// Sets of variables, such as DCE's live set, are bitsets (varSet), so
+// copying one at a branch or a loop's back edge is a word copy. Facts
+// that branches and loop bodies must roll back live in a varScoped
+// table: a slice by ID that also lists its entries, so dropping the
+// facts a write invalidates costs what the table holds. CSE's
+// expressions, keyed by structural hash, stay in a map; both kinds of
+// table share one undo log (undo).
 package transform
 
 import (
@@ -46,55 +59,90 @@ func (pf PassFunc) Run(p *ir.Program) (bool, error) { return pf.Fn(p) }
 // except calls. Pure expressions may be duplicated, reordered past
 // non-conflicting writes, and speculated.
 func IsPure(e ir.Expr) bool {
-	pure := true
-	ir.WalkExpr(e, func(x ir.Expr) bool {
-		if _, ok := x.(*ir.CallExpr); ok {
-			pure = false
-			return false
-		}
-		return true
-	})
-	return pure
+	switch x := e.(type) {
+	case *ir.CallExpr:
+		return false
+	case *ir.IndexExpr:
+		return IsPure(x.Index)
+	case *ir.BinExpr:
+		return IsPure(x.L) && IsPure(x.R)
+	case *ir.UnExpr:
+		return IsPure(x.X)
+	case *ir.CastExpr:
+		return IsPure(x.X)
+	case *ir.SelExpr:
+		return IsPure(x.Cond) && IsPure(x.Then) && IsPure(x.Else)
+	}
+	return true
 }
 
-// writtenVars collects every variable written anywhere in the statement
-// tree (array stores report the array variable), including loop init/post.
-func writtenVars(stmts []ir.Stmt, into map[*ir.Var]bool) {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *ir.AssignStmt:
-			if v := ir.StmtWrites(s); v != nil {
-				into[v] = true
+// splice returns stmts with every statement that expand accepts replaced
+// by the statements it returns. It copies stmts only from the first
+// accepted statement on, so a block that nothing expands keeps its slice.
+func splice(stmts []ir.Stmt, expand func(ir.Stmt) ([]ir.Stmt, bool)) []ir.Stmt {
+	var out []ir.Stmt
+	for i, s := range stmts {
+		exp, ok := expand(s)
+		switch {
+		case ok:
+			if out == nil {
+				out = append(make([]ir.Stmt, 0, len(stmts)+len(exp)), stmts[:i]...)
 			}
-		case *ir.IfStmt:
-			writtenVars(x.Then.Stmts, into)
-			if x.Else != nil {
-				writtenVars(x.Else.Stmts, into)
-			}
-		case *ir.ForStmt:
-			if x.Init != nil {
-				writtenVars([]ir.Stmt{x.Init}, into)
-			}
-			if x.Post != nil {
-				writtenVars([]ir.Stmt{x.Post}, into)
-			}
-			writtenVars(x.Body.Stmts, into)
-		case *ir.WhileStmt:
-			writtenVars(x.Body.Stmts, into)
-		case *ir.Block:
-			writtenVars(x.Stmts, into)
-		case *ir.ExprStmt:
-			// A call may write any global.
-			into[anyGlobalMarker] = true
-		case *ir.ReturnStmt:
-		}
-		// Calls in assignment RHS also clobber globals.
-		if a, ok := s.(*ir.AssignStmt); ok {
-			if _, isCall := a.RHS.(*ir.CallExpr); isCall {
-				into[anyGlobalMarker] = true
-			}
+			out = append(out, exp...)
+		case out != nil:
+			out = append(out, s)
 		}
 	}
+	if out == nil {
+		return stmts
+	}
+	return out
+}
+
+// eachWritten calls write for every variable written anywhere in the
+// statement tree (an array store writes the array variable), loop init
+// and post included, and reports whether any statement calls a
+// function, which may write any global.
+func eachWritten(stmts []ir.Stmt, write func(*ir.Var)) (calls bool) {
+	for _, s := range stmts {
+		if writesOf(s, write) {
+			calls = true
+		}
+	}
+	return calls
+}
+
+// writesOf is eachWritten for one statement.
+func writesOf(s ir.Stmt, write func(*ir.Var)) (calls bool) {
+	switch x := s.(type) {
+	case *ir.AssignStmt:
+		if v := ir.StmtWrites(x); v != nil {
+			write(v)
+		}
+		_, calls = x.RHS.(*ir.CallExpr)
+	case *ir.IfStmt:
+		calls = eachWritten(x.Then.Stmts, write)
+		if x.Else != nil && eachWritten(x.Else.Stmts, write) {
+			calls = true
+		}
+	case *ir.ForStmt:
+		if x.Init != nil && writesOf(x.Init, write) {
+			calls = true
+		}
+		if x.Post != nil && writesOf(x.Post, write) {
+			calls = true
+		}
+		if eachWritten(x.Body.Stmts, write) {
+			calls = true
+		}
+	case *ir.WhileStmt:
+		calls = eachWritten(x.Body.Stmts, write)
+	case *ir.Block:
+		calls = eachWritten(x.Stmts, write)
+	case *ir.ExprStmt:
+		calls = true
+	}
+	return calls
 }
 
 // factSet is what a forward pass knows about the program state at a
@@ -110,16 +158,7 @@ type factSet interface {
 // write, so the rest hold after them on any path and on every iteration
 // of a loop over them.
 func killWritten(s factSet, stmts []ir.Stmt) {
-	w := map[*ir.Var]bool{}
-	writtenVars(stmts, w)
-	if w[anyGlobalMarker] {
+	if eachWritten(stmts, s.kill) {
 		s.clobberGlobals()
 	}
-	for v := range w {
-		s.kill(v)
-	}
 }
-
-// anyGlobalMarker is a sentinel: its presence in a written-set means "some
-// call may have written any global".
-var anyGlobalMarker = &ir.Var{Name: "<any-global>"}

@@ -1,9 +1,13 @@
 package transform_test
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"sparkgo/internal/core"
+	"sparkgo/internal/ild"
 	"sparkgo/internal/interp"
 	"sparkgo/internal/ir"
 	"sparkgo/internal/parser"
@@ -790,5 +794,80 @@ void main() {
 		if got[0] != got[1] {
 			t.Fatalf("x=%d: (o1, o2) = %v after the plan, %v before\n%s", x, got[1], got[0], ir.Print(work))
 		}
+	}
+}
+
+// staleIDs runs a pass after scrambling every variable's ID and
+// appending a local to main by hand, bypassing AddLocal, so that any ID
+// the pass did not give itself is wrong. The extra local is marked a
+// parameter, so DCE keeps it, and is removed again after the pass.
+type staleIDs struct {
+	transform.Pass
+	rng *rand.Rand
+}
+
+func (s staleIDs) Run(p *ir.Program) (bool, error) {
+	vars := append([]*ir.Var(nil), p.Globals...)
+	for _, f := range p.Funcs {
+		vars = append(vars, f.Locals...)
+	}
+	for _, v := range vars {
+		v.ID = int32(s.rng.Intn(len(vars)+3) - 1)
+	}
+	m := p.Main()
+	extra := &ir.Var{Name: "stale_id_probe", Type: ir.U8, IsParam: true, ID: int32(s.rng.Intn(len(vars)))}
+	m.Locals = append(m.Locals, extra)
+	changed, err := s.Pass.Run(p)
+	kept := make([]*ir.Var, 0, len(m.Locals))
+	for _, v := range m.Locals {
+		if v != extra {
+			kept = append(kept, v)
+		}
+	}
+	m.SetLocals(kept)
+	return changed, err
+}
+
+// TestPassesIgnoreStaleVarIDs pins the numbering contract of the fact
+// tables: a pass numbers a function's variables when it starts on it and
+// trusts no other ID. With the IDs scrambled before every pass
+// application, the whole pipeline must print the same program.
+func TestPassesIgnoreStaleVarIDs(t *testing.T) {
+	type design struct {
+		name string
+		prog *ir.Program
+		opt  core.Options
+	}
+	var designs []design
+	for _, preset := range []core.Preset{core.MicroprocessorBlock, core.ClassicalASIC} {
+		for _, n := range []int{4, 8, 16} {
+			designs = append(designs, design{fmt.Sprintf("ild%d/%s", n, preset), ild.Program(n), core.Options{Preset: preset}})
+		}
+		designs = append(designs, design{fmt.Sprintf("natural8/%s", preset), ild.NaturalProgram(8),
+			core.Options{Preset: preset, NormalizeWhile: true}})
+	}
+	for _, d := range designs {
+		t.Run(d.name, func(t *testing.T) {
+			run := func(wrap func(transform.Pass) transform.Pass) string {
+				passes, err := pass.BuildAll(d.opt.PassSpecs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range passes {
+					passes[i] = wrap(p)
+				}
+				work := ir.CloneProgram(d.prog)
+				if err := (&pass.Pipeline{Passes: passes}).Run(work); err != nil {
+					t.Fatal(err)
+				}
+				return ir.Print(work)
+			}
+			want := run(func(p transform.Pass) transform.Pass { return p })
+			rng := rand.New(rand.NewSource(1))
+			got := run(func(p transform.Pass) transform.Pass { return staleIDs{p, rng} })
+			if got != want {
+				t.Fatalf("stale IDs changed the result:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -45,17 +45,11 @@ func UnrollFull(labels []string, maxIter int) Pass {
 			for round := 0; round < 64; round++ {
 				any := false
 				ir.RewriteBlocks(f.Body, func(stmts []ir.Stmt) []ir.Stmt {
-					var out []ir.Stmt
-					for _, s := range stmts {
+					return splice(stmts, func(s ir.Stmt) ([]ir.Stmt, bool) {
 						exp, ok := tryUnrollStmt(s, want, labels == nil, maxIter)
-						if ok {
-							any = true
-							out = append(out, exp...)
-						} else {
-							out = append(out, s)
-						}
-					}
-					return out
+						any = any || ok
+						return exp, ok
+					})
 				})
 				if !any {
 					break
@@ -148,9 +142,9 @@ func TripCount(f *ir.ForStmt, maxIter int) (int, bool) {
 		return 0, false
 	}
 	// The body must not write the index variable.
-	w := map[*ir.Var]bool{}
-	writtenVars(f.Body.Stmts, w)
-	if w[idx] || w[anyGlobalMarker] && idx.IsGlobal {
+	writesIdx := false
+	calls := eachWritten(f.Body.Stmts, func(v *ir.Var) { writesIdx = writesIdx || v == idx })
+	if writesIdx || calls && idx.IsGlobal {
 		return 0, false
 	}
 	// Cond and post must depend on idx (and constants) only.
